@@ -11,7 +11,7 @@ of the grid.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DataError, HlcastError, SchemaError
 from .lti import LtiParams, derive_interest_only_share, hlc_series
 from .regress import EcmFit, FitResult, design_matrix, ecm_fit, ecm_forecast, ols_fit, predict
-from .timeseries import Frame, Quarter, QuarterlySeries, align
+from .timeseries import Frame, Quarter, QuarterlySeries, align, format_value
 
 # Canonical column names for the feature frame.
 HOUSE_PRICE = "house_price"
@@ -107,20 +107,17 @@ def evaluate(
     Optionally restricted to ``[first, last]``. An empty overlap is an
     error, not a zero.
     """
-    errors: list[float] = []
-    for q, v in observed.items():
-        if first is not None and q < first:
-            continue
-        if last is not None and q > last:
-            continue
-        p = predicted.get(q)
-        if v is not None and p is not None:
-            errors.append(p - v)
-    if not errors:
+    o0, p0 = observed.start_index, predicted.start_index
+    lo = max(o0, p0) if first is None else max(o0, p0, first.index)
+    hi = min(o0 + len(observed), p0 + len(predicted))
+    hi = max(lo, hi if last is None else min(hi, last.index + 1))
+    v, p = observed.array[lo - o0 : hi - o0], predicted.array[lo - p0 : hi - p0]
+    both = ~(np.isnan(v) | np.isnan(p))
+    if not both.any():
         raise DataError(
             f"no overlapping observations between {observed.name!r} and {predicted.name!r}"
         )
-    e = np.array(errors)
+    e = p[both] - v[both]
     return Metrics(
         rmse=float(np.sqrt(np.mean(e**2))),
         mae=float(np.mean(np.abs(e))),
@@ -166,10 +163,9 @@ def default_specs(
 
 
 def _zero_from(series: QuarterlySeries, start: Quarter) -> QuarterlySeries:
-    values = tuple(
-        0.0 if q >= start else v for q, v in series.items()
-    )
-    return replace(series, values=values)
+    out = series.to_array()
+    out[max(start.index - series.start_index, 0) :] = 0.0
+    return series._with_array(out)
 
 
 def build_features(
@@ -220,13 +216,8 @@ def build_features(
         ]
     )
     capacity = hlc_series(base, params)
-    ratio_values = tuple(
-        None if h is None or i is None else h / i
-        for h, i in zip(capacity.values, base.column(INCOME).values)
-    )
-    ratio = QuarterlySeries(
-        name=HLC_INCOME_RATIO, start=base.start, values=ratio_values, unit="dimensionless"
-    )
+    ratio = capacity.array / base.column(INCOME).array
+    ratio = QuarterlySeries._from_array(HLC_INCOME_RATIO, base.start_index, ratio, "dimensionless")
     extra = [
         capacity,
         capacity.lag(hlc_lag).rename(f"{HLC}_lag{hlc_lag}"),
@@ -238,9 +229,9 @@ def build_features(
 
 def _splice(head: QuarterlySeries, tail: QuarterlySeries) -> QuarterlySeries:
     """Concatenate two series where ``tail`` starts right after ``head`` ends."""
-    if tail.start - head.end != 1:
+    if tail.start_index != head.start_index + len(head):
         raise ValueError(f"cannot splice {head.end} with {tail.start}")
-    return replace(head, values=head.values + tail.values)
+    return head._with_array(np.concatenate([head.array, tail.array]))
 
 
 @dataclass
@@ -350,18 +341,17 @@ def _run_variant(
         fit = ols_fit(d)
         result.summary = fit.to_dict()
         result.predicted = predict(fit, features)
-        result.n_train = len(d.row_index)
-        result.train_start, result.train_end = d.row_index[0], d.row_index[-1]
+        rows = d.rows
     else:
         short_run, levels = _ecm_term_series(features, spec)
         train_response = observed.window(last=last_train) if last_train is not None else observed
         fit = ecm_fit(train_response, align(short_run), align(levels))
         result.summary = fit.to_dict()
-        rows = [q for q, v in fit.underlying.fitted.items() if v is not None]
-        result.n_train = len(rows)
-        result.train_start, result.train_end = rows[0], rows[-1]
+        fitted = fit.underlying.fitted
+        rows = fitted.start_index + np.flatnonzero(~np.isnan(fitted.array))
         forecast_frame = align([observed] + short_run + levels)
-        in_sample = ecm_forecast(fit, forecast_frame, start=rows[0], mode="static")
+        first_row = Quarter.from_index(rows[0])
+        in_sample = ecm_forecast(fit, forecast_frame, start=first_row, mode="static")
         if regime == "full":
             result.predicted = in_sample
         else:
@@ -384,6 +374,8 @@ def _run_variant(
                 "metrics_holdout": alt_holdout,
             }
 
+    result.n_train = len(rows)
+    result.train_start, result.train_end = Quarter.from_index(rows[0]), Quarter.from_index(rows[-1])
     result.metrics_all = evaluate(observed, result.predicted)
     try:
         result.metrics_holdout = evaluate(observed, result.predicted, first=split.cutoff + 1)
@@ -464,13 +456,9 @@ def emit_plot_data(report: BacktestReport, out_dir: str | Path) -> list[Path]:
         lines = ["quarter,observed,fitted_or_forecast,regime"]
         if v.predicted is not None:
             merged = align([observed.rename("observed"), v.predicted.rename("predicted")])
-            for q in merged.quarters():
-                obs = merged.column("observed").get(q)
-                pred = merged.column("predicted").get(q)
-                lines.append(
-                    f"{q},{'' if obs is None else repr(obs)},"
-                    f"{'' if pred is None else repr(pred)},{v.regime}"
-                )
+            obs, pred = (merged.column(c).array.tolist() for c in ("observed", "predicted"))
+            for q, o, p in zip(merged.quarters(), obs, pred):
+                lines.append(f"{q},{format_value(o)},{format_value(p)},{v.regime}")
         _write_text(path, "\n".join(lines) + "\n")
         written.append(path)
 

@@ -147,6 +147,16 @@ def _reject_unknown(node: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown key(s) under {where}: {', '.join(unknown)}")
 
 
+def _number(node: dict, key: str, default, cast: type, where: str):
+    """``node[key]`` (or ``default``) cast to int or float; a ConfigError if it is not one."""
+    value = node.get(key, default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        kind = "an integer" if cast is int else "a number"
+        raise ConfigError(f"{where}.{key} must be {kind}, got {value!r}") from None
+
+
 def _parse_quarter_opt(value, where: str) -> Quarter | None:
     if value is None:
         return None
@@ -233,20 +243,20 @@ def load_config(
     )
     try:
         lti = LtiParams(
-            woonquote=float(lti_node.get("woonquote", 0.30)),
-            deduction_rate=float(lti_node.get("deduction_rate", 0.40)),
-            cost_rate=float(lti_node.get("cost_rate", 0.025)),
-            term_months=int(lti_node.get("term_months", 360)),
+            woonquote=_number(lti_node, "woonquote", 0.30, float, "lti"),
+            deduction_rate=_number(lti_node, "deduction_rate", 0.40, float, "lti"),
+            cost_rate=_number(lti_node, "cost_rate", 0.025, float, "lti"),
+            term_months=_number(lti_node, "term_months", 360, int, "lti"),
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid lti parameters: {exc}") from None
 
     feat = _require_mapping(raw.get("features"), "features")
     _reject_unknown(
         feat, {"smoothing_window", "hlc_lag", "interest_only_zero_from"}, "features"
     )
-    smoothing = int(feat.get("smoothing_window", 4))
-    hlc_lag = int(feat.get("hlc_lag", 6))
+    smoothing = _number(feat, "smoothing_window", 4, int, "features")
+    hlc_lag = _number(feat, "hlc_lag", 6, int, "features")
     if smoothing < 1 or hlc_lag < 0:
         raise ConfigError("smoothing_window must be >= 1 and hlc_lag >= 0")
     zero_from = _parse_quarter_opt(
@@ -268,7 +278,8 @@ def load_config(
     if lags is not None:
         lag_min, lag_max = parse_lag_range(lags)
     else:
-        lag_min, lag_max = int(scan.get("min", 0)), int(scan.get("max", 6))
+        lag_min = _number(scan, "min", 0, int, "lag_scan")
+        lag_max = _number(scan, "max", 6, int, "lag_scan")
         if lag_min < 0 or lag_max < lag_min:
             raise ConfigError("lag_scan must satisfy 0 <= min <= max")
 

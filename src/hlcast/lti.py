@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DataError, DomainError, InconsistencyError
 from .timeseries import Frame, Quarter, QuarterlySeries, align
 
@@ -152,15 +154,12 @@ def hlc_series(
     """Per-quarter lending capacity from aligned income, rate, and share
     columns; missing wherever any input is missing."""
     frame.require(income, interest_rate, interest_only_share)
-    inc, rate, share = (frame.column(c) for c in (income, interest_rate, interest_only_share))
-    values: list[float | None] = []
-    for q in frame.quarters():
-        i, r, m = inc.get(q), rate.get(q), share.get(q)
-        if i is None or r is None or m is None:
-            values.append(None)
-        else:
-            values.append(hlc(HouseholdInputs(i, r, m), params))
-    return QuarterlySeries(name=name, start=frame.start, values=tuple(values), unit="eur")
+    columns = (frame.column(c).array.tolist() for c in (income, interest_rate, interest_only_share))
+    out = np.full(len(frame), np.nan)
+    for k, (i, r, m) in enumerate(zip(*columns)):
+        if i == i and r == r and m == m:  # NaN != NaN marks a missing input
+            out[k] = hlc(HouseholdInputs(i, r, m), params)
+    return QuarterlySeries._from_array(name, frame.start_index, out, "eur")
 
 
 def new_mortgage_share(mover_share: float, stock_delta: float, prior_stock: float) -> float:
@@ -202,11 +201,8 @@ def derive_interest_only_share(
     ``d`` implies ``d / mover_share`` of movers switched into interest-only
     (clamped to [0, 1]); the remaining movers are assumed to renew their
     existing product pro-rata, contributing ``(1 - switchers) * prior stock
-    share``. The new-mortgage share is the sum of both groups.
-
-    With 5% movers, a 2.5 point stock increase, and a prior stock share of
-    40%: half of the movers switched, half renewed (20% of movers carried an
-    interest-only product), so 70% of new mortgages are interest-only.
+    share``. The new-mortgage share is the sum of both groups (see
+    :func:`new_mortgage_share` for a worked example).
 
     ``zero_from`` forces the share to 0 from that quarter on, for regimes
     where regulation removed the product's capacity advantage.
@@ -217,25 +213,24 @@ def derive_interest_only_share(
     frame = align(
         [stock_share.rename("stock"), transactions.rename("trans"), households.rename("hh")]
     )
-    stock, trans, hh = frame.column("stock"), frame.column("trans"), frame.column("hh")
-    values: list[float | None] = []
-    for q in frame.quarters():
-        if zero_from is not None and q >= zero_from:
-            values.append(0.0)
-            continue
-        s_now, s_prev = stock.get(q), stock.get(q - 1)
-        t, n = trans.get(q), hh.get(q)
-        if s_now is None or s_prev is None or t is None or n is None:
-            values.append(None)
+    stock, trans, hh = (frame.column(c).array.tolist() for c in ("stock", "trans", "hh"))
+    n, i0 = len(frame), frame.start_index
+    cut = n if zero_from is None else min(max(zero_from.index - i0, 0), n)
+    out = np.zeros(n)
+    out[:cut] = np.nan
+    for k in range(1, cut):
+        s_now, s_prev, t, h = stock[k], stock[k - 1], trans[k], hh[k]
+        if s_now != s_now or s_prev != s_prev or t != t or h != h:  # a missing input
             continue
         if not 0.0 <= s_now <= 1.0:
-            raise DataError(f"stock share out of [0, 1] at {q}: {s_now}")
-        if n <= 0 or t < 0 or t > n:
-            raise DataError(f"transactions must satisfy 0 <= transactions <= households at {q}")
+            raise DataError(f"stock share out of [0, 1] at {Quarter.from_index(i0 + k)}: {s_now}")
+        if h <= 0 or t < 0 or t > h:
+            raise DataError(
+                "transactions must satisfy 0 <= transactions <= households"
+                f" at {Quarter.from_index(i0 + k)}"
+            )
         try:
-            values.append(new_mortgage_share(t / n, s_now - s_prev, s_prev))
+            out[k] = new_mortgage_share(t / h, s_now - s_prev, s_prev)
         except InconsistencyError as exc:
-            raise InconsistencyError(f"{exc} (at {q})") from None
-    return QuarterlySeries(
-        name="interest_only_share", start=frame.start, values=tuple(values), unit="fraction"
-    )
+            raise InconsistencyError(f"{exc} (at {Quarter.from_index(i0 + k)})") from None
+    return QuarterlySeries._from_array("interest_only_share", i0, out, "fraction")

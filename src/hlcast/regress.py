@@ -25,7 +25,7 @@ from .errors import (
     SchemaError,
     SingularDesignError,
 )
-from .timeseries import Frame, Quarter, QuarterlySeries, align
+from .timeseries import Frame, Quarter, QuarterlySeries, align, shift
 
 # Relative singular-value threshold below which a design counts as rank
 # deficient.
@@ -48,15 +48,16 @@ class DesignMatrix:
     """Dense regression inputs after listwise deletion.
 
     ``matrix`` has one column per entry of ``names``; when an intercept is
-    present it is the all-ones first column. ``row_index`` maps rows back to
-    quarters. ``terms`` describes how non-intercept columns derive from frame
-    columns, so predictions can be rebuilt on any compatible frame.
+    present it is the all-ones first column. ``rows`` holds each row's
+    quarter number (:attr:`Quarter.index`); ``row_index`` gives them as
+    quarters. ``terms`` describes how non-intercept columns derive from
+    frame columns, so predictions can be rebuilt on any compatible frame.
     """
 
     response: np.ndarray
     matrix: np.ndarray
     names: list[str]
-    row_index: list[Quarter]
+    rows: np.ndarray
     response_name: str = "y"
     intercept: bool = True
     terms: tuple[Term, ...] = ()
@@ -64,10 +65,11 @@ class DesignMatrix:
     def __post_init__(self) -> None:
         self.response = np.asarray(self.response, dtype=float)
         self.matrix = np.asarray(self.matrix, dtype=float)
+        self.rows = np.asarray(self.rows, dtype=np.int64)
         if self.matrix.ndim != 2 or self.response.ndim != 1:
             raise ValueError("response must be a vector and matrix two-dimensional")
         n, p = self.matrix.shape
-        if len(self.response) != n or len(self.row_index) != n or len(self.names) != p:
+        if len(self.response) != n or len(self.rows) != n or len(self.names) != p:
             raise ValueError("design matrix dimensions are inconsistent")
         if not (np.isfinite(self.response).all() and np.isfinite(self.matrix).all()):
             raise DataError("design matrix contains missing or non-finite cells")
@@ -76,6 +78,10 @@ class DesignMatrix:
         if not self.terms:
             skip = 1 if self.intercept else 0
             self.terms = tuple(Term(n, n, 0) for n in self.names[skip:])
+
+    @property
+    def row_index(self) -> list[Quarter]:
+        return [Quarter.from_index(i) for i in self.rows.tolist()]
 
     @classmethod
     def from_arrays(
@@ -97,12 +103,11 @@ class DesignMatrix:
         if intercept:
             x = np.column_stack([np.ones(x.shape[0]), x])
             cols = [INTERCEPT] + cols
-        rows = [start + i for i in range(x.shape[0])]
         return cls(
             response=np.asarray(y, dtype=float),
             matrix=x,
             names=cols,
-            row_index=rows,
+            rows=start.index + np.arange(x.shape[0]),
             response_name=response_name,
             intercept=intercept,
         )
@@ -123,35 +128,25 @@ def design_matrix(
     in the response or a regressor are dropped, optionally restricted to the
     quarters in ``[first, last]``.
     """
-    resp = frame.column(response)
+    columns = [frame.column(response).array] + ([np.ones(len(frame))] if intercept else [])
     terms: list[Term] = []
-    series: list[QuarterlySeries] = []
     for r in regressors:
         col, k = (r, 0) if isinstance(r, str) else r
         if k < 0:
             raise ValueError(f"regressor lag must be >= 0, got {k} for {col!r}")
         terms.append(Term(name=col if k == 0 else f"{col}_lag{k}", column=col, lag=k))
-        series.append(frame.column(col).lag(k))
-    rows: list[Quarter] = []
-    lo = frame.start if first is None else max(first, frame.start)
-    hi = frame.end if last is None else min(last, frame.end)
-    q = lo
-    while q <= hi:
-        if resp.get(q) is not None and all(s.get(q) is not None for s in series):
-            rows.append(q)
-        q = q + 1
-    y = np.array([resp.get(q) for q in rows], dtype=float)
-    columns = [np.array([s.get(q) for q in rows], dtype=float) for s in series]
-    names = [t.name for t in terms]
-    if intercept:
-        columns = [np.ones(len(rows))] + columns
-        names = [INTERCEPT] + names
-    matrix = np.column_stack(columns) if rows else np.empty((0, len(names)))
+        columns.append(shift(frame.column(col).array, k))
+    i0, n = frame.start_index, len(frame)
+    lo = 0 if first is None else min(max(first.index - i0, 0), n)
+    hi = n if last is None else max(min(last.index - i0 + 1, n), lo)
+    block = np.column_stack(columns)[lo:hi]
+    keep = ~np.isnan(block).any(axis=1)
+    data = block[keep]
     return DesignMatrix(
-        response=y,
-        matrix=matrix,
-        names=names,
-        row_index=rows,
+        response=data[:, 0].copy(),
+        matrix=data[:, 1:].copy(),
+        names=([INTERCEPT] if intercept else []) + [t.name for t in terms],
+        rows=i0 + lo + np.flatnonzero(keep),
         response_name=response,
         intercept=intercept,
         terms=tuple(terms),
@@ -195,15 +190,12 @@ class FitResult:
         }
 
 
-def _scatter(
-    rows: list[Quarter], values: np.ndarray, name: str, unit: str = ""
-) -> QuarterlySeries:
-    """Place per-row values onto a contiguous quarterly span."""
-    start, end = min(rows), max(rows)
-    out: list[float | None] = [None] * (end - start + 1)
-    for q, v in zip(rows, values):
-        out[q - start] = float(v)
-    return QuarterlySeries(name=name, start=start, values=tuple(out), unit=unit)
+def _scatter(rows: np.ndarray, values: np.ndarray, name: str) -> QuarterlySeries:
+    """Place per-row values onto the contiguous quarterly span of ``rows``."""
+    start = int(rows.min())
+    out = np.full(int(rows.max()) - start + 1, np.nan)
+    out[rows - start] = values
+    return QuarterlySeries._from_array(name, start, out)
 
 
 def ols_fit(d: DesignMatrix) -> FitResult:
@@ -282,8 +274,8 @@ def ols_fit(d: DesignMatrix) -> FitResult:
         f_statistic=float(f_stat),
         n_obs=n,
         df_residual=df,
-        fitted=_scatter(d.row_index, fitted, f"{d.response_name}_fitted"),
-        residuals=_scatter(d.row_index, resid, f"{d.response_name}_resid"),
+        fitted=_scatter(d.rows, fitted, f"{d.response_name}_fitted"),
+        residuals=_scatter(d.rows, resid, f"{d.response_name}_resid"),
         response_name=d.response_name,
         intercept=d.intercept,
         terms=d.terms,
@@ -291,29 +283,17 @@ def ols_fit(d: DesignMatrix) -> FitResult:
 
 
 def predict(fit: FitResult, frame: Frame, name: str | None = None) -> QuarterlySeries:
-    """Evaluate a fitted linear model on a frame, quarter by quarter.
+    """Evaluate a fitted linear model on every quarter of a frame.
 
-    Each term is rebuilt from its base column at its lag; the output is
-    missing wherever any input is missing.
+    Each term is rebuilt from its base column at its lag and added in the
+    fit's term order after the intercept; the output is missing wherever any
+    input is missing.
     """
-    series = {t.name: frame.column(t.column).lag(t.lag) for t in fit.terms}
     const = fit.coefficients.get(INTERCEPT, 0.0) if fit.intercept else 0.0
-    values: list[float | None] = []
-    for q in frame.quarters():
-        acc = const
-        ok = True
-        for t in fit.terms:
-            v = series[t.name].get(q)
-            if v is None:
-                ok = False
-                break
-            acc += fit.coefficients[t.name] * v
-        values.append(acc if ok else None)
-    return QuarterlySeries(
-        name=name or f"{fit.response_name}_pred",
-        start=frame.start,
-        values=tuple(values),
-    )
+    acc = np.full(len(frame), float(const))
+    for t in fit.terms:
+        acc = acc + fit.coefficients[t.name] * shift(frame.column(t.column).array, t.lag)
+    return QuarterlySeries._from_array(name or f"{fit.response_name}_pred", frame.start_index, acc)
 
 
 @dataclass
@@ -424,33 +404,33 @@ def ecm_forecast(
         raise ValueError(f"mode must be 'static' or 'dynamic', got {mode!r}")
     frame.require(fit.response_name, *fit.short_run_columns, *fit.level_columns)
     observed = frame.column(fit.response_name)
-    if start - 1 < frame.start or observed.get(start - 1) is None:
+    y, n = observed.array, len(frame)
+    a = start.index - frame.start_index  # position of ``start`` in the frame
+    if not 0 < a <= n or np.isnan(y[a - 1]):
         raise DataError(
             f"no observed {fit.response_name!r} level at {start - 1} to anchor the forecast"
         )
-    coeffs = fit.underlying.coefficients
-    values: list[float | None] = []
-    prev_dynamic: float | None = observed.get(start - 1)
-    q = start
-    while q <= frame.end:
-        prev = observed.get(q - 1) if mode == "static" else prev_dynamic
-        inputs = [frame.column(c).get(q) for c in fit.short_run_columns + fit.level_columns]
-        if prev is None or any(v is None for v in inputs):
-            values.append(None)
-            prev_dynamic = None
-        else:
-            delta = fit.intercept + fit.gamma * prev
-            for c in fit.short_run_columns + fit.level_columns:
-                delta += coeffs[c] * frame.column(c).get(q)
-            level = prev + delta
-            values.append(level)
-            prev_dynamic = level
-        q = q + 1
-    return QuarterlySeries(
-        name=f"{fit.response_name}_forecast",
-        start=start,
-        values=tuple(values),
-        unit=observed.unit,
+    coeffs, columns = fit.underlying.coefficients, fit.short_run_columns + fit.level_columns
+    products = [coeffs[c] * frame.column(c).array[a:] for c in columns]
+    # change = intercept + gamma * previous level + terms in fit order; NaN marks missing
+    if mode == "static":
+        prev = y[a - 1 : n - 1]
+        delta = fit.intercept + fit.gamma * prev
+        for p in products:
+            delta = delta + p
+        levels = prev + delta
+    else:
+        intercept, gamma, level = fit.intercept, fit.gamma, float(y[a - 1])
+        out = []
+        for inputs in np.column_stack(products).tolist() if products else [()] * (n - a):
+            delta = intercept + gamma * level
+            for p in inputs:
+                delta += p
+            level = level + delta
+            out.append(level)
+        levels = np.array(out, dtype=float)
+    return QuarterlySeries._from_array(
+        f"{fit.response_name}_forecast", start.index, levels, observed.unit
     )
 
 
@@ -505,11 +485,7 @@ def lag_scan(
             fit = ols_fit(design_matrix(merged, response.name, [(cand.name, k)]))
             entries.append(LagScanEntry(lag=k, r_squared=fit.r_squared, n_obs=fit.n_obs))
         except (InsufficientDataError, SingularDesignError):
-            lagged = merged.column(cand.name).lag(k)
-            n = sum(
-                1
-                for q in merged.quarters()
-                if response.get(q) is not None and lagged.get(q) is not None
-            )
+            lagged = shift(merged.column(cand.name).array, k)
+            n = int(np.sum(~np.isnan(merged.column(response.name).array) & ~np.isnan(lagged)))
             entries.append(LagScanEntry(lag=k, r_squared=None, n_obs=n))
     return LagScanResult(response=response.name, candidate=cand.name, entries=entries)

@@ -114,9 +114,7 @@ def generate(config: ScenarioConfig = ScenarioConfig()) -> GeneratedData:
     ltv = np.clip(ltv + 0.0015 * eps_ltv, 0.97, 1.039)
 
     def series(name: str, values: np.ndarray, unit: str) -> QuarterlySeries:
-        return QuarterlySeries(
-            name=name, start=config.start, values=tuple(float(v) for v in values), unit=unit
-        )
+        return QuarterlySeries(name=name, start=config.start, values=values, unit=unit)
 
     income_s = series(INCOME, income, "eur")
     rate_s = series(INTEREST_RATE, rate, "fraction")
@@ -129,16 +127,11 @@ def generate(config: ScenarioConfig = ScenarioConfig()) -> GeneratedData:
     )
     lagged_cap = hlc_series(smoothed, params).lag(DEFAULT_HLC_LAG)
 
-    deterministic = [
-        None if v is None else PRICE_INTERCEPT + PRICE_SLOPE * v for v in lagged_cap.values
-    ]
-    first = next(i for i, v in enumerate(deterministic) if v is not None)
-    level = float(deterministic[first])
-    mean_level = float(np.mean([v for v in deterministic if v is not None]))
-    price = np.empty(n)
-    for i in range(n):
-        base = level if i < first else float(deterministic[i])
-        price[i] = base + config.noise_scale * mean_level * eps_price[i]
+    deterministic = PRICE_INTERCEPT + PRICE_SLOPE * lagged_cap.array
+    first = int(np.flatnonzero(~np.isnan(deterministic))[0])
+    mean_level = float(np.mean(deterministic[~np.isnan(deterministic)]))
+    base = np.where(np.arange(n) < first, deterministic[first], deterministic)
+    price = base + config.noise_scale * mean_level * eps_price
 
     frame = align(
         [series(HOUSE_PRICE, price, "eur"), income_s, rate_s, ltv_s, share_s]

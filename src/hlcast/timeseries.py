@@ -1,21 +1,29 @@
 """Quarterly time-series containers and data-preparation transforms.
 
 Everything downstream works on two immutable containers: a
-:class:`QuarterlySeries` (one named variable observed quarterly, with
-explicit missing markers) and a :class:`Frame` (several series aligned to a
-shared quarterly index). Transforms never mutate; they return new values.
+:class:`QuarterlySeries` (one named variable observed quarterly) and a
+:class:`Frame` (several series aligned to a shared quarterly index).
+Transforms never mutate; they return new values.
+
+Data model: a series holds a read-only float64 ``array`` (NaN marks a
+missing quarter) and the quarter number of its first value, ``start_index``
+(see :attr:`Quarter.index`). Transforms are array slicing and masking;
+:class:`Quarter` objects are made only at the edges (CSV, reports, error
+messages). ``values`` is a tuple view with ``None`` for missing quarters,
+for callers and tests, never for hot paths.
 
 CSV conventions: one file per series with header ``quarter,value`` and rows
 like ``1995Q1,89792``; an empty value field marks a missing observation.
-Frames export as ``quarter,<col1>,<col2>,...``. All CSV is UTF-8, comma
-delimited, ``.`` decimal separator.
+Frames export as ``quarter,<col1>,<col2>,...``. CSV is UTF-8 (a leading
+byte-order mark is accepted on read), comma delimited, ``.`` decimal
+separator.
 """
 
 from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -40,6 +48,7 @@ class Quarter:
     @classmethod
     def from_index(cls, index: int) -> Quarter:
         """Inverse of :attr:`index`: quarter number ``index`` since year 0."""
+        index = int(index)
         return cls(index // 4, index % 4 + 1)
 
     @property
@@ -73,72 +82,104 @@ def parse_quarter(text: str) -> Quarter:
     return Quarter(year, q)
 
 
-def _clean(value) -> float | None:
-    if value is None:
-        return None
-    v = float(value)
-    return None if np.isnan(v) else v
+def shift(a: np.ndarray, k: int) -> np.ndarray:
+    """``a`` moved ``k >= 0`` positions later: result[i] = a[i - k], NaN before."""
+    out = np.full(len(a), np.nan)
+    if k < len(a):
+        out[k:] = a[: len(a) - k]
+    return out
 
 
-@dataclass(frozen=True)
 class QuarterlySeries:
-    """A contiguous quarterly series with explicit missing markers.
+    """A contiguous quarterly series with NaN marking missing quarters.
 
-    ``values[i]`` is the observation at ``start + i``; ``None`` marks a
-    missing quarter. ``unit`` is free-form metadata ("eur", "fraction", ...)
-    carried through every transform.
+    ``array[i]`` is the observation at ``start + i``. ``values`` may be any
+    sequence of numbers with ``None`` (or NaN) for missing quarters. ``unit``
+    is free-form metadata ("eur", "fraction", ...) carried through every
+    transform.
     """
 
-    name: str
-    start: Quarter
-    values: tuple[float | None, ...]
-    unit: str = ""
+    __slots__ = ("name", "start_index", "array", "unit")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(_clean(v) for v in self.values))
+    def __init__(self, name: str, start: Quarter, values: Iterable, unit: str = "") -> None:
+        if not isinstance(values, np.ndarray):
+            values = [np.nan if v is None else float(v) for v in values]
+        self.name, self.start_index, self.unit = name, start.index, unit
+        self.array = np.array(values, dtype=float)
+        self.array.flags.writeable = False
+
+    @classmethod
+    def _from_array(
+        cls, name: str, start_index: int, array: np.ndarray, unit: str = ""
+    ) -> QuarterlySeries:
+        """Wrap a float array without copying (package use only).
+
+        The series takes ownership: the array is marked read-only and must
+        not be written through any other view afterwards.
+        """
+        s = cls.__new__(cls)
+        s.array = np.asarray(array, dtype=float)
+        s.array.flags.writeable = False
+        s.name, s.start_index, s.unit = name, int(start_index), unit
+        return s
+
+    def _with_array(self, array: np.ndarray, start_index: int | None = None) -> QuarterlySeries:
+        """This series (name, unit) over new values; ``start_index`` defaults to its own."""
+        i0 = self.start_index if start_index is None else start_index
+        return QuarterlySeries._from_array(self.name, i0, array, self.unit)
 
     # -- basic access -------------------------------------------------------
 
+    @property
+    def start(self) -> Quarter:
+        return Quarter.from_index(self.start_index)
+
+    @property
+    def values(self) -> tuple[float | None, ...]:
+        """The values as a tuple, ``None`` for missing quarters."""
+        return tuple(None if v != v else v for v in self.array.tolist())
+
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.array)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, QuarterlySeries):
+            return NotImplemented
+        return (self.name, self.start_index, self.unit) == (
+            other.name, other.start_index, other.unit
+        ) and np.array_equal(self.array, other.array, equal_nan=True)
+
+    def __repr__(self) -> str:
+        return f"QuarterlySeries({self.name!r}, {self.start}, {self.values!r}, {self.unit!r})"
 
     @property
     def end(self) -> Quarter:
-        return self.start + (len(self.values) - 1)
+        return Quarter.from_index(self.start_index + len(self) - 1)
 
     def quarters(self) -> Iterator[Quarter]:
-        for i in range(len(self.values)):
-            yield self.start + i
+        for i in range(len(self)):
+            yield Quarter.from_index(self.start_index + i)
 
     def get(self, q: Quarter) -> float | None:
         """Value at quarter ``q``; None when missing or out of range."""
-        i = q - self.start
-        if 0 <= i < len(self.values):
-            return self.values[i]
-        return None
+        i = q.index - self.start_index
+        v = float(self.array[i]) if 0 <= i < len(self) else None
+        return None if v != v else v
 
     def items(self) -> Iterator[tuple[Quarter, float | None]]:
         return zip(self.quarters(), self.values)
 
     def to_array(self) -> np.ndarray:
-        """Values as a float array with NaN for missing."""
-        return np.array([np.nan if v is None else v for v in self.values], dtype=float)
-
-    def first_present(self) -> Quarter | None:
-        for q, v in self.items():
-            if v is not None:
-                return q
-        return None
+        """Values as a new float array with NaN for missing."""
+        return self.array.copy()
 
     def rename(self, name: str) -> QuarterlySeries:
-        return replace(self, name=name)
+        return QuarterlySeries._from_array(name, self.start_index, self.array, self.unit)
 
     def scale(self, factor: float, unit: str | None = None) -> QuarterlySeries:
         """Multiply all present values by ``factor``, optionally relabeling the unit."""
-        return replace(
-            self,
-            values=tuple(None if v is None else v * factor for v in self.values),
-            unit=self.unit if unit is None else unit,
+        return QuarterlySeries._from_array(
+            self.name, self.start_index, self.array * factor, self.unit if unit is None else unit
         )
 
     # -- transforms ---------------------------------------------------------
@@ -149,59 +190,47 @@ class QuarterlySeries:
         The first ``window - 1`` positions, and any position whose window
         contains a missing value, come out missing. A trailing (never
         centered) window avoids look-ahead when the result feeds forecasts.
+        Each window is summed oldest value first.
         """
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
-        out: list[float | None] = []
-        for i in range(len(self.values)):
-            if i < window - 1:
-                out.append(None)
-                continue
-            chunk = self.values[i - window + 1 : i + 1]
-            if any(v is None for v in chunk):
-                out.append(None)
-            else:
-                out.append(sum(chunk) / window)  # type: ignore[arg-type]
-        return replace(self, values=tuple(out))
+        a, n = self.array, len(self)
+        out = np.full(n, np.nan)
+        if n >= window:
+            acc = a[: n - window + 1].copy()
+            for j in range(1, window):
+                acc += a[j : n - window + 1 + j]
+            out[window - 1 :] = acc / window
+        return self._with_array(out)
 
     def forward_fill(self) -> QuarterlySeries:
         """Replace each missing value with the most recent present one."""
-        if not self.values or self.values[0] is None:
+        a = self.array
+        if not len(a) or np.isnan(a[0]):
             raise DataError(
                 f"series {self.name!r} starts with a missing value; nothing to fill from"
             )
-        out: list[float | None] = []
-        last = self.values[0]
-        for v in self.values:
-            if v is not None:
-                last = v
-            out.append(last)
-        return replace(self, values=tuple(out))
+        source = np.where(np.isnan(a), 0, np.arange(len(a)))
+        return self._with_array(a[np.maximum.accumulate(source)])
 
     def lag(self, k: int) -> QuarterlySeries:
         """Shift values ``k`` quarters forward in time: result[t] = self[t-k]."""
         if k < 0:
             raise ValueError(f"lag must be >= 0, got {k}")
-        if k == 0:
-            return self
-        shifted = ((None,) * k + self.values)[: len(self.values)]
-        return replace(self, values=shifted)
+        return self if k == 0 else self._with_array(shift(self.array, k))
 
     def diff(self) -> QuarterlySeries:
         """First difference: result[t] = self[t] - self[t-1]."""
-        out: list[float | None] = [None]
-        for prev, cur in zip(self.values, self.values[1:]):
-            out.append(None if prev is None or cur is None else cur - prev)
-        return replace(self, values=tuple(out[: len(self.values)]))
+        out = np.full(len(self), np.nan)
+        out[1:] = self.array[1:] - self.array[:-1]
+        return self._with_array(out)
 
     def window(self, first: Quarter | None = None, last: Quarter | None = None) -> QuarterlySeries:
         """Restrict to quarters in ``[first, last]`` (clipped to the span)."""
-        lo = self.start if first is None else max(first, self.start)
-        hi = self.end if last is None else min(last, self.end)
-        if hi < lo:
-            return replace(self, start=lo, values=())
-        i, j = lo - self.start, hi - self.start
-        return replace(self, start=lo, values=self.values[i : j + 1])
+        i0, end = self.start_index, self.start_index + len(self) - 1
+        lo = i0 if first is None else max(first.index, i0)
+        hi = end if last is None else min(last.index, end)
+        return self._with_array(self.array[lo - i0 : max(hi, lo - 1) - i0 + 1], lo)
 
 
 def interpolate_yearly_to_quarterly(
@@ -238,31 +267,41 @@ def interpolate_yearly_to_quarterly(
     return QuarterlySeries(name=name, start=start, values=tuple(values), unit=unit)
 
 
-@dataclass(frozen=True)
 class Frame:
     """Named quarterly series aligned to one shared index range."""
 
-    start: Quarter
-    columns: dict[str, QuarterlySeries] = field(default_factory=dict)
+    __slots__ = ("start_index", "columns")
 
-    def __post_init__(self) -> None:
+    def __init__(self, start: Quarter, columns: dict[str, QuarterlySeries] | None = None) -> None:
+        self.start_index = start.index
+        self.columns = {} if columns is None else columns
         n = len(self)
         for name, s in self.columns.items():
-            if s.name != name or s.start != self.start or len(s) != n:
+            if s.name != name or s.start_index != self.start_index or len(s) != n:
                 raise SchemaError(f"column {name!r} is not aligned to the frame index")
 
     def __len__(self) -> int:
-        if not self.columns:
-            return 0
-        return len(next(iter(self.columns.values())))
+        return len(next(iter(self.columns.values()))) if self.columns else 0
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Frame):
+            return NotImplemented
+        return self.start_index == other.start_index and self.columns == other.columns
+
+    def __repr__(self) -> str:
+        return f"Frame({self.start}, {self.columns!r})"
+
+    @property
+    def start(self) -> Quarter:
+        return Quarter.from_index(self.start_index)
 
     @property
     def end(self) -> Quarter:
-        return self.start + (len(self) - 1)
+        return Quarter.from_index(self.start_index + len(self) - 1)
 
     def quarters(self) -> Iterator[Quarter]:
         for i in range(len(self)):
-            yield self.start + i
+            yield Quarter.from_index(self.start_index + i)
 
     def names(self) -> list[str]:
         return list(self.columns)
@@ -281,63 +320,59 @@ class Frame:
         if missing:
             raise SchemaError(f"frame is missing required column(s): {', '.join(missing)}")
 
-    def select(self, names: Iterable[str]) -> Frame:
-        return align([self.column(n) for n in names])
-
-    def with_column(self, series: QuarterlySeries) -> Frame:
-        """Return a new frame with ``series`` added (or replaced), realigned."""
-        cols = [s for n, s in self.columns.items() if n != series.name]
-        return align(cols + [series])
-
     def complete_range(self) -> tuple[Quarter, Quarter] | None:
         """The longest contiguous run of quarters where every column is present.
 
         This is the natural regression sample; returns None when no quarter
-        has all columns observed.
+        has all columns observed. Of equally long runs the earliest wins.
         """
-        best: tuple[Quarter, Quarter] | None = None
-        run_start: Quarter | None = None
-        for q in self.quarters():
-            if all(s.get(q) is not None for s in self.columns.values()):
-                if run_start is None:
-                    run_start = q
-                if best is None or (q - run_start) > (best[1] - best[0]):
-                    best = (run_start, q)
-            else:
-                run_start = None
-        return best
+        if not len(self):
+            return None
+        present = ~np.isnan(np.vstack([s.array for s in self.columns.values()])).any(axis=0)
+        edges = np.diff(np.concatenate(([0], present.astype(np.int8), [0])))
+        starts, stops = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+        if not len(starts):
+            return None
+        k = int(np.argmax(stops - starts))
+        return (
+            Quarter.from_index(self.start_index + starts[k]),
+            Quarter.from_index(self.start_index + stops[k] - 1),
+        )
 
 
 def align(columns: Iterable[QuarterlySeries]) -> Frame:
     """Align series onto the union of their index ranges.
 
-    Quarters a series does not cover become missing markers; no values are
+    Quarters a series does not cover become missing; no values are
     fabricated. Duplicate column names are an error.
     """
     cols = list(columns)
     if not cols:
         raise SchemaError("align requires at least one column")
     names = [s.name for s in cols]
-    dupes = {n for n in names if names.count(n) > 1}
-    if dupes:
+    if len(set(names)) != len(names):
+        dupes = {n for n in names if names.count(n) > 1}
         raise SchemaError(f"duplicate column name(s): {', '.join(sorted(dupes))}")
-    start = min(s.start for s in cols)
-    end = max(s.end for s in cols)
-    n = end - start + 1
+    i0 = min(s.start_index for s in cols)
+    n = max(s.start_index + len(s) for s in cols) - i0
     aligned = {}
     for s in cols:
-        values: list[float | None] = [None] * n
-        for q, v in s.items():
-            values[q - start] = v
-        aligned[s.name] = replace(s, start=start, values=tuple(values))
-    return Frame(start=start, columns=aligned)
+        if s.start_index == i0 and len(s) == n:
+            aligned[s.name] = s
+        else:
+            out = np.full(n, np.nan)
+            offset = s.start_index - i0
+            out[offset : offset + len(s)] = s.array
+            aligned[s.name] = s._with_array(out, i0)
+    return Frame(Quarter.from_index(i0), aligned)
 
 
 # -- CSV input/output -------------------------------------------------------
 
 
-def _format_value(v: float | None) -> str:
-    return "" if v is None else repr(float(v))
+def format_value(v: float) -> str:
+    """A CSV cell: the shortest round-tripping repr, empty for NaN."""
+    return "" if v != v else repr(v)
 
 
 def _parse_value(text: str, path: Path, line: int) -> float | None:
@@ -350,63 +385,18 @@ def _parse_value(text: str, path: Path, line: int) -> float | None:
         raise ParseError(f"{path}:{line}: not a number: {text!r}") from None
 
 
-def read_series_csv(path: str | Path, name: str | None = None, unit: str = "") -> QuarterlySeries:
-    """Read one series from a ``quarter,value`` CSV file.
+def _read_table(path: Path, expected: str, names_of) -> tuple[list[str], Quarter, list[list]]:
+    """Column names, first quarter and value columns of a ``quarter,...`` CSV file.
 
-    The series name defaults to the file stem. Rows must be contiguous and
-    chronological; an empty value field marks a missing quarter.
+    ``names_of`` maps the header fields to the value column names, or to None
+    when the header is not ``expected``. Rows must be contiguous quarters.
     """
-    path = Path(path)
-    rows: list[tuple[Quarter, float | None]] = []
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["quarter", "value"]:
-            raise ParseError(f"{path}:1: expected header 'quarter,value', got {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(c.strip() == "" for c in row):
-                continue
-            if len(row) != 2:
-                raise ParseError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-            try:
-                q = parse_quarter(row[0])
-            except ParseError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-            rows.append((q, _parse_value(row[1], path, lineno)))
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    for (prev, _), (cur, _) in zip(rows, rows[1:]):
-        if cur - prev != 1:
-            raise ParseError(
-                f"{path}: quarters must be contiguous and ascending; "
-                f"found {prev} followed by {cur}"
-            )
-    return QuarterlySeries(
-        name=name if name is not None else path.stem,
-        start=rows[0][0],
-        values=tuple(v for _, v in rows),
-        unit=unit,
-    )
-
-
-def write_series_csv(series: QuarterlySeries, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["quarter", "value"])
-        for q, v in series.items():
-            writer.writerow([str(q), _format_value(v)])
-
-
-def read_frame_csv(path: str | Path) -> Frame:
-    """Read an aligned frame from a ``quarter,<col1>,<col2>,...`` CSV file."""
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[0].strip().lower() != "quarter" or len(header) < 2:
-            raise ParseError(f"{path}:1: expected header 'quarter,<columns...>', got {header!r}")
-        names = [h.strip() for h in header[1:]]
+        names = None if header is None else names_of([h.strip() for h in header])
+        if names is None:
+            raise ParseError(f"{path}:1: expected header {expected!r}, got {header!r}")
         quarters: list[Quarter] = []
         data: list[list[float | None]] = [[] for _ in names]
         for lineno, row in enumerate(reader, start=2):
@@ -420,25 +410,57 @@ def read_frame_csv(path: str | Path) -> Frame:
                 quarters.append(parse_quarter(row[0]))
             except ParseError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
-            for j, cell in enumerate(row[1:]):
-                data[j].append(_parse_value(cell, path, lineno))
+            for column, cell in zip(data, row[1:]):
+                column.append(_parse_value(cell, path, lineno))
     if not quarters:
         raise DataError(f"{path}: no data rows")
     for prev, cur in zip(quarters, quarters[1:]):
         if cur - prev != 1:
-            raise ParseError(f"{path}: quarters must be contiguous; {prev} followed by {cur}")
-    series = [
-        QuarterlySeries(name=n, start=quarters[0], values=tuple(vals))
-        for n, vals in zip(names, data)
-    ]
-    return align(series)
+            raise ParseError(
+                f"{path}: quarters must be contiguous and ascending; "
+                f"found {prev} followed by {cur}"
+            )
+    return names, quarters[0], data
+
+
+def _write_table(path: str | Path, header: list[str], start_index: int, columns) -> None:
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for i, row in enumerate(zip(*(c.tolist() for c in columns))):
+            q = Quarter.from_index(start_index + i)
+            writer.writerow([str(q)] + [format_value(v) for v in row])
+
+
+def read_series_csv(path: str | Path, name: str | None = None, unit: str = "") -> QuarterlySeries:
+    """Read one series from a ``quarter,value`` CSV file; the name defaults to the file stem."""
+    path = Path(path)
+    _, start, (values,) = _read_table(
+        path,
+        "quarter,value",
+        lambda h: ["value"] if [f.lower() for f in h[:2]] == ["quarter", "value"] else None,
+    )
+    return QuarterlySeries(
+        name=name if name is not None else path.stem, start=start, values=values, unit=unit
+    )
+
+
+def write_series_csv(series: QuarterlySeries, path: str | Path) -> None:
+    _write_table(path, ["quarter", "value"], series.start_index, [series.array])
+
+
+def read_frame_csv(path: str | Path) -> Frame:
+    """Read an aligned frame from a ``quarter,<col1>,<col2>,...`` CSV file."""
+    names, start, data = _read_table(
+        Path(path),
+        "quarter,<columns...>",
+        lambda h: h[1:] if len(h) >= 2 and h[0].lower() == "quarter" else None,
+    )
+    return align(QuarterlySeries(name=n, start=start, values=v) for n, v in zip(names, data))
 
 
 def write_frame_csv(frame: Frame, path: str | Path) -> None:
-    path = Path(path)
     names = frame.names()
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["quarter"] + names)
-        for q in frame.quarters():
-            writer.writerow([str(q)] + [_format_value(frame.columns[n].get(q)) for n in names])
+    _write_table(
+        path, ["quarter"] + names, frame.start_index, [frame.columns[n].array for n in names]
+    )

@@ -159,11 +159,13 @@ class TestBuildFeatures:
 
     def test_missing_column_named(self):
         raw = make_raw()
-        partial = raw.select([HOUSE_PRICE, INCOME, INTEREST_RATE, LTV])
+        partial = align([raw.column(n) for n in (HOUSE_PRICE, INCOME, INTEREST_RATE, LTV)])
         with pytest.raises(SchemaError, match=INTEREST_ONLY_SHARE):
             build_features(partial, LtiParams())
         with pytest.raises(SchemaError, match=LTV):
-            build_features(raw.select([HOUSE_PRICE, INCOME, INTEREST_RATE]), LtiParams())
+            build_features(
+                align([raw.column(n) for n in (HOUSE_PRICE, INCOME, INTEREST_RATE)]), LtiParams()
+            )
 
 
 class TestRunGrid:

@@ -158,6 +158,36 @@ class TestErrors:
         result = runner.invoke(main, ["backtest", "--config", str(config), "--cutoff", "never"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "section,key",
+        [
+            ("features", "smoothing_window"),
+            ("features", "hlc_lag"),
+            ("lag_scan", "min"),
+            ("lag_scan", "max"),
+            ("lti", "woonquote"),
+            ("lti", "deduction_rate"),
+            ("lti", "cost_rate"),
+            ("lti", "term_months"),
+        ],
+    )
+    def test_non_numeric_config_value(self, runner, tmp_path, section, key):
+        config = make_workspace(runner, tmp_path)
+        doc = yaml.safe_load(config.read_text())
+        doc.setdefault(section, {})[key] = "four"
+        config.write_text(yaml.safe_dump(doc))
+        result = runner.invoke(main, ["ingest", "--config", str(config)])
+        assert result.exit_code == 2
+        assert f"error: {section}.{key} must be" in result.output
+        assert "'four'" in result.output
+
+    def test_bom_prefixed_csv_is_read(self, runner, tmp_path):
+        config = make_workspace(runner, tmp_path)
+        income = tmp_path / "data" / "income.csv"
+        income.write_bytes(b"\xef\xbb\xbf" + income.read_bytes())
+        out = run_ok(runner, ["ingest", "--config", str(config)]).output
+        assert "92 quarters" in out
+
 
 class TestSummaryStats:
     def test_constant_series_stats(self):

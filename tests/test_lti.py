@@ -184,6 +184,51 @@ class TestHlcSeries:
         with pytest.raises(SchemaError, match="interest_rate"):
             hlc_series(f, LtiParams())
 
+    def test_matches_scalar_hlc_bit_exact(self):
+        rng = np.random.default_rng(11)
+        n = 60
+        income = [None if rng.random() < 0.1 else float(v) for v in rng.uniform(5e3, 3e4, n)]
+        rate = [float(v) for v in rng.uniform(0.0, 0.12, n)]
+        rate[5] = 0.0
+        share = [float(v) for v in rng.choice([0.0, 1.0, 0.25, 0.6], n)]
+        f = align(
+            [
+                series(income, name="income"),
+                series(rate, name="interest_rate"),
+                series(share, name="interest_only_share"),
+            ]
+        )
+        p = LtiParams()
+        expected = tuple(
+            None if i is None else hlc(HouseholdInputs(i, r, m), p)
+            for i, r, m in zip(income, rate, share)
+        )
+        assert hlc_series(f, p).values == expected
+
+    @pytest.mark.parametrize(
+        "income,rate,share,params,error",
+        [
+            (0.0, 0.05, 0.5, LtiParams(), ValueError),
+            (1e4, -0.01, 0.5, LtiParams(), ValueError),
+            (1e4, 0.05, 1.5, LtiParams(), ValueError),
+            (1e4, 0.0, 0.5, LtiParams(cost_rate=0.0), DomainError),
+        ],
+    )
+    def test_invalid_quarter_raises_scalar_error(self, income, rate, share, params, error):
+        with pytest.raises(error) as scalar:
+            hlc(HouseholdInputs(income, rate, share), params)
+        f = align(
+            [
+                series([1e4, None, income, 0.0], name="income"),
+                series([0.05, -1.0, rate, 0.05], name="interest_rate"),
+                series([0.5, 0.5, share, 0.5], name="interest_only_share"),
+            ]
+        )
+        # quarter 1 is skipped (missing income); quarter 2 fails before quarter 3
+        with pytest.raises(error) as from_series:
+            hlc_series(f, params)
+        assert str(from_series.value) == str(scalar.value)
+
 
 class TestNewMortgageShare:
     def test_worked_example_exact(self):
@@ -253,6 +298,34 @@ class TestDeriveInterestOnlyShare:
         )
         assert out.values[2] == 0.0 and out.values[3] == 0.0
         assert out.values[1] is not None and out.values[1] > 0.0
+
+    def test_matches_scalar_reference(self):
+        rng = np.random.default_rng(5)
+        n = 40
+        stock = [None if rng.random() < 0.1 else float(v) for v in rng.uniform(0.2, 0.5, n)]
+        trans = [float(v) for v in rng.choice([0.0, 0.0, 3e3, 5e3], n)]
+        hh = [1e5] * n
+        for k in range(1, n):  # no movers: the stock must not move
+            if trans[k] == 0.0 and stock[k] is not None and stock[k - 1] is not None:
+                stock[k] = stock[k - 1]
+        expected = [None] + [
+            None if s is None or prev is None else new_mortgage_share(t / h, s - prev, prev)
+            for prev, s, t, h in zip(stock, stock[1:], trans[1:], hh[1:])
+        ]
+        assert self.build(stock, trans, hh).values == tuple(expected)
+
+    def test_first_bad_quarter_reported(self):
+        with pytest.raises(DataError, match="2000Q3"):
+            self.build([0.1, 0.1, 1.5, 0.1], [1.0, 1.0, 1.0, 200.0], [100.0] * 4)
+
+    def test_bad_quarters_after_zero_from_ignored(self):
+        out = derive_interest_only_share(
+            series([0.1, 0.1, 1.5], name="stock"),
+            series([1.0, 1.0, 500.0], name="transactions"),
+            series([100.0] * 3, name="households"),
+            zero_from=Quarter(2000, 3),
+        )
+        assert out.values == (None, 0.1, 0.0)
 
     def test_output_unit_and_name(self):
         out = self.build([0.1, 0.1], [1.0, 1.0], [10.0, 10.0])

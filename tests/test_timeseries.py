@@ -244,11 +244,6 @@ class TestAlignAndFrame:
         with pytest.raises(SchemaError, match="nope"):
             f.column("nope")
 
-    def test_with_column_replaces(self):
-        f = align([series([1.0, 2.0], name="a")])
-        g = f.with_column(series([9.0, 9.0], name="a"))
-        assert g.column("a").values == (9.0, 9.0)
-
     def test_scale(self):
         s = series([1.0, None, 3.0], unit="eur").scale(2.0)
         assert s.values == (2.0, None, 6.0)
@@ -284,6 +279,13 @@ class TestCsv:
         path = tmp_path / "m.csv"
         path.write_text("quarter,value\n2000Q1,1.5\n2000Q2,\n2000Q3,2.5\n")
         assert read_series_csv(path).values == (1.5, None, 2.5)
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        series_path, frame_path = tmp_path / "s.csv", tmp_path / "f.csv"
+        series_path.write_bytes(b"\xef\xbb\xbfquarter,value\n2000Q1,1.5\n2000Q2,\n")
+        frame_path.write_bytes(b"\xef\xbb\xbfquarter,a\n2000Q1,2.5\n")
+        assert read_series_csv(series_path).values == (1.5, None)
+        assert read_frame_csv(frame_path).column("a").values == (2.5,)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "b.csv"
