@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DataError, HlcastError, SchemaError
 from .lti import LtiParams, derive_interest_only_share, hlc_series
 from .regress import EcmFit, FitResult, design_matrix, ecm_fit, ecm_forecast, ols_fit, predict
-from .timeseries import Frame, Quarter, QuarterlySeries, align, format_value
+from .timeseries import Frame, Quarter, QuarterlySeries, align, format_value, write_text
 
 # Canonical column names for the feature frame.
 HOUSE_PRICE = "house_price"
@@ -459,7 +459,7 @@ def emit_plot_data(report: BacktestReport, out_dir: str | Path) -> list[Path]:
             obs, pred = (merged.column(c).array.tolist() for c in ("observed", "predicted"))
             for q, o, p in zip(merged.quarters(), obs, pred):
                 lines.append(f"{q},{format_value(o)},{format_value(p)},{v.regime}")
-        _write_text(path, "\n".join(lines) + "\n")
+        write_text(path, "\n".join(lines) + "\n")
         written.append(path)
 
     summary = out_dir / "summary.csv"
@@ -485,13 +485,6 @@ def emit_plot_data(report: BacktestReport, out_dir: str | Path) -> list[Path]:
                 ]
             )
         )
-    _write_text(summary, "\n".join(lines) + "\n")
+    write_text(summary, "\n".join(lines) + "\n")
     written.append(summary)
     return written
-
-
-def _write_text(path: Path, text: str) -> None:
-    try:
-        path.write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc}") from exc

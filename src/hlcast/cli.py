@@ -37,6 +37,7 @@ from .timeseries import (
     read_series_csv,
     write_frame_csv,
     write_series_csv,
+    write_text,
 )
 
 MODEL_LABELS = {
@@ -132,7 +133,7 @@ def _backtest(cfg: RunConfig) -> BacktestReport:
     ]
     report = run_grid(features, specs, cfg.split, forecast_mode=cfg.forecast_mode)
     run_dir = _run_dir(cfg)
-    (run_dir / "report.json").write_text(report.to_json(), encoding="utf-8")
+    write_text(run_dir / "report.json", report.to_json())
     emit_plot_data(report, run_dir / "plots")
     return report
 
@@ -147,7 +148,10 @@ def _summary_table(frame: Frame) -> list[str]:
             lines.append(f"{name:<28}{0:>5}")
             continue
         sd = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
-        p25, p75 = np.percentile(arr, [25, 75])
+        # np.percentile's linear quartiles; np.percentile itself would import
+        # numpy.ma (~14 ms) on first use
+        p25, p75 = np.interp([0.25 * (arr.size - 1), 0.75 * (arr.size - 1)],
+                             np.arange(arr.size), np.sort(arr))
         lines.append(
             f"{name:<28}{arr.size:>5}{np.mean(arr):>14,.3f}{sd:>12,.3f}"
             f"{arr.min():>12,.3f}{p25:>12,.3f}{p75:>12,.3f}{arr.max():>12,.3f}"
@@ -177,9 +181,7 @@ def synth(out: str, seed: int, quarters: int, noise: float) -> None:
         write_series_csv(data.frame.column(name), out_dir / f"{name}.csv")
         # paths relative to the config file keep the workspace relocatable
         sources[name] = SeriesSource(path=Path(f"{name}.csv"), unit=DEFAULT_UNITS.get(name, ""))
-    (out_dir / "truth.json").write_text(
-        json.dumps(data.truth(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_text(out_dir / "truth.json", json.dumps(data.truth(), indent=2, sort_keys=True) + "\n")
     cfg = RunConfig(data=sources, hlc_lag=data.hlc_lag, output_dir=Path("runs"))
     cfg.save(out_dir / "config.yaml")
     click.echo(
@@ -237,7 +239,7 @@ def lagscan(config_path: str, out: str | None, cutoff: str | None, lags: str | N
         lines.append(f"{e.lag},{r2},{e.n_obs}")
     click.echo(f"best lag: {result.best_lag}")
     path = _run_dir(cfg) / "lag_scan.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 @main.command()

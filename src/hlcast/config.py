@@ -26,7 +26,7 @@ from .backtest import (
 )
 from .errors import ConfigError
 from .lti import LtiParams
-from .timeseries import Quarter, parse_quarter
+from .timeseries import Quarter, parse_quarter, write_text
 
 REQUIRED_SERIES = (HOUSE_PRICE, INCOME, INTEREST_RATE, LTV)
 
@@ -128,9 +128,7 @@ class RunConfig:
         return self.output_dir / self.run_hash()
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            yaml.safe_dump(self.to_canonical(), sort_keys=False), encoding="utf-8"
-        )
+        write_text(path, yaml.safe_dump(self.to_canonical(), sort_keys=False))
 
 
 def _require_mapping(node, where: str) -> dict:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DataError,
@@ -30,6 +29,9 @@ from .timeseries import Frame, Quarter, QuarterlySeries, align, shift
 # Relative singular-value threshold below which a design counts as rank
 # deficient.
 RANK_RTOL = 1e-10
+# A rank-deficient design names the columns whose weight in some unit
+# null-space vector exceeds this; exact dependencies load O(1), others ~eps.
+NULL_LOADING_TOL = 1e-6
 
 INTERCEPT = "intercept"
 
@@ -201,12 +203,14 @@ def _scatter(rows: np.ndarray, values: np.ndarray, name: str) -> QuarterlySeries
 def ols_fit(d: DesignMatrix) -> FitResult:
     """Least-squares fit with standard errors, R-squared and F statistic.
 
-    Columns are equilibrated to unit norm and the system solved by QR; rank
-    deficiency (singular values below ``RANK_RTOL`` of the largest) raises a
-    :class:`SingularDesignError` naming the collinear columns. Inference
-    follows the classical linear model: coefficient variance from the
-    residual variance times the inverse cross-product diagonal, F against
-    the intercept-only model.
+    Columns are equilibrated to unit norm and factored once, ``X = QR``. The
+    singular values of the small ``R`` factor (those of the equilibrated
+    design) give the rank: any below ``RANK_RTOL`` of the largest raise a
+    :class:`SingularDesignError` naming every column with weight in the
+    design's null space. Otherwise one solve with ``R`` gives both the
+    coefficients and ``R^-1``. Inference follows the classical linear model:
+    coefficient variance from the residual variance times the inverse
+    cross-product diagonal, F against the intercept-only model.
     """
     y, x, names = d.response, d.matrix, d.names
     n, p = x.shape
@@ -219,26 +223,27 @@ def ols_fit(d: DesignMatrix) -> FitResult:
     if dead:
         raise SingularDesignError(f"all-zero column(s): {', '.join(dead)}", dead)
     xs = x / norms
-    singular_values = np.linalg.svd(xs, compute_uv=False)
+    q_mat, r_mat = np.linalg.qr(xs)
+    singular_values = np.linalg.svd(r_mat, compute_uv=False)
     rank = int(np.sum(singular_values > RANK_RTOL * singular_values[0]))
     if rank < p:
-        _, _, pivots = scipy.linalg.qr(xs, mode="economic", pivoting=True)
-        collinear = sorted(names[j] for j in pivots[rank:])
+        null_space = np.linalg.svd(xs, full_matrices=False)[2][rank:]
+        loaded = np.abs(null_space).max(axis=0) > NULL_LOADING_TOL
+        collinear = sorted(names[j] for j in np.flatnonzero(loaded))
         raise SingularDesignError(
             f"design is rank deficient (rank {rank} of {p}); "
             f"collinear column(s): {', '.join(collinear)}",
             collinear,
         )
-    q_mat, r_mat = np.linalg.qr(xs)
-    beta = scipy.linalg.solve_triangular(r_mat, q_mat.T @ y) / norms
+    solved = np.linalg.solve(r_mat, np.column_stack([q_mat.T @ y, np.eye(p)]))
+    beta = solved[:, 0] / norms
     fitted = x @ beta
     resid = y - fitted
     df = n - p
     ssr = float(resid @ resid)
     sigma2 = ssr / df
-    r_inv = scipy.linalg.solve_triangular(r_mat, np.eye(p))
-    cov = (r_inv @ r_inv.T) / np.outer(norms, norms) * sigma2
-    stderr = np.sqrt(np.diag(cov))
+    # diag(cov) is sigma2 times the squared row norms of R^-1, unscaled
+    stderr = np.sqrt((solved[:, 1:] ** 2).sum(axis=1) * sigma2) / norms
 
     if d.intercept:
         sst = float(((y - y.mean()) ** 2).sum())
@@ -469,6 +474,13 @@ def lag_scan(
     the R-squared. Lags with too few overlapping observations, or where the
     lagged candidate is degenerate, are reported as unusable rather than
     failing the scan.
+
+    Each lag is the univariate closed form ``R^2 = sxy^2 / (sxx * syy)``
+    over centred sums, under the rules :func:`ols_fit` applies to the
+    ``[1, x]`` design: two or fewer observations, or a singular-value ratio
+    of the equilibrated design, ``sqrt(sxx / sum(x^2)) / (1 + |c|)`` with
+    ``c`` the cosine between its columns, at or below ``RANK_RTOL`` make the
+    entry unusable; a constant response warns and scores 0.
     """
     lag_list = sorted(set(int(k) for k in lags))
     if not lag_list:
@@ -479,13 +491,30 @@ def lag_scan(
         f"{candidate.name}_candidate"
     )
     merged = align([response, cand])
+    y_all, x_all = merged.column(response.name).array, merged.column(cand.name).array
+    y_ok, x_ok = ~np.isnan(y_all), ~np.isnan(x_all)
     entries: list[LagScanEntry] = []
     for k in lag_list:
-        try:
-            fit = ols_fit(design_matrix(merged, response.name, [(cand.name, k)]))
-            entries.append(LagScanEntry(lag=k, r_squared=fit.r_squared, n_obs=fit.n_obs))
-        except (InsufficientDataError, SingularDesignError):
-            lagged = shift(merged.column(cand.name).array, k)
-            n = int(np.sum(~np.isnan(merged.column(response.name).array) & ~np.isnan(lagged)))
-            entries.append(LagScanEntry(lag=k, r_squared=None, n_obs=n))
+        # pair the response at quarter t with the candidate at t - k
+        y, x = y_all[k:], x_all[: max(len(x_all) - k, 0)]
+        keep = y_ok[k:] & x_ok[: len(x)]
+        n = int(np.count_nonzero(keep))
+        r2 = _univariate_r2(y[keep], x[keep], response.name, k) if n > 2 else None
+        entries.append(LagScanEntry(lag=k, r_squared=r2, n_obs=n))
     return LagScanResult(response=response.name, candidate=cand.name, entries=entries)
+
+
+def _univariate_r2(y: np.ndarray, x: np.ndarray, name: str, k: int) -> float | None:
+    """R-squared of ``y`` on ``[1, x]``; None when :func:`ols_fit` would call it singular."""
+    xc, yc = x - x.mean(), y - y.mean()
+    sxx, syy, sxy, x2 = xc @ xc, yc @ yc, xc @ yc, x @ x
+    # smallest-to-largest singular-value ratio of the equilibrated design
+    if x2 == 0.0 or np.sqrt(sxx / x2) / (1.0 + abs(x.sum()) / np.sqrt(len(x) * x2)) <= RANK_RTOL:
+        return None
+    if syy == 0.0:
+        warnings.warn(
+            f"response {name!r} is constant over the lag-{k} sample; R-squared reported as 0",
+            stacklevel=3,
+        )
+        return 0.0
+    return float(sxy / sxx * (sxy / syy))

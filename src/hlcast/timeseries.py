@@ -16,16 +16,19 @@ CSV conventions: one file per series with header ``quarter,value`` and rows
 like ``1995Q1,89792``; an empty value field marks a missing observation.
 Frames export as ``quarter,<col1>,<col2>,...``. CSV is UTF-8 (a leading
 byte-order mark is accepted on read), comma delimited, ``.`` decimal
-separator.
+separator. Every file is written through :func:`atomic_write`, so a reader
+never sees a partly written one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, TextIO
 
 import numpy as np
 
@@ -423,8 +426,35 @@ def _read_table(path: Path, expected: str, names_of) -> tuple[list[str], Quarter
     return names, quarters[0], data
 
 
+@contextlib.contextmanager
+def atomic_write(path: str | Path) -> Iterator[TextIO]:
+    """Open ``path`` for UTF-8 text writing, all or nothing.
+
+    The text goes to a temporary file beside ``path`` that replaces it only
+    when the block completes, so a write that fails part-way leaves any
+    earlier file intact and no partial file behind. ``OSError`` is raised
+    as :class:`DataError`.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` through :func:`atomic_write`."""
+    with atomic_write(path) as fh:
+        fh.write(text)
+
+
 def _write_table(path: str | Path, header: list[str], start_index: int, columns) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for i, row in enumerate(zip(*(c.tolist() for c in columns))):

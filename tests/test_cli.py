@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 from click.testing import CliRunner
 
+import hlcast
 from hlcast.cli import main
 from hlcast.config import load_config
 
@@ -204,6 +208,20 @@ class TestSummaryStats:
         assert float(fields[3]) == 0.0  # sd
         assert fields[4] == fields[7]  # min == max
 
+    def test_quartiles_match_numpy_percentile(self):
+        import numpy as np
+
+        from hlcast.cli import _summary_table
+        from hlcast.timeseries import Quarter, QuarterlySeries, align
+
+        rng = np.random.default_rng(4)
+        for n in (1, 2, 3, 10, 93):
+            values = rng.normal(size=n) * 1e3
+            frame = align([QuarterlySeries("x", Quarter(2000, 1), tuple(values))])
+            fields = _summary_table(frame)[1].split()
+            p25, p75 = np.percentile(values, [25, 75])
+            assert fields[5:7] == [f"{p25:,.3f}", f"{p75:,.3f}"]
+
     def test_ingest_prints_table_header(self, runner, tmp_path):
         config = make_workspace(runner, tmp_path)
         out = run_ok(runner, ["ingest", "--config", str(config)]).output
@@ -232,3 +250,10 @@ class TestConfigRoundTrip:
         idx = header[0].split(",").index("interest_rate")
         value = float(header[1].split(",")[idx])
         assert value < 0.001  # the synthetic fractions divided by 100
+
+
+def test_import_leaves_scipy_out():
+    env = {**os.environ, "PYTHONPATH": str(Path(hlcast.__file__).parents[1])}
+    code = "import hlcast.cli, sys; assert 'scipy' not in sys.modules, 'scipy imported'"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

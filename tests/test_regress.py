@@ -123,6 +123,19 @@ class TestOlsFit:
         assert set(exc.value.columns) & {"a", "twice_a"}
         assert "b" not in exc.value.columns
 
+    def test_three_way_dependency_names_every_member(self):
+        rng = np.random.default_rng(9)
+        a, b, c = rng.normal(size=(3, 30))
+        x = np.column_stack([a, b, a + b, c])
+        with pytest.raises(SingularDesignError) as exc:
+            ols_fit(
+                DesignMatrix.from_arrays(
+                    rng.normal(size=30), x, names=["a", "b", "a_plus_b", "c"]
+                )
+            )
+        assert sorted(exc.value.columns) == ["a", "a_plus_b", "b"]
+        assert "a, a_plus_b, b" in str(exc.value)
+
     def test_all_zero_column(self):
         with pytest.raises(SingularDesignError, match="dead"):
             ols_fit(

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+import hlcast.timeseries
 from hlcast.errors import DataError, InsufficientDataError, ParseError, SchemaError
 from hlcast.timeseries import (
     Frame,
     Quarter,
     QuarterlySeries,
     align,
+    atomic_write,
     interpolate_yearly_to_quarterly,
     parse_quarter,
     read_frame_csv,
@@ -319,3 +321,49 @@ class TestCsv:
         for name in f.names():
             assert back.column(name).values == f.column(name).values
         assert path.read_text().splitlines()[0] == "quarter,a,b"
+
+
+class TestAtomicWrite:
+    def frame(self, n=8):
+        return align([series([float(i) for i in range(n)], name="a"), series([1.5] * n, name="b")])
+
+    def fail_after(self, monkeypatch, calls):
+        """Make the CSV writer raise part-way through its rows."""
+        real, seen = hlcast.timeseries.format_value, []
+
+        def flaky(v):
+            seen.append(v)
+            if len(seen) > calls:
+                raise RuntimeError("interrupted")
+            return real(v)
+
+        monkeypatch.setattr(hlcast.timeseries, "format_value", flaky)
+
+    def test_failed_write_keeps_earlier_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "features.csv"
+        write_frame_csv(self.frame(3), path)
+        before = path.read_bytes()
+        self.fail_after(monkeypatch, 5)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            write_frame_csv(self.frame(), path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_first_write_leaves_nothing(self, tmp_path, monkeypatch):
+        self.fail_after(monkeypatch, 5)
+        with pytest.raises(RuntimeError):
+            write_frame_csv(self.frame(), tmp_path / "features.csv")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_completed_write_replaces(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text("old")
+        with atomic_write(path) as fh:
+            fh.write("new")
+            assert path.read_text() == "old"
+        assert path.read_text() == "new"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_os_error_is_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="cannot write"):
+            write_frame_csv(self.frame(), tmp_path / "missing" / "features.csv")
