@@ -1,10 +1,13 @@
 """Batch command line: ingest -> features -> lagscan -> backtest -> report.
 
-Every pipeline command takes ``--config`` and derives a run directory from
-the hash of the effective configuration (file plus flag overrides), so
-outputs from different settings never collide and reruns rewrite identical
-bytes. Commands compute missing upstream artifacts on the fly, so any stage
-can be invoked directly on a fresh configuration.
+Every pipeline command takes ``--config`` and writes to a run directory
+named by the hash of the effective configuration (file plus flag
+overrides), the bytes of every input file and the hlcast version, so
+outputs from different settings or data never collide and reruns rewrite
+identical bytes. Each stage computes its inputs from the source CSVs and
+writes every artifact it computes; it never reads an upstream artifact
+back. Only ``report`` reuses the run's ``report.json``, and runs the
+backtest when there is none.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .synthetic import ScenarioConfig, generate
 from .timeseries import (
     Frame,
     align,
-    read_frame_csv,
     read_series_csv,
     write_frame_csv,
     write_series_csv,
@@ -60,70 +62,72 @@ def _handle_errors(f):
     return wrapper
 
 
-def _pipeline_options(f):
-    f = click.option("--lags", default=None, help="Override the lag-scan range, e.g. 0..8.")(f)
-    f = click.option("--cutoff", default=None, help="Override the split cutoff, e.g. 2008Q2.")(f)
-    f = click.option("--out", default=None, help="Override the output directory.")(f)
-    f = click.option(
-        "--config",
-        "config_path",
-        required=True,
-        type=click.Path(dir_okay=False),
-        help="Run configuration file (YAML).",
-    )(f)
-    return f
-
-
 @click.group()
 def main() -> None:
     """House-price forecasting pipeline built on household lending capacity."""
 
 
+def _stage(f):
+    """Register ``f(cfg, run_dir)`` as a pipeline command.
+
+    The command takes ``--config`` plus the ``--out``, ``--cutoff`` and
+    ``--lags`` overrides, loads the configuration, hashes the run directory
+    once (the hash reads every input file) and maps an HlcastError to its
+    exit code.
+    """
+
+    @main.command()
+    @click.option(
+        "--config",
+        "config_path",
+        required=True,
+        type=click.Path(dir_okay=False),
+        help="Run configuration file (YAML).",
+    )
+    @click.option("--out", default=None, help="Override the output directory.")
+    @click.option("--cutoff", default=None, help="Override the split cutoff, e.g. 2008Q2.")
+    @click.option("--lags", default=None, help="Override the lag-scan range, e.g. 0..8.")
+    @_handle_errors
+    @functools.wraps(f)
+    def command(config_path: str, out: str | None, cutoff: str | None, lags: str | None) -> None:
+        # a module-global lookup at call time, so a wrapper installed on
+        # cli.load_config (the benchmark's layer tracer) still sees the call
+        cfg = load_config(config_path, out=out, cutoff=cutoff, lags=lags)
+        f(cfg, cfg.run_dir())
+
+    return command
+
+
 # -- pipeline stages ---------------------------------------------------------
 
 
-def _ingest_frame(cfg: RunConfig) -> Frame:
+def _frame(cfg: RunConfig, run_dir: Path) -> Frame:
     series = []
     for name, src in sorted(cfg.data.items()):
         s = read_series_csv(src.path, name=name, unit=src.stored_unit)
         if src.factor != 1.0:
             s = s.scale(src.factor, unit=src.stored_unit)
         series.append(s)
-    return align(series)
-
-
-def _run_dir(cfg: RunConfig) -> Path:
-    d = cfg.run_dir()
-    d.mkdir(parents=True, exist_ok=True)
-    return d
-
-
-def _frame(cfg: RunConfig) -> Frame:
-    path = _run_dir(cfg) / "frame.csv"
-    if path.is_file():
-        return read_frame_csv(path)
-    frame = _ingest_frame(cfg)
-    write_frame_csv(frame, path)
+    frame = align(series)
+    run_dir.mkdir(parents=True, exist_ok=True)
+    write_frame_csv(frame, run_dir / "frame.csv")
     return frame
 
 
-def _features(cfg: RunConfig) -> Frame:
-    path = _run_dir(cfg) / "features.csv"
-    if path.is_file():
-        return read_frame_csv(path)
+def _features(cfg: RunConfig, run_dir: Path) -> Frame:
     features = build_features(
-        _frame(cfg),
+        _frame(cfg, run_dir),
         cfg.lti,
         smoothing_window=cfg.smoothing_window,
         hlc_lag=cfg.hlc_lag,
         interest_only_zero_from=cfg.interest_only_zero_from,
     )
-    write_frame_csv(features, path)
+    write_frame_csv(features, run_dir / "features.csv")
     return features
 
 
-def _backtest(cfg: RunConfig) -> BacktestReport:
-    features = _features(cfg)
+def _backtest(cfg: RunConfig, run_dir: Path) -> BacktestReport:
+    features = _features(cfg, run_dir)
     specs = [
         s
         for s in default_specs(
@@ -132,7 +136,6 @@ def _backtest(cfg: RunConfig) -> BacktestReport:
         if s.name in cfg.models
     ]
     report = run_grid(features, specs, cfg.split, forecast_mode=cfg.forecast_mode)
-    run_dir = _run_dir(cfg)
     write_text(run_dir / "report.json", report.to_json())
     emit_plot_data(report, run_dir / "plots")
     return report
@@ -190,42 +193,31 @@ def synth(out: str, seed: int, quarters: int, noise: float) -> None:
     )
 
 
-@main.command()
-@_pipeline_options
-@_handle_errors
-def ingest(config_path: str, out: str | None, cutoff: str | None, lags: str | None) -> None:
+@_stage
+def ingest(cfg: RunConfig, run_dir: Path) -> None:
     """Read per-series CSVs, normalize units, write the aligned frame."""
-    cfg = load_config(config_path, out=out, cutoff=cutoff, lags=lags)
-    frame = _ingest_frame(cfg)
-    path = _run_dir(cfg) / "frame.csv"
-    write_frame_csv(frame, path)
+    frame = _frame(cfg, run_dir)
     click.echo(f"frame: {len(frame)} quarters ({frame.start}..{frame.end}), "
-               f"{len(frame.names())} columns -> {path}")
+               f"{len(frame.names())} columns -> {run_dir / 'frame.csv'}")
     for line in _summary_table(frame):
         click.echo(line)
 
 
-@main.command()
-@_pipeline_options
-@_handle_errors
-def features(config_path: str, out: str | None, cutoff: str | None, lags: str | None) -> None:
+@_stage
+def features(cfg: RunConfig, run_dir: Path) -> None:
     """Derive the model-ready feature frame (smoothing, capacity, lags)."""
-    cfg = load_config(config_path, out=out, cutoff=cutoff, lags=lags)
-    frame = _features(cfg)
+    frame = _features(cfg, run_dir)
     span = frame.complete_range()
     click.echo(f"features: {', '.join(frame.names())}")
-    click.echo(f"rows {frame.start}..{frame.end} -> {_run_dir(cfg) / 'features.csv'}")
+    click.echo(f"rows {frame.start}..{frame.end} -> {run_dir / 'features.csv'}")
     if span:
         click.echo(f"complete sample: {span[0]}..{span[1]}")
 
 
-@main.command()
-@_pipeline_options
-@_handle_errors
-def lagscan(config_path: str, out: str | None, cutoff: str | None, lags: str | None) -> None:
+@_stage
+def lagscan(cfg: RunConfig, run_dir: Path) -> None:
     """Scan R-squared of price on lagged lending capacity."""
-    cfg = load_config(config_path, out=out, cutoff=cutoff, lags=lags)
-    frame = _features(cfg)
+    frame = _features(cfg, run_dir)
     result = lag_scan(
         frame.column(HOUSE_PRICE),
         frame.column(HLC),
@@ -238,36 +230,29 @@ def lagscan(config_path: str, out: str | None, cutoff: str | None, lags: str | N
         click.echo(f"{e.lag:>4}{r2:>10}{e.n_obs:>6}")
         lines.append(f"{e.lag},{r2},{e.n_obs}")
     click.echo(f"best lag: {result.best_lag}")
-    path = _run_dir(cfg) / "lag_scan.csv"
-    write_text(path, "\n".join(lines) + "\n")
+    write_text(run_dir / "lag_scan.csv", "\n".join(lines) + "\n")
 
 
-@main.command()
-@_pipeline_options
-@_handle_errors
-def backtest(config_path: str, out: str | None, cutoff: str | None, lags: str | None) -> None:
+@_stage
+def backtest(cfg: RunConfig, run_dir: Path) -> None:
     """Fit all model variants on full and truncated samples and score them."""
-    cfg = load_config(config_path, out=out, cutoff=cutoff, lags=lags)
-    report = _backtest(cfg)
+    report = _backtest(cfg, run_dir)
     ok = sum(1 for v in report.variants if v.error is None)
     click.echo(
         f"backtest: {ok}/{len(report.variants)} variants fitted "
-        f"(cutoff {cfg.split.cutoff}) -> {_run_dir(cfg) / 'report.json'}"
+        f"(cutoff {cfg.split.cutoff}) -> {run_dir / 'report.json'}"
     )
     for v in report.variants:
         if v.error:
             click.echo(f"  {v.name}/{v.approach}/{v.regime}: FAILED: {v.error}")
 
 
-@main.command()
-@_pipeline_options
-@_handle_errors
-def report(config_path: str, out: str | None, cutoff: str | None, lags: str | None) -> None:
+@_stage
+def report(cfg: RunConfig, run_dir: Path) -> None:
     """Render the per-model RMSE/MAE tables from the saved report."""
-    cfg = load_config(config_path, out=out, cutoff=cutoff, lags=lags)
-    path = _run_dir(cfg) / "report.json"
+    path = run_dir / "report.json"
     if not path.is_file():
-        _backtest(cfg)
+        _backtest(cfg, run_dir)
     doc = json.loads(path.read_text(encoding="utf-8"))
     window = "metrics_all" if cfg.split.evaluation_window == "all_quarters" else "metrics_holdout"
     by_key = {(v["name"], v["approach"], v["regime"]): v for v in doc["variants"]}

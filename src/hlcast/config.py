@@ -1,8 +1,10 @@
 """Run configuration: one YAML file captures every knob of a pipeline run.
 
-Command-line flags override file values; the effective configuration is
-hashed and all outputs land in a directory named by that hash, so runs with
-different settings can never silently overwrite each other.
+Command-line flags override file values. A run's outputs land in a
+directory named by the hash of the effective configuration, the bytes of
+every input file and the hlcast version, so runs of different settings or
+data never overwrite each other, and a run directory never holds results
+of data that has since changed.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from pathlib import Path
 
 import yaml
 
+from . import __version__
 from .backtest import (
     DEBT_TO_GDP,
     HOUSE_PRICE,
@@ -24,7 +27,7 @@ from .backtest import (
     SHARE_INPUTS,
     SplitSpec,
 )
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .lti import LtiParams
 from .timeseries import Quarter, parse_quarter, write_text
 
@@ -51,6 +54,9 @@ UNIT_FACTORS = {
     "count": 1.0,
     "dimensionless": 1.0,
 }
+
+# libyaml's parser when PyYAML was built with it: ~8x faster on a run config
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 DEFAULT_MODELS = ("benchmark", "hlc", "benchmark_hlc")
 KNOWN_MODELS = DEFAULT_MODELS + ("benchmark_debt",)
@@ -121,8 +127,15 @@ class RunConfig:
         }
 
     def run_hash(self) -> str:
-        blob = json.dumps(self.to_canonical(), sort_keys=True).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()[:12]
+        """Hash of the canonical config, each input file's bytes and the hlcast version."""
+        h = hashlib.sha256(json.dumps(self.to_canonical(), sort_keys=True).encode("utf-8"))
+        for _, src in sorted(self.data.items()):
+            try:
+                h.update(hashlib.sha256(src.path.read_bytes()).digest())
+            except OSError as exc:
+                raise DataError(f"cannot read {src.path}: {exc}") from None
+        h.update(__version__.encode("utf-8"))
+        return h.hexdigest()[:12]
 
     def run_dir(self) -> Path:
         return self.output_dir / self.run_hash()
@@ -190,7 +203,7 @@ def load_config(
     """
     path = Path(path)
     try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+        raw = yaml.load(path.read_text(encoding="utf-8"), Loader=_YAML_LOADER)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except yaml.YAMLError as exc:

@@ -9,8 +9,16 @@ import yaml
 from click.testing import CliRunner
 
 import hlcast
+import hlcast.config
 from hlcast.cli import main
 from hlcast.config import load_config
+from hlcast.timeseries import (
+    align,
+    read_frame_csv,
+    read_series_csv,
+    write_frame_csv,
+    write_series_csv,
+)
 
 
 @pytest.fixture()
@@ -121,10 +129,70 @@ class TestPipeline:
         assert "Benchmark model" in out
 
 
+class TestStaleArtifacts:
+    """A run directory never holds results of inputs that have since changed."""
+
+    def test_edited_input_gets_new_run_dir_and_report(self, runner, tmp_path):
+        config = make_workspace(runner, tmp_path)
+        run_ok(runner, ["backtest", "--config", str(config)])
+        old_dir = load_config(config).run_dir()
+        old_report = (old_dir / "report.json").read_bytes()
+        old_tables = run_ok(runner, ["report", "--config", str(config)]).output
+
+        prices = tmp_path / "data" / "house_price.csv"
+        write_series_csv(read_series_csv(prices).scale(2.0), prices)
+        new_dir = load_config(config).run_dir()
+        assert new_dir != old_dir
+
+        new_tables = run_ok(runner, ["report", "--config", str(config)]).output
+        assert new_tables != old_tables
+        new_report = (new_dir / "report.json").read_bytes()
+        assert new_report != old_report
+        run_ok(runner, ["backtest", "--config", str(config)])
+        assert (new_dir / "report.json").read_bytes() == new_report
+        assert (old_dir / "report.json").read_bytes() == old_report
+
+    def test_tampered_features_are_not_read_back(self, runner, tmp_path):
+        config = make_workspace(runner, tmp_path)
+        run_ok(runner, ["backtest", "--config", str(config)])
+        run_dir = load_config(config).run_dir()
+        clean = (run_dir / "report.json").read_bytes()
+
+        feats = read_frame_csv(run_dir / "features.csv")
+        zeroed = [feats.column(n).scale(0.0 if n == "hlc" else 1.0) for n in feats.names()]
+        write_frame_csv(align(zeroed), run_dir / "features.csv")
+        run_ok(runner, ["backtest", "--config", str(config)])
+        assert (run_dir / "report.json").read_bytes() == clean
+
+    def test_version_is_part_of_the_run_hash(self, runner, tmp_path, monkeypatch):
+        cfg = load_config(make_workspace(runner, tmp_path))
+        before = cfg.run_hash()
+        monkeypatch.setattr(hlcast.config, "__version__", hlcast.__version__ + ".post1")
+        assert cfg.run_hash() != before
+
+
 class TestErrors:
     def test_missing_config_file(self, runner, tmp_path):
         result = runner.invoke(main, ["ingest", "--config", str(tmp_path / "nope.yaml")])
         assert result.exit_code == 2
+
+    def test_malformed_yaml(self, runner, tmp_path):
+        config = make_workspace(runner, tmp_path)
+        config.write_text("data: [unclosed\n")
+        result = runner.invoke(main, ["backtest", "--config", str(config)])
+        assert result.exit_code == 2
+        assert f"error: config {config} is not valid YAML" in result.output
+
+    def test_unreadable_input_is_data_error(self, runner, tmp_path, monkeypatch):
+        config = make_workspace(runner, tmp_path)
+
+        def denied(self):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_bytes", denied)
+        result = runner.invoke(main, ["ingest", "--config", str(config)])
+        assert result.exit_code == 3
+        assert "error: cannot read" in result.output and "Permission denied" in result.output
 
     def test_unknown_config_key(self, runner, tmp_path):
         config = make_workspace(runner, tmp_path)
@@ -237,6 +305,12 @@ class TestConfigRoundTrip:
         again = load_config(resaved)
         assert again.to_canonical() == cfg.to_canonical()
         assert again.run_hash() == cfg.run_hash()
+
+    def test_pure_python_loader_agrees(self, runner, tmp_path, monkeypatch):
+        config = make_workspace(runner, tmp_path)
+        fast = load_config(config)
+        monkeypatch.setattr(hlcast.config, "_YAML_LOADER", yaml.SafeLoader)
+        assert load_config(config) == fast
 
     def test_unit_override_scales_values(self, runner, tmp_path):
         config = make_workspace(runner, tmp_path)
