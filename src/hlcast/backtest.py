@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DataError, HlcastError, SchemaError
 from .lti import LtiParams, derive_interest_only_share, hlc_series
-from .regress import EcmFit, FitResult, design_matrix, ecm_fit, ecm_forecast, ols_fit, predict
+from .regress import design_matrix, ecm_fit, ecm_forecast, ols_fit, predict
 from .timeseries import Frame, Quarter, QuarterlySeries, align, format_value, write_text
 
 # Canonical column names for the feature frame.
@@ -306,19 +306,6 @@ class BacktestReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-def _ecm_term_series(features: Frame, spec: ModelSpec) -> tuple[list, list]:
-    short_run, levels = [], []
-    for r in spec.regressors:
-        base = features.column(r.column)
-        short_run.append(
-            base.diff().lag(r.ecm_diff_lag).rename(f"d_{r.column}_lag{r.ecm_diff_lag}")
-            if r.ecm_diff_lag
-            else base.diff().rename(f"d_{r.column}")
-        )
-        levels.append(base.lag(r.ecm_level_lag).rename(f"{r.column}_lag{r.ecm_level_lag}"))
-    return short_run, levels
-
-
 def _run_variant(
     features: Frame,
     spec: ModelSpec,
@@ -343,20 +330,26 @@ def _run_variant(
         result.predicted = predict(fit, features)
         rows = d.rows
     else:
-        short_run, levels = _ecm_term_series(features, spec)
-        train_response = observed.window(last=last_train) if last_train is not None else observed
-        fit = ecm_fit(train_response, align(short_run), align(levels))
+        # only the response and the variant's columns, with their first
+        # differences: a passthrough feature column may already be named d_<column>
+        base = [observed] + [features.column(r.column) for r in spec.regressors]
+        frame = align(base + [s.diff().rename(f"d_{s.name}") for s in base])
+        fit = ecm_fit(
+            frame,
+            response,
+            [(f"d_{r.column}", r.ecm_diff_lag) for r in spec.regressors],
+            [(r.column, r.ecm_level_lag) for r in spec.regressors],
+            last=last_train,
+        )
         result.summary = fit.to_dict()
         fitted = fit.underlying.fitted
         rows = fitted.start_index + np.flatnonzero(~np.isnan(fitted.array))
-        forecast_frame = align([observed] + short_run + levels)
-        first_row = Quarter.from_index(rows[0])
-        in_sample = ecm_forecast(fit, forecast_frame, start=first_row, mode="static")
+        in_sample = ecm_forecast(fit, frame, start=Quarter.from_index(rows[0]), mode="static")
         if regime == "full":
             result.predicted = in_sample
         else:
             oos: dict[str, QuarterlySeries] = {
-                mode: ecm_forecast(fit, forecast_frame, start=split.cutoff + 1, mode=mode)
+                mode: ecm_forecast(fit, frame, start=split.cutoff + 1, mode=mode)
                 for mode in ("dynamic", "static")
             }
             head = in_sample.window(last=split.cutoff)

@@ -253,32 +253,44 @@ def report(cfg: RunConfig, run_dir: Path) -> None:
     path = run_dir / "report.json"
     if not path.is_file():
         _backtest(cfg, run_dir)
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        lines = _report_tables(json.loads(path.read_text(encoding="utf-8")), cfg)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise DataError(f"{path} is not a readable hlcast report: {exc!r}") from None
+    click.echo("\n".join(lines))
+
+
+def _report_tables(doc: dict, cfg: RunConfig) -> list[str]:
     window = "metrics_all" if cfg.split.evaluation_window == "all_quarters" else "metrics_holdout"
     by_key = {(v["name"], v["approach"], v["regime"]): v for v in doc["variants"]}
     cutoff_label = doc["cutoff"]
+    lines = []
     for model in cfg.models:
-        click.echo("")
-        click.echo(f"{MODEL_LABELS.get(model, model)} model")
-        click.echo(f"  {'fit':<6}{'sample':<22}{'RMSE (k EUR)':>14}{'MAE (k EUR)':>14}")
+        lines += [
+            "",
+            f"{MODEL_LABELS.get(model, model)} model",
+            f"  {'fit':<6}{'sample':<22}{'RMSE (k EUR)':>14}{'MAE (k EUR)':>14}",
+        ]
         for approach in ("ols", "ecm"):
             for regime, label in (("full", "all quarters"), ("truncated", f"up to {cutoff_label}")):
                 v = by_key.get((model, approach, regime))
                 if v is None:
                     continue
                 if v.get("error"):
-                    click.echo(f"  {approach.upper():<6}{label:<22}{'failed: ' + v['error']}")
+                    lines.append(f"  {approach.upper():<6}{label:<22}{'failed: ' + v['error']}")
                     continue
                 m = v.get(window)
                 if m is None:
-                    click.echo(f"  {approach.upper():<6}{label:<22}{'n/a':>14}{'n/a':>14}")
+                    lines.append(f"  {approach.upper():<6}{label:<22}{'n/a':>14}{'n/a':>14}")
                     continue
-                click.echo(
+                lines.append(
                     f"  {approach.upper():<6}{label:<22}"
                     f"{m['rmse'] / 1000:>14,.3f}{m['mae'] / 1000:>14,.3f}"
                 )
-    click.echo("")
-    click.echo(f"evaluation window: {cfg.split.evaluation_window}; metrics in thousands of euros")
+    return lines + [
+        "",
+        f"evaluation window: {cfg.split.evaluation_window}; metrics in thousands of euros",
+    ]
 
 
 if __name__ == "__main__":

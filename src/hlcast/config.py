@@ -168,6 +168,13 @@ def _number(node: dict, key: str, default, cast: type, where: str):
         raise ConfigError(f"{where}.{key} must be {kind}, got {value!r}") from None
 
 
+def _string(value, key: str) -> str:
+    """``value`` if it is a string; a ConfigError naming ``key`` otherwise."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    return value
+
+
 def _parse_quarter_opt(value, where: str) -> Quarter | None:
     if value is None:
         return None
@@ -220,19 +227,20 @@ def load_config(
         raise ConfigError("config must declare input series under 'data'")
     sources: dict[str, SeriesSource] = {}
     for name, entry in data_node.items():
+        _string(name, "a data series name")
         if isinstance(entry, str):
             entry = {"path": entry}
         entry = _require_mapping(entry, f"data.{name}")
         _reject_unknown(entry, {"path", "unit"}, f"data.{name}")
         if "path" not in entry:
             raise ConfigError(f"data.{name} has no path")
-        unit = entry.get("unit", DEFAULT_UNITS.get(name, ""))
+        unit = _string(entry.get("unit", DEFAULT_UNITS.get(name, "")), f"data.{name}.unit")
         if unit not in UNIT_FACTORS:
             raise ConfigError(
                 f"data.{name}: unknown unit {unit!r} "
                 f"(expected one of {', '.join(sorted(UNIT_FACTORS))})"
             )
-        src_path = Path(entry["path"])
+        src_path = Path(_string(entry["path"], f"data.{name}.path"))
         if not src_path.is_absolute():
             src_path = path.parent / src_path
         sources[name] = SeriesSource(path=src_path, unit=unit)
@@ -299,7 +307,10 @@ def load_config(
     mode = str(bt.get("forecast_mode", "dynamic"))
     if mode not in ("dynamic", "static"):
         raise ConfigError(f"backtest.forecast_mode must be 'dynamic' or 'static', got {mode!r}")
-    models = tuple(bt.get("models", list(DEFAULT_MODELS)))
+    models = bt.get("models", list(DEFAULT_MODELS))
+    if not isinstance(models, list) or not all(isinstance(m, str) for m in models):
+        raise ConfigError(f"backtest.models must be a list of model names, got {models!r}")
+    models = tuple(models)
     bad = sorted(set(models) - set(KNOWN_MODELS))
     if bad:
         raise ConfigError(
@@ -313,7 +324,9 @@ def load_config(
             f"model 'benchmark_debt' needs a data.{DEBT_TO_GDP} series"
         )
 
-    out_dir = Path(out) if out is not None else Path(raw.get("output_dir", "runs"))
+    if out is None:
+        out = _string(raw.get("output_dir", "runs"), "output_dir")
+    out_dir = Path(out)
     if not out_dir.is_absolute():
         out_dir = path.parent / out_dir
 

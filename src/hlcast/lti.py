@@ -19,7 +19,7 @@ share of interest-only products among new mortgages.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -152,13 +152,27 @@ def hlc_series(
     name: str = "hlc",
 ) -> QuarterlySeries:
     """Per-quarter lending capacity from aligned income, rate, and share
-    columns; missing wherever any input is missing."""
-    frame.require(income, interest_rate, interest_only_share)
-    columns = (frame.column(c).array.tolist() for c in (income, interest_rate, interest_only_share))
+    columns; missing wherever any input is missing.
+
+    Raises:
+        DataError: naming the column and quarter of a value
+            :class:`HouseholdInputs` rejects.
+    """
+    names = (income, interest_rate, interest_only_share)
+    frame.require(*names)
+    columns = (frame.column(c).array.tolist() for c in names)
     out = np.full(len(frame), np.nan)
     for k, (i, r, m) in enumerate(zip(*columns)):
         if i == i and r == r and m == m:  # NaN != NaN marks a missing input
-            out[k] = hlc(HouseholdInputs(i, r, m), params)
+            try:
+                h = HouseholdInputs(i, r, m)
+            except ValueError as exc:
+                # the message starts with the rejected field; fields follow ``names``
+                field = str(exc).split()[0]
+                column = dict(zip((f.name for f in fields(HouseholdInputs)), names))[field]
+                q = Quarter.from_index(frame.start_index + k)
+                raise DataError(f"column {column!r} at {q}: {exc}") from None
+            out[k] = hlc(h, params)
     return QuarterlySeries._from_array(name, frame.start_index, out, "eur")
 
 

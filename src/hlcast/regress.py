@@ -12,7 +12,7 @@ lending-capacity lead time.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -307,7 +307,8 @@ class EcmFit:
 
     The unrestricted regression is ``d(y) = b0 + sum(b * short_run) +
     gamma * y[t-1] + sum(theta * level)``; the long-run coefficients are
-    ``alpha = -theta / gamma``. All fit statistics live on ``underlying``.
+    ``alpha = -theta / gamma``. All fit statistics, and the terms every
+    forecast is rebuilt from, live on ``underlying``.
     """
 
     underlying: FitResult
@@ -315,8 +316,6 @@ class EcmFit:
     short_run: dict[str, float]
     gamma: float
     long_run_alphas: dict[str, float]
-    short_run_columns: list[str] = field(default_factory=list)
-    level_columns: list[str] = field(default_factory=list)
 
     @property
     def intercept(self) -> float:
@@ -332,42 +331,34 @@ class EcmFit:
 
 
 def ecm_fit(
-    response: QuarterlySeries,
-    short_run_terms: Frame,
-    level_terms: Frame,
+    frame: Frame,
+    response: str,
+    short_run: Sequence[str | tuple[str, int]],
+    levels: Sequence[str | tuple[str, int]],
+    last: Quarter | None = None,
 ) -> EcmFit:
     """Fit an error correction model by OLS on its unrestricted form.
 
-    ``short_run_terms`` columns enter the change equation as-is (the caller
-    supplies them already differenced/lagged); ``level_terms`` columns enter
-    as levels. The response's first difference is regressed on an intercept,
-    the short-run terms, the one-quarter-lagged response level, and the
-    level terms; the long-run coefficients are recovered as
+    ``short_run`` and ``levels`` are :func:`design_matrix` regressor specs
+    (a column name or a ``(column, lag)`` pair); ``frame`` holds the
+    response, its first difference ``d_<response>`` and every column the
+    specs name. The change is regressed on an intercept, the short-run
+    terms, the one-quarter-lagged response level and the level terms, over
+    quarters up to ``last``; the long-run coefficients are recovered as
     ``-theta / gamma``.
 
     A non-negative ``gamma`` (no correction toward equilibrium) produces a
     warning, not an error; ``gamma == 0`` leaves the long-run coefficients
     undefined and raises :class:`NumericalError`.
     """
-    dy = response.diff().rename(f"d_{response.name}")
-    ylag = response.lag(1).rename(f"{response.name}_lag1")
-    sr_names = short_run_terms.names()
-    lv_names = level_terms.names()
-    columns = [dy, ylag]
-    columns += [short_run_terms.column(c) for c in sr_names]
-    columns += [level_terms.column(c) for c in lv_names]
-    merged = align(columns)
-    d = design_matrix(
-        merged,
-        response=dy.name,
-        regressors=sr_names + [ylag.name] + lv_names,
-        intercept=True,
-    )
+    d = design_matrix(frame, f"d_{response}", [*short_run, (response, 1), *levels], last=last)
     fit = ols_fit(d)
-    gamma = fit.coefficients[ylag.name]
+    k = len(short_run)
+    ylag = d.terms[k].name
+    gamma = fit.coefficients[ylag]
     if gamma >= 0:
         warnings.warn(
-            f"adjustment coefficient on {ylag.name} is {gamma:.4g} (>= 0); "
+            f"adjustment coefficient on {ylag} is {gamma:.4g} (>= 0); "
             "no stable error correction",
             stacklevel=2,
         )
@@ -375,15 +366,12 @@ def ecm_fit(
         raise NumericalError(
             "adjustment coefficient is exactly zero; long-run coefficients undefined"
         )
-    alphas = {c: -fit.coefficients[c] / gamma for c in lv_names}
     return EcmFit(
         underlying=fit,
-        response_name=response.name,
-        short_run={c: fit.coefficients[c] for c in sr_names},
+        response_name=response,
+        short_run={t.name: fit.coefficients[t.name] for t in d.terms[:k]},
         gamma=gamma,
-        long_run_alphas=alphas,
-        short_run_columns=list(sr_names),
-        level_columns=list(lv_names),
+        long_run_alphas={t.name: -fit.coefficients[t.name] / gamma for t in d.terms[k + 1 :]},
     )
 
 
@@ -398,8 +386,9 @@ def ecm_forecast(
     Static mode predicts each change from the observed previous level (one
     step ahead everywhere); dynamic mode feeds its own predicted level back
     in, so post-``start`` observations of the response are never used. The
-    frame must contain the response column (for the initial level) and every
-    short-run and level column of the fit.
+    frame must contain the response column (for the initial level) and the
+    column of every term of the fit; terms are rebuilt at their lags, as in
+    :func:`predict`.
 
     A missing regressor makes that quarter's forecast missing; in dynamic
     mode the recursion has then lost its level, so all later quarters are
@@ -407,7 +396,8 @@ def ecm_forecast(
     """
     if mode not in ("static", "dynamic"):
         raise ValueError(f"mode must be 'static' or 'dynamic', got {mode!r}")
-    frame.require(fit.response_name, *fit.short_run_columns, *fit.level_columns)
+    terms = [t for t in fit.underlying.terms if (t.column, t.lag) != (fit.response_name, 1)]
+    frame.require(fit.response_name, *(t.column for t in terms))
     observed = frame.column(fit.response_name)
     y, n = observed.array, len(frame)
     a = start.index - frame.start_index  # position of ``start`` in the frame
@@ -415,8 +405,8 @@ def ecm_forecast(
         raise DataError(
             f"no observed {fit.response_name!r} level at {start - 1} to anchor the forecast"
         )
-    coeffs, columns = fit.underlying.coefficients, fit.short_run_columns + fit.level_columns
-    products = [coeffs[c] * frame.column(c).array[a:] for c in columns]
+    coeffs = fit.underlying.coefficients
+    products = [coeffs[t.name] * shift(frame.column(t.column).array, t.lag)[a:] for t in terms]
     # change = intercept + gamma * previous level + terms in fit order; NaN marks missing
     if mode == "static":
         prev = y[a - 1 : n - 1]

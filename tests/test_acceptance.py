@@ -101,9 +101,8 @@ def test_criterion_03_ecm_reparametrization_identity():
             # random-walk pairs occasionally fit a positive adjustment
             # coefficient; irrelevant to the identity under test
             warnings.simplefilter("ignore", UserWarning)
-            fit = ecm_fit(
-                ys, align([xs.diff().rename("d_x")]), align([xs.lag(1).rename("x_lag1")])
-            )
+            frame = align([ys, xs, ys.diff().rename("d_y"), xs.diff().rename("d_x")])
+            fit = ecm_fit(frame, "y", ["d_x"], [("x", 1)])
         fitted = fit.underlying.fitted
         scale = max(abs(v) for v in fitted.values if v is not None)
         for q, want in fitted.items():
@@ -123,7 +122,10 @@ def test_criterion_04_ecm_identification_and_dynamic_forecast():
     xs = QuarterlySeries("x", Quarter(2000, 1), tuple(x))
     train = QuarterlySeries("y", Quarter(2000, 1), tuple(y[:120]))
     fit = ecm_fit(
-        train, align([xs.diff().rename("d_x")]), align([xs.lag(1).rename("x_lag1")])
+        align([train, xs, train.diff().rename("d_y"), xs.diff().rename("d_x")]),
+        "y",
+        ["d_x"],
+        [("x", 1)],
     )
     params_ok = (
         abs(fit.gamma - (-0.3)) < 1e-8
@@ -131,13 +133,7 @@ def test_criterion_04_ecm_identification_and_dynamic_forecast():
         and abs(fit.short_run["d_x"] - 0.8) < 1e-8
         and abs(fit.intercept - 0.5) < 1e-8
     )
-    frame = align(
-        [
-            QuarterlySeries("y", Quarter(2000, 1), tuple(y)),
-            xs.diff().rename("d_x"),
-            xs.lag(1).rename("x_lag1"),
-        ]
-    )
+    frame = align([QuarterlySeries("y", Quarter(2000, 1), tuple(y)), xs, xs.diff().rename("d_x")])
     start = Quarter(2000, 1) + 120
     forecast = ecm_forecast(fit, frame, start, mode="dynamic")
     err = max(abs(forecast.get(start + i) - y[120 + i]) for i in range(20))

@@ -197,6 +197,21 @@ class TestRunGrid:
             assert v.error is None
             assert v.metrics_all.rmse < 0.02 * scale
 
+    def test_raw_columns_named_like_ecm_diffs_change_nothing(self):
+        # the ECM builds its own d_<column> diffs; passthrough columns of
+        # the same names must neither collide with them nor replace them
+        data = generate(ScenarioConfig(seed=2))
+        junk = [
+            series(np.linspace(-1.0, 1.0, 92), start=data.frame.start, name=n)
+            for n in ("d_house_price", "d_income")
+        ]
+        reports = [
+            run_grid(build_features(raw, data.params), default_specs(), SplitSpec()).to_json()
+            for raw in (data.frame, align(list(data.frame.columns.values()) + junk))
+        ]
+        assert reports[0] == reports[1]
+        assert all(v["error"] is None for v in json.loads(reports[0])["variants"])
+
     def test_truncated_training_never_sees_holdout(self, features):
         split = SplitSpec()
         report = run_grid(features, default_specs(), split)

@@ -253,12 +253,69 @@ class TestErrors:
         assert f"error: {section}.{key} must be" in result.output
         assert "'four'" in result.output
 
+    @pytest.mark.parametrize(
+        "edit,key",
+        [
+            (lambda doc: doc["backtest"].update(models=5), "backtest.models"),
+            (lambda doc: doc["backtest"].update(models=[["hlc"]]), "backtest.models"),
+            (lambda doc: doc.update(output_dir=5), "output_dir"),
+            (lambda doc: doc["data"]["ltv"].update(unit=["eur"]), "data.ltv.unit"),
+            (lambda doc: doc["data"]["ltv"].update(path=5), "data.ltv.path"),
+        ],
+        ids=["models-int", "models-nested-list", "output_dir-int", "unit-list", "path-int"],
+    )
+    def test_config_value_of_wrong_type(self, runner, tmp_path, edit, key):
+        config = make_workspace(runner, tmp_path)
+        doc = yaml.safe_load(config.read_text())
+        edit(doc)
+        config.write_text(yaml.safe_dump(doc))
+        result = runner.invoke(main, ["ingest", "--config", str(config)])
+        assert result.exit_code == 2, result.output
+        assert f"error: {key} must be" in result.output
+
+    @pytest.mark.parametrize(
+        "name,row,value",
+        [("interest_only_share", 10, "1.5"), ("interest_rate", 20, "-1.0")],
+        ids=["share-above-one", "negative-rate"],
+    )
+    def test_out_of_domain_value_is_data_error(self, runner, tmp_path, name, row, value):
+        config = make_workspace(runner, tmp_path)
+        path = tmp_path / "data" / f"{name}.csv"
+        lines = path.read_text().splitlines()
+        lines[row] = lines[row].split(",")[0] + "," + value
+        path.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["features", "--config", str(config)])
+        assert result.exit_code == 3, result.output
+        assert f"error: column {name!r} at " in result.output
+
     def test_bom_prefixed_csv_is_read(self, runner, tmp_path):
         config = make_workspace(runner, tmp_path)
         income = tmp_path / "data" / "income.csv"
         income.write_bytes(b"\xef\xbb\xbf" + income.read_bytes())
         out = run_ok(runner, ["ingest", "--config", str(config)]).output
         assert "92 quarters" in out
+
+
+class TestReportFile:
+    """``report`` reads the run's report.json back; a file that is not one is bad data."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"variants": [',
+            "{}",
+            '{"cutoff": "2008Q2", "variants": [{"name": "hlc", "regime": "full"}]}',
+        ],
+        ids=["truncated-json", "empty-object", "variant-without-approach"],
+    )
+    def test_unreadable_report_is_data_error(self, runner, tmp_path, text):
+        config = make_workspace(runner, tmp_path)
+        run_ok(runner, ["backtest", "--config", str(config)])
+        path = load_config(config).run_dir() / "report.json"
+        path.write_text(text + "\n")
+        result = runner.invoke(main, ["report", "--config", str(config)])
+        assert result.exit_code == 3, result.output
+        assert f"error: {path} is not a readable hlcast report" in result.output
 
 
 class TestSummaryStats:

@@ -224,10 +224,29 @@ class TestHlcSeries:
                 series([0.5, 0.5, share, 0.5], name="interest_only_share"),
             ]
         )
-        # quarter 1 is skipped (missing income); quarter 2 fails before quarter 3
-        with pytest.raises(error) as from_series:
+        # quarter 1 is skipped (missing income); quarter 2 fails before quarter 3;
+        # a rejected input value is bad data there, named by column and quarter
+        with pytest.raises(DataError if error is ValueError else error) as from_series:
             hlc_series(f, params)
-        assert str(from_series.value) == str(scalar.value)
+        assert str(from_series.value).endswith(str(scalar.value))
+        assert ("at 2000Q3: " in str(from_series.value)) == (error is ValueError)
+
+    @pytest.mark.parametrize(
+        "column,value,message",
+        [
+            ("wage", 0.0, "column 'wage' at 2000Q2: quarterly_income must be positive"),
+            ("rate", -0.01, "column 'rate' at 2000Q2: interest_rate must be >= 0"),
+            ("io", 1.5, "column 'io' at 2000Q2: interest_only_share must be in [0, 1]"),
+        ],
+    )
+    def test_invalid_value_names_column_and_quarter(self, column, value, message):
+        good = {"wage": 1e4, "rate": 0.05, "io": 0.5}
+        f = align(
+            [series([v, value if c == column else v], name=c) for c, v in good.items()]
+        )
+        with pytest.raises(DataError) as exc:
+            hlc_series(f, LtiParams(), income="wage", interest_rate="rate", interest_only_share="io")
+        assert str(exc.value).startswith(message)
 
 
 class TestNewMortgageShare:

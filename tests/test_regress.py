@@ -7,6 +7,7 @@ from hlcast.regress import (
     DesignMatrix,
     EcmFit,
     FitResult,
+    Term,
     design_matrix,
     ecm_fit,
     ecm_forecast,
@@ -242,12 +243,15 @@ def simulate_ecm(n=140, gamma=-0.3, alpha=1.0, beta0=0.5, beta1=0.8, noise=0.0, 
     return x, y
 
 
+def ecm_frame(ys, *xs):
+    """The response and regressors, each with its first difference ``d_<name>``."""
+    return align([ys, *xs] + [s.diff().rename(f"d_{s.name}") for s in (ys, *xs)])
+
+
 def fit_simulated(x, y):
     xs = series(list(x), name="x")
     ys = series(list(y), name="y")
-    short_run = align([xs.diff().rename("d_x")])
-    levels = align([xs.lag(1).rename("x_lag1")])
-    return ys, xs, ecm_fit(ys, short_run, levels)
+    return ys, xs, ecm_fit(ecm_frame(ys, xs), "y", ["d_x"], [("x", 1)])
 
 
 class TestEcm:
@@ -268,11 +272,7 @@ class TestEcm:
             x2 = rng.normal(size=n) * 3.0
             ys = series(list(y), name="y")
             x1s, x2s = series(list(x1), name="x1"), series(list(x2), name="x2")
-            fit = ecm_fit(
-                ys,
-                align([x1s.diff().rename("d_x1")]),
-                align([x1s.lag(1).rename("x1_lag1"), x2s.lag(1).rename("x2_lag1")]),
-            )
+            fit = ecm_fit(ecm_frame(ys, x1s, x2s), "y", ["d_x1"], [("x1", 1), ("x2", 1)])
             # Restricted form: b0 + b*d_x1 + gamma*(y[t-1] - sum(alpha * level)).
             fitted = fit.underlying.fitted
             scale = max(abs(v) for v in fitted.values if v is not None)
@@ -309,7 +309,7 @@ class TestEcm:
     def test_forecast_one_step_modes_agree(self):
         x, y = simulate_ecm(noise=0.2, seed=8)
         ys, xs, fit = fit_simulated(x, y)
-        frame = align([ys, xs.diff().rename("d_x"), xs.lag(1).rename("x_lag1")])
+        frame = ecm_frame(ys, xs)
         start = START + 100
         static = ecm_forecast(fit, frame, start, mode="static")
         dynamic = ecm_forecast(fit, frame, start, mode="dynamic")
@@ -319,14 +319,8 @@ class TestEcm:
         x, y = simulate_ecm(n=140)
         train_ys = series(list(y[:120]), name="y")
         xs = series(list(x), name="x")
-        fit = ecm_fit(
-            train_ys,
-            align([xs.diff().rename("d_x")]),
-            align([xs.lag(1).rename("x_lag1")]),
-        )
-        frame = align(
-            [series(list(y), name="y"), xs.diff().rename("d_x"), xs.lag(1).rename("x_lag1")]
-        )
+        fit = ecm_fit(ecm_frame(train_ys, xs), "y", ["d_x"], [("x", 1)])
+        frame = ecm_frame(series(list(y), name="y"), xs)
         start = START + 120
         forecast = ecm_forecast(fit, frame, start, mode="dynamic")
         for i in range(20):
@@ -347,6 +341,7 @@ class TestEcm:
             residuals=series([0.0], name="d_y_resid"),
             response_name="d_y",
             intercept=True,
+            terms=(Term("d_x", "d_x"), Term("y_lag1", "y", 1), Term("x_lag1", "x", 1)),
         )
         fit = EcmFit(
             underlying=underlying,
@@ -354,14 +349,12 @@ class TestEcm:
             short_run={"d_x": 0.0},
             gamma=0.0,
             long_run_alphas={"x_lag1": 0.0},
-            short_run_columns=["d_x"],
-            level_columns=["x_lag1"],
         )
         frame = align(
             [
                 series([5.0] + [None] * 9, name="y"),
                 series([1.0] * 10, name="d_x"),
-                series([2.0] * 10, name="x_lag1"),
+                series([2.0] * 10, name="x"),
             ]
         )
         out = ecm_forecast(fit, frame, START + 1, mode="dynamic")
@@ -370,14 +363,14 @@ class TestEcm:
     def test_missing_initial_level(self):
         x, y = simulate_ecm(n=60)
         ys, xs, fit = fit_simulated(x, y)
-        frame = align([ys, xs.diff().rename("d_x"), xs.lag(1).rename("x_lag1")])
+        frame = ecm_frame(ys, xs)
         with pytest.raises(DataError, match="anchor"):
             ecm_forecast(fit, frame, frame.start, mode="dynamic")
 
     def test_bad_mode(self):
         x, y = simulate_ecm(n=60)
         ys, xs, fit = fit_simulated(x, y)
-        frame = align([ys, xs.diff().rename("d_x"), xs.lag(1).rename("x_lag1")])
+        frame = ecm_frame(ys, xs)
         with pytest.raises(ValueError):
             ecm_forecast(fit, frame, START + 10, mode="oracle")
 
@@ -390,10 +383,8 @@ class TestEcm:
         corrupted = list(y)
         for i in range(81, 100):
             corrupted[i] += 500.0
-        frame_ok = align([ys, xs.diff().rename("d_x"), xs.lag(1).rename("x_lag1")])
-        frame_bad = align(
-            [series(corrupted, name="y"), xs.diff().rename("d_x"), xs.lag(1).rename("x_lag1")]
-        )
+        frame_ok = ecm_frame(ys, xs)
+        frame_bad = ecm_frame(series(corrupted, name="y"), xs)
         dyn_ok = ecm_forecast(fit, frame_ok, start, mode="dynamic")
         dyn_bad = ecm_forecast(fit, frame_bad, start, mode="dynamic")
         assert dyn_ok.values == dyn_bad.values
