@@ -54,7 +54,6 @@ from .timeseries import (
     Quarter,
     QuarterlySeries,
     align,
-    interpolate_yearly_to_quarterly,
     parse_quarter,
     read_frame_csv,
     read_series_csv,

@@ -40,6 +40,11 @@ REGIMES = ("full", "truncated")
 
 SCHEMA_VERSION = 1
 
+# Lags of the capacity terms in the shipped error correction models: the
+# difference enters at lag 4, the level at lag 5.
+ECM_DIFF_LAG = 4
+ECM_LEVEL_LAG = 5
+
 
 @dataclass(frozen=True)
 class Regressor:
@@ -100,17 +105,15 @@ def evaluate(
     observed: QuarterlySeries,
     predicted: QuarterlySeries,
     first: Quarter | None = None,
-    last: Quarter | None = None,
 ) -> Metrics:
     """RMSE and MAE over quarters where both series are present.
 
-    Optionally restricted to ``[first, last]``. An empty overlap is an
-    error, not a zero.
+    Optionally restricted to quarters from ``first`` on. An empty overlap is
+    an error, not a zero.
     """
     o0, p0 = observed.start_index, predicted.start_index
     lo = max(o0, p0) if first is None else max(o0, p0, first.index)
-    hi = min(o0 + len(observed), p0 + len(predicted))
-    hi = max(lo, hi if last is None else min(hi, last.index + 1))
+    hi = max(lo, min(o0 + len(observed), p0 + len(predicted)))
     v, p = observed.array[lo - o0 : hi - o0], predicted.array[lo - p0 : hi - p0]
     both = ~(np.isnan(v) | np.isnan(p))
     if not both.any():
@@ -125,12 +128,7 @@ def evaluate(
     )
 
 
-def default_specs(
-    hlc_lag: int = 6,
-    ecm_diff_lag: int = 4,
-    ecm_level_lag: int = 5,
-    include_debt_ratio: bool = False,
-) -> list[ModelSpec]:
+def default_specs(hlc_lag: int = 6, include_debt_ratio: bool = False) -> list[ModelSpec]:
     """The shipped experiment grid: three model forms, each as OLS and ECM.
 
     The benchmark regresses prices on income, rates and loan-to-value; the
@@ -140,14 +138,8 @@ def default_specs(
     column when the caller's data provides one.
     """
     benchmark = (Regressor(INCOME), Regressor(INTEREST_RATE), Regressor(LTV))
-    capacity = (
-        Regressor(HLC, lag=hlc_lag, ecm_diff_lag=ecm_diff_lag, ecm_level_lag=ecm_level_lag),
-    )
-    ratio = (
-        Regressor(
-            HLC_INCOME_RATIO, lag=hlc_lag, ecm_diff_lag=ecm_diff_lag, ecm_level_lag=ecm_level_lag
-        ),
-    )
+    capacity = (Regressor(HLC, hlc_lag, ECM_DIFF_LAG, ECM_LEVEL_LAG),)
+    ratio = (Regressor(HLC_INCOME_RATIO, hlc_lag, ECM_DIFF_LAG, ECM_LEVEL_LAG),)
     forms = [
         ("benchmark", benchmark),
         ("hlc", capacity),
@@ -225,13 +217,6 @@ def build_features(
         ratio.lag(hlc_lag).rename(f"{HLC_INCOME_RATIO}_lag{hlc_lag}"),
     ]
     return align(list(base.columns.values()) + extra)
-
-
-def _splice(head: QuarterlySeries, tail: QuarterlySeries) -> QuarterlySeries:
-    """Concatenate two series where ``tail`` starts right after ``head`` ends."""
-    if tail.start_index != head.start_index + len(head):
-        raise ValueError(f"cannot splice {head.end} with {tail.start}")
-    return head._with_array(np.concatenate([head.array, tail.array]))
 
 
 @dataclass
@@ -328,35 +313,33 @@ def _run_variant(
         fit = ols_fit(d)
         result.summary = fit.to_dict()
         result.predicted = predict(fit, features)
-        rows = d.rows
     else:
         # only the response and the variant's columns, with their first
         # differences: a passthrough feature column may already be named d_<column>
         base = [observed] + [features.column(r.column) for r in spec.regressors]
         frame = align(base + [s.diff().rename(f"d_{s.name}") for s in base])
-        fit = ecm_fit(
+        ecm = ecm_fit(
             frame,
             response,
             [(f"d_{r.column}", r.ecm_diff_lag) for r in spec.regressors],
             [(r.column, r.ecm_level_lag) for r in spec.regressors],
             last=last_train,
         )
-        result.summary = fit.to_dict()
-        fitted = fit.underlying.fitted
-        rows = fitted.start_index + np.flatnonzero(~np.isnan(fitted.array))
-        in_sample = ecm_forecast(fit, frame, start=Quarter.from_index(rows[0]), mode="static")
-        if regime == "full":
-            result.predicted = in_sample
-        else:
-            oos: dict[str, QuarterlySeries] = {
-                mode: ecm_forecast(fit, frame, start=split.cutoff + 1, mode=mode)
-                for mode in ("dynamic", "static")
-            }
-            head = in_sample.window(last=split.cutoff)
-            result.predicted = _splice(head, oos[forecast_mode])
-            result.forecast_mode = forecast_mode
+        result.summary = ecm.to_dict()
+        fit = ecm.underlying
+        # A static step uses only the observed previous level, so the path from
+        # the first fitted quarter is also the static out-of-sample forecast.
+        static = ecm_forecast(ecm, frame, start=fit.fitted.start, mode="static")
+        result.predicted = static
+        if regime == "truncated":
+            dynamic = static.to_array()
+            dynamic[split.cutoff.index + 1 - static.start_index :] = ecm_forecast(
+                ecm, frame, start=split.cutoff + 1, mode="dynamic"
+            ).array
+            paths = {"static": static, "dynamic": static._with_array(dynamic)}
             other = "static" if forecast_mode == "dynamic" else "dynamic"
-            alt = _splice(head, oos[other])
+            result.predicted, alt = paths[forecast_mode], paths[other]
+            result.forecast_mode = forecast_mode
             try:
                 alt_holdout = evaluate(observed, alt, first=split.cutoff + 1).to_dict()
             except DataError:
@@ -367,8 +350,8 @@ def _run_variant(
                 "metrics_holdout": alt_holdout,
             }
 
-    result.n_train = len(rows)
-    result.train_start, result.train_end = Quarter.from_index(rows[0]), Quarter.from_index(rows[-1])
+    result.n_train = fit.n_obs
+    result.train_start, result.train_end = fit.fitted.start, fit.fitted.end
     result.metrics_all = evaluate(observed, result.predicted)
     try:
         result.metrics_holdout = evaluate(observed, result.predicted, first=split.cutoff + 1)

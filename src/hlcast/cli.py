@@ -218,6 +218,12 @@ def features(cfg: RunConfig, run_dir: Path) -> None:
 def lagscan(cfg: RunConfig, run_dir: Path) -> None:
     """Scan R-squared of price on lagged lending capacity."""
     frame = _features(cfg, run_dir)
+    if cfg.lag_max >= len(frame):
+        # no lag at or beyond the sample length can pair any observations
+        raise DataError(
+            f"lag_scan.max must be below the sample length of {len(frame)} quarters, "
+            f"got {cfg.lag_max}"
+        )
     result = lag_scan(
         frame.column(HOUSE_PRICE),
         frame.column(HLC),

@@ -159,12 +159,18 @@ def _reject_unknown(node: dict, allowed: set[str], where: str) -> None:
 
 
 def _number(node: dict, key: str, default, cast: type, where: str):
-    """``node[key]`` (or ``default``) cast to int or float; a ConfigError if it is not one."""
+    """``node[key]`` (or ``default``) cast to int or float; a ConfigError if it is not one.
+
+    A boolean is not a number, and an integer key takes no fractional value.
+    """
     value = node.get(key, default)
+    kind = "an integer" if cast is int else "a number"
+    fractional = cast is int and isinstance(value, float) and not value.is_integer()
     try:
+        if isinstance(value, bool) or fractional:
+            raise TypeError
         return cast(value)
     except (TypeError, ValueError, OverflowError):
-        kind = "an integer" if cast is int else "a number"
         raise ConfigError(f"{where}.{key} must be {kind}, got {value!r}") from None
 
 

@@ -143,22 +143,16 @@ def hlc(h: HouseholdInputs, params: LtiParams) -> float:
     return m * max_interest_only(h, params) + (1.0 - m) * max_annuity(h, params)
 
 
-def hlc_series(
-    frame: Frame,
-    params: LtiParams,
-    income: str = "income",
-    interest_rate: str = "interest_rate",
-    interest_only_share: str = "interest_only_share",
-    name: str = "hlc",
-) -> QuarterlySeries:
-    """Per-quarter lending capacity from aligned income, rate, and share
-    columns; missing wherever any input is missing.
+def hlc_series(frame: Frame, params: LtiParams) -> QuarterlySeries:
+    """Per-quarter lending capacity ``hlc`` from the aligned ``income``,
+    ``interest_rate`` and ``interest_only_share`` columns; missing wherever
+    any input is missing.
 
     Raises:
         DataError: naming the column and quarter of a value
             :class:`HouseholdInputs` rejects.
     """
-    names = (income, interest_rate, interest_only_share)
+    names = ("income", "interest_rate", "interest_only_share")
     frame.require(*names)
     columns = (frame.column(c).array.tolist() for c in names)
     out = np.full(len(frame), np.nan)
@@ -173,7 +167,7 @@ def hlc_series(
                 q = Quarter.from_index(frame.start_index + k)
                 raise DataError(f"column {column!r} at {q}: {exc}") from None
             out[k] = hlc(h, params)
-    return QuarterlySeries._from_array(name, frame.start_index, out, "eur")
+    return QuarterlySeries._from_array("hlc", frame.start_index, out, "eur")
 
 
 def new_mortgage_share(mover_share: float, stock_delta: float, prior_stock: float) -> float:

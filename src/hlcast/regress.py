@@ -49,20 +49,18 @@ class Term:
 class DesignMatrix:
     """Dense regression inputs after listwise deletion.
 
-    ``matrix`` has one column per entry of ``names``; when an intercept is
-    present it is the all-ones first column. ``rows`` holds each row's
-    quarter number (:attr:`Quarter.index`); ``row_index`` gives them as
-    quarters. ``terms`` describes how non-intercept columns derive from
-    frame columns, so predictions can be rebuilt on any compatible frame.
+    ``matrix`` has one column per entry of ``names``, the all-ones intercept
+    first. ``rows`` holds each row's quarter number (:attr:`Quarter.index`).
+    ``terms`` describes how the other columns derive from frame columns, so
+    predictions can be rebuilt on any compatible frame.
     """
 
     response: np.ndarray
     matrix: np.ndarray
     names: list[str]
     rows: np.ndarray
-    response_name: str = "y"
-    intercept: bool = True
-    terms: tuple[Term, ...] = ()
+    response_name: str
+    terms: tuple[Term, ...]
 
     def __post_init__(self) -> None:
         self.response = np.asarray(self.response, dtype=float)
@@ -77,60 +75,22 @@ class DesignMatrix:
             raise DataError("design matrix contains missing or non-finite cells")
         if len(set(self.names)) != p:
             raise SchemaError(f"duplicate regressor names: {self.names}")
-        if not self.terms:
-            skip = 1 if self.intercept else 0
-            self.terms = tuple(Term(n, n, 0) for n in self.names[skip:])
-
-    @property
-    def row_index(self) -> list[Quarter]:
-        return [Quarter.from_index(i) for i in self.rows.tolist()]
-
-    @classmethod
-    def from_arrays(
-        cls,
-        y: np.ndarray,
-        x: np.ndarray,
-        names: Sequence[str] | None = None,
-        intercept: bool = True,
-        start: Quarter = Quarter(2000, 1),
-        response_name: str = "y",
-    ) -> DesignMatrix:
-        """Wrap raw arrays, prepending an all-ones intercept column."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[0] == 1 and len(y) != 1:
-            x = x.T
-        if names is None:
-            names = [f"x{j}" for j in range(x.shape[1])]
-        cols = list(names)
-        if intercept:
-            x = np.column_stack([np.ones(x.shape[0]), x])
-            cols = [INTERCEPT] + cols
-        return cls(
-            response=np.asarray(y, dtype=float),
-            matrix=x,
-            names=cols,
-            rows=start.index + np.arange(x.shape[0]),
-            response_name=response_name,
-            intercept=intercept,
-        )
 
 
 def design_matrix(
     frame: Frame,
     response: str,
     regressors: Sequence[str | tuple[str, int]],
-    intercept: bool = True,
-    first: Quarter | None = None,
     last: Quarter | None = None,
 ) -> DesignMatrix:
-    """Build a design from frame columns with listwise deletion.
+    """Build a design, intercept first, from frame columns with listwise deletion.
 
     ``regressors`` entries are column names or ``(column, lag)`` pairs; a
     lagged column is named ``<column>_lag<k>``. Rows with any missing value
     in the response or a regressor are dropped, optionally restricted to the
-    quarters in ``[first, last]``.
+    quarters up to ``last``.
     """
-    columns = [frame.column(response).array] + ([np.ones(len(frame))] if intercept else [])
+    columns = [frame.column(response).array, np.ones(len(frame))]
     terms: list[Term] = []
     for r in regressors:
         col, k = (r, 0) if isinstance(r, str) else r
@@ -139,18 +99,16 @@ def design_matrix(
         terms.append(Term(name=col if k == 0 else f"{col}_lag{k}", column=col, lag=k))
         columns.append(shift(frame.column(col).array, k))
     i0, n = frame.start_index, len(frame)
-    lo = 0 if first is None else min(max(first.index - i0, 0), n)
-    hi = n if last is None else max(min(last.index - i0 + 1, n), lo)
-    block = np.column_stack(columns)[lo:hi]
+    hi = n if last is None else max(min(last.index - i0 + 1, n), 0)
+    block = np.column_stack(columns)[:hi]
     keep = ~np.isnan(block).any(axis=1)
     data = block[keep]
     return DesignMatrix(
         response=data[:, 0].copy(),
         matrix=data[:, 1:].copy(),
-        names=([INTERCEPT] if intercept else []) + [t.name for t in terms],
-        rows=i0 + lo + np.flatnonzero(keep),
+        names=[INTERCEPT] + [t.name for t in terms],
+        rows=i0 + np.flatnonzero(keep),
         response_name=response,
-        intercept=intercept,
         terms=tuple(terms),
     )
 
@@ -170,7 +128,6 @@ class FitResult:
     fitted: QuarterlySeries
     residuals: QuarterlySeries
     response_name: str
-    intercept: bool
     terms: tuple[Term, ...] = ()
 
     def to_dict(self) -> dict:
@@ -245,12 +202,8 @@ def ols_fit(d: DesignMatrix) -> FitResult:
     # diag(cov) is sigma2 times the squared row norms of R^-1, unscaled
     stderr = np.sqrt((solved[:, 1:] ** 2).sum(axis=1) * sigma2) / norms
 
-    if d.intercept:
-        sst = float(((y - y.mean()) ** 2).sum())
-        df_model = p - 1
-    else:
-        sst = float((y**2).sum())
-        df_model = p
+    sst = float(((y - y.mean()) ** 2).sum())
+    df_model = p - 1
     if sst <= 0.0:
         warnings.warn(
             f"response {d.response_name!r} is constant over the sample; "
@@ -262,8 +215,7 @@ def ols_fit(d: DesignMatrix) -> FitResult:
         # Standard definitions; adjusted R-squared goes negative for fits
         # worse than their degrees of freedom justify.
         r2 = 1.0 - ssr / sst
-        denom = n - 1 if d.intercept else n
-        adj = 1.0 - (1.0 - r2) * denom / df
+        adj = 1.0 - (1.0 - r2) * (n - 1) / df
         if df_model <= 0:
             f_stat = 0.0
         elif ssr == 0.0:
@@ -282,7 +234,6 @@ def ols_fit(d: DesignMatrix) -> FitResult:
         fitted=_scatter(d.rows, fitted, f"{d.response_name}_fitted"),
         residuals=_scatter(d.rows, resid, f"{d.response_name}_resid"),
         response_name=d.response_name,
-        intercept=d.intercept,
         terms=d.terms,
     )
 
@@ -294,8 +245,7 @@ def predict(fit: FitResult, frame: Frame, name: str | None = None) -> QuarterlyS
     fit's term order after the intercept; the output is missing wherever any
     input is missing.
     """
-    const = fit.coefficients.get(INTERCEPT, 0.0) if fit.intercept else 0.0
-    acc = np.full(len(frame), float(const))
+    acc = np.full(len(frame), fit.coefficients[INTERCEPT])
     for t in fit.terms:
         acc = acc + fit.coefficients[t.name] * shift(frame.column(t.column).array, t.lag)
     return QuarterlySeries._from_array(name or f"{fit.response_name}_pred", frame.start_index, acc)

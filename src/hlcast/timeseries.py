@@ -13,7 +13,8 @@ messages). ``values`` is a tuple view with ``None`` for missing quarters,
 for callers and tests, never for hot paths.
 
 CSV conventions: one file per series with header ``quarter,value`` and rows
-like ``1995Q1,89792``; an empty value field marks a missing observation.
+like ``1995Q1,89792``; an empty value field marks a missing observation,
+and a ``nan`` or ``inf`` cell is a parse error.
 Frames export as ``quarter,<col1>,<col2>,...``. CSV is UTF-8 (a leading
 byte-order mark is accepted on read), comma delimited, ``.`` decimal
 separator. Every file is written through :func:`atomic_write`, so a reader
@@ -24,15 +25,16 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import math
 import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .errors import DataError, InsufficientDataError, ParseError, SchemaError
+from .errors import DataError, ParseError, SchemaError
 
 _QUARTER_RE = re.compile(r"^(\d{4})-?Q(\d)$")
 
@@ -228,47 +230,6 @@ class QuarterlySeries:
         out[1:] = self.array[1:] - self.array[:-1]
         return self._with_array(out)
 
-    def window(self, first: Quarter | None = None, last: Quarter | None = None) -> QuarterlySeries:
-        """Restrict to quarters in ``[first, last]`` (clipped to the span)."""
-        i0, end = self.start_index, self.start_index + len(self) - 1
-        lo = i0 if first is None else max(first.index, i0)
-        hi = end if last is None else min(last.index, end)
-        return self._with_array(self.array[lo - i0 : max(hi, lo - 1) - i0 + 1], lo)
-
-
-def interpolate_yearly_to_quarterly(
-    yearly: Mapping[int, float],
-    anchor_quarter: int = 4,
-    name: str = "",
-    unit: str = "",
-) -> QuarterlySeries:
-    """Expand yearly observations to a quarterly series by linear interpolation.
-
-    Each yearly value is anchored at ``anchor_quarter`` of its year (default
-    Q4, matching annual reporting convention); quarters between adjacent
-    anchors are linearly interpolated. Anchored quarters carry the yearly
-    inputs exactly. The series starts and ends at the first and last anchor.
-
-    Raises:
-        InsufficientDataError: with fewer than two yearly values.
-    """
-    if not 1 <= anchor_quarter <= 4:
-        raise ValueError(f"anchor_quarter must be in 1..4, got {anchor_quarter}")
-    if len(yearly) < 2:
-        raise InsufficientDataError(
-            f"need at least 2 yearly values to interpolate, got {len(yearly)}"
-        )
-    years = sorted(yearly)
-    start = Quarter(years[0], anchor_quarter)
-    values: list[float | None] = [float(yearly[years[0]])]
-    for y0, y1 in zip(years, years[1:]):
-        steps = 4 * (y1 - y0)
-        v0, v1 = float(yearly[y0]), float(yearly[y1])
-        for s in range(1, steps):
-            values.append(v0 + (v1 - v0) * s / steps)
-        values.append(v1)  # anchor carries the input exactly
-    return QuarterlySeries(name=name, start=start, values=tuple(values), unit=unit)
-
 
 class Frame:
     """Named quarterly series aligned to one shared index range."""
@@ -383,9 +344,13 @@ def _parse_value(text: str, path: Path, line: int) -> float | None:
     if text == "":
         return None
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ParseError(f"{path}:{line}: not a number: {text!r}") from None
+    if not math.isfinite(value):
+        # only an empty field is missing; nan and inf are not observations
+        raise ParseError(f"{path}:{line}: not a finite number: {text!r}")
+    return value
 
 
 def _read_table(path: Path, expected: str, names_of) -> tuple[list[str], Quarter, list[list]]:

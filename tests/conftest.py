@@ -1,11 +1,14 @@
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hlcast.backtest import build_features
 from hlcast.lti import LtiParams
+from hlcast.regress import INTERCEPT, DesignMatrix, Term
 from hlcast.synthetic import ScenarioConfig, generate
+from hlcast.timeseries import Quarter
 
 REAL_DATA_ENV = "HLCAST_REAL_DATA"
 REAL_SERIES = ("house_price", "income", "interest_rate", "ltv", "interest_only_share")
@@ -35,3 +38,23 @@ def real_data_dir() -> Path | None:
     if all((path / f"{name}.csv").is_file() for name in REAL_SERIES):
         return path
     return None
+
+
+def design_from_arrays(y, x, names=None) -> DesignMatrix:
+    """Wrap raw arrays as a design, prepending the all-ones intercept column.
+
+    ``x`` is one regressor per column (a vector is one column); the columns
+    are named ``names`` or ``x0, x1, ...``, each its own zero-lag term.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.shape[0] == 1 and len(y) != 1:
+        x = x.T
+    names = [f"x{j}" for j in range(x.shape[1])] if names is None else list(names)
+    return DesignMatrix(
+        response=np.asarray(y, dtype=float),
+        matrix=np.column_stack([np.ones(x.shape[0]), x]),
+        names=[INTERCEPT] + names,
+        rows=Quarter(2000, 1).index + np.arange(x.shape[0]),
+        response_name="y",
+        terms=tuple(Term(n, n) for n in names),
+    )

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conftest import REAL_DATA_ENV, REAL_SERIES, real_data_dir
+from conftest import REAL_DATA_ENV, REAL_SERIES, design_from_arrays, real_data_dir
 from test_regress import normal_equations_fit, random_system, simulate_ecm
 
 from hlcast.backtest import (
@@ -35,7 +35,7 @@ from hlcast.lti import (
     max_interest_only,
     new_mortgage_share,
 )
-from hlcast.regress import DesignMatrix, design_matrix, ecm_fit, ecm_forecast, lag_scan, ols_fit
+from hlcast.regress import design_matrix, ecm_fit, ecm_forecast, lag_scan, ols_fit
 from hlcast.synthetic import ScenarioConfig, generate
 from hlcast.timeseries import Quarter, QuarterlySeries, align, read_series_csv
 
@@ -78,7 +78,7 @@ def test_criterion_02_ols_normal_equations_equivalence():
     worst = 0.0
     for _ in range(200):
         y, x = random_system(rng)
-        fit = ols_fit(DesignMatrix.from_arrays(y, x[:, 1:]))
+        fit = ols_fit(design_from_arrays(y, x[:, 1:]))
         beta, *_ = normal_equations_fit(y, x)
         got = np.array(list(fit.coefficients.values()))
         rel = np.max(np.abs(got - beta) / np.maximum(np.abs(beta), 1e-12))

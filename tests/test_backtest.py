@@ -23,7 +23,7 @@ from hlcast.backtest import (
 )
 from hlcast.errors import DataError, SchemaError
 from hlcast.lti import LtiParams
-from hlcast.regress import design_matrix, ols_fit
+from hlcast.regress import DesignMatrix, design_matrix, ols_fit
 from hlcast.synthetic import ScenarioConfig, generate
 from hlcast.timeseries import Quarter, QuarterlySeries, align
 
@@ -74,8 +74,8 @@ class TestEvaluate:
     def test_window_restriction(self):
         obs = series([1.0, 1.0, 1.0, 1.0])
         pred = series([2.0, 1.0, 1.0, 5.0])
-        m = evaluate(obs, pred, first=START + 1, last=START + 2)
-        assert m.rmse == 0.0 and m.n_evaluated == 2
+        m = evaluate(obs, pred, first=START + 1)
+        assert m.rmse == pytest.approx(math.sqrt(16 / 3)) and m.n_evaluated == 3
 
     def test_empty_overlap_is_error(self):
         with pytest.raises(DataError):
@@ -292,14 +292,15 @@ class TestRunGrid:
             HOUSE_PRICE,
             [INCOME, INTEREST_RATE, LTV, (HLC_INCOME_RATIO, 6)],
         )
-        narrow = design_matrix(
-            features,
-            HOUSE_PRICE,
-            [INCOME, INTEREST_RATE, LTV],
-            first=wide.row_index[0],
-            last=wide.row_index[-1],
+        # the same rows without the capacity column (intercept + 3 regressors)
+        narrow = DesignMatrix(
+            response=wide.response,
+            matrix=wide.matrix[:, :4],
+            names=wide.names[:4],
+            rows=wide.rows,
+            response_name=wide.response_name,
+            terms=wide.terms[:3],
         )
-        assert narrow.row_index == wide.row_index
         assert ols_fit(wide).r_squared >= ols_fit(narrow).r_squared - 1e-12
 
 

@@ -9,7 +9,9 @@ import yaml
 from click.testing import CliRunner
 
 import hlcast
+import hlcast.cli
 import hlcast.config
+import hlcast.regress
 from hlcast.cli import main
 from hlcast.config import load_config
 from hlcast.timeseries import (
@@ -220,6 +222,41 @@ class TestErrors:
         assert result.exit_code == 3
         assert "ltv.csv:2" in result.output
 
+    def test_non_finite_csv_cell_is_data_error(self, runner, tmp_path):
+        config = make_workspace(runner, tmp_path)
+        bad = tmp_path / "data" / "ltv.csv"
+        lines = bad.read_text().splitlines()
+        lines[1] = lines[1].split(",")[0] + ",inf"
+        bad.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["backtest", "--config", str(config)])
+        assert result.exit_code == 3
+        assert "ltv.csv:2: not a finite number: 'inf'" in result.output
+
+    @pytest.mark.parametrize(
+        "args,edit",
+        [
+            ([], lambda doc: doc["lag_scan"].update(max=1_000_000_000)),
+            (["--lags", "0..1000000000"], lambda doc: None),
+            ([], lambda doc: doc["lag_scan"].update(max=92)),
+        ],
+        ids=["config-max", "lags-flag", "max-at-sample-length"],
+    )
+    def test_lag_range_beyond_sample_is_data_error(
+        self, runner, tmp_path, monkeypatch, args, edit
+    ):
+        def no_scan(*_, **__):
+            raise AssertionError("lag_scan called with a lag range beyond the sample")
+
+        monkeypatch.setattr(hlcast.regress, "lag_scan", no_scan)
+        monkeypatch.setattr(hlcast.cli, "lag_scan", no_scan)
+        config = make_workspace(runner, tmp_path)
+        doc = yaml.safe_load(config.read_text())
+        edit(doc)
+        config.write_text(yaml.safe_dump(doc))
+        result = runner.invoke(main, ["lagscan", "--config", str(config), *args])
+        assert result.exit_code == 3, result.output
+        assert "error: lag_scan.max must be below the sample length of 92 quarters" in result.output
+
     def test_bad_lags_flag(self, runner, tmp_path):
         config = make_workspace(runner, tmp_path)
         result = runner.invoke(main, ["lagscan", "--config", str(config), "--lags", "abc"])
@@ -231,27 +268,32 @@ class TestErrors:
         assert result.exit_code == 2
 
     @pytest.mark.parametrize(
-        "section,key",
+        "section,key,value",
         [
-            ("features", "smoothing_window"),
-            ("features", "hlc_lag"),
-            ("lag_scan", "min"),
-            ("lag_scan", "max"),
-            ("lti", "woonquote"),
-            ("lti", "deduction_rate"),
-            ("lti", "cost_rate"),
-            ("lti", "term_months"),
+            pytest.param(section, key, value, id=f"{section}-{key}{suffix}")
+            for section, key, integer in [
+                ("features", "smoothing_window", True),
+                ("features", "hlc_lag", True),
+                ("lag_scan", "min", True),
+                ("lag_scan", "max", True),
+                ("lti", "woonquote", False),
+                ("lti", "deduction_rate", False),
+                ("lti", "cost_rate", False),
+                ("lti", "term_months", True),
+            ]
+            # a bool is no number, and an integer key takes no fraction
+            for value, suffix in [("four", ""), (True, "-bool")] + [(4.7, "-fraction")] * integer
         ],
     )
-    def test_non_numeric_config_value(self, runner, tmp_path, section, key):
+    def test_non_numeric_config_value(self, runner, tmp_path, section, key, value):
         config = make_workspace(runner, tmp_path)
         doc = yaml.safe_load(config.read_text())
-        doc.setdefault(section, {})[key] = "four"
+        doc.setdefault(section, {})[key] = value
         config.write_text(yaml.safe_dump(doc))
         result = runner.invoke(main, ["ingest", "--config", str(config)])
         assert result.exit_code == 2
         assert f"error: {section}.{key} must be" in result.output
-        assert "'four'" in result.output
+        assert repr(value) in result.output
 
     @pytest.mark.parametrize(
         "edit,key",

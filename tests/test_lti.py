@@ -234,18 +234,27 @@ class TestHlcSeries:
     @pytest.mark.parametrize(
         "column,value,message",
         [
-            ("wage", 0.0, "column 'wage' at 2000Q2: quarterly_income must be positive"),
-            ("rate", -0.01, "column 'rate' at 2000Q2: interest_rate must be >= 0"),
-            ("io", 1.5, "column 'io' at 2000Q2: interest_only_share must be in [0, 1]"),
+            ("income", 0.0, "column 'income' at 2000Q2: quarterly_income must be positive"),
+            (
+                "interest_rate",
+                -0.01,
+                "column 'interest_rate' at 2000Q2: interest_rate must be >= 0",
+            ),
+            (
+                "interest_only_share",
+                1.5,
+                "column 'interest_only_share' at 2000Q2: interest_only_share must be in [0, 1]",
+            ),
         ],
+        ids=["income", "interest_rate", "interest_only_share"],
     )
     def test_invalid_value_names_column_and_quarter(self, column, value, message):
-        good = {"wage": 1e4, "rate": 0.05, "io": 0.5}
+        good = {"income": 1e4, "interest_rate": 0.05, "interest_only_share": 0.5}
         f = align(
             [series([v, value if c == column else v], name=c) for c, v in good.items()]
         )
         with pytest.raises(DataError) as exc:
-            hlc_series(f, LtiParams(), income="wage", interest_rate="rate", interest_only_share="io")
+            hlc_series(f, LtiParams())
         assert str(exc.value).startswith(message)
 
 

@@ -96,7 +96,14 @@ def test_values_round_trip(vals, start):
 
 
 @SETTINGS
-@given(st.lists(st.one_of(st.none(), st.floats(allow_nan=False, width=64)), min_size=1, max_size=24))
+# finite values only: a nan or inf cell is a parse error on read
+@given(
+    st.lists(
+        st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False)),
+        min_size=1,
+        max_size=24,
+    )
+)
 def test_csv_round_trip_is_bit_exact(tmp_path_factory, vals):
     path = tmp_path_factory.mktemp("csv") / "s.csv"
     s = series(vals)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 import scipy.stats
+from conftest import design_from_arrays
 
 from hlcast.errors import DataError, InsufficientDataError, SchemaError, SingularDesignError
 from hlcast.regress import (
-    DesignMatrix,
     EcmFit,
     FitResult,
     Term,
@@ -57,7 +57,7 @@ def random_system(rng, n=None, p=None):
 
 class TestOlsFit:
     def test_exact_line(self):
-        d = DesignMatrix.from_arrays(
+        d = design_from_arrays(
             y=np.array([3.0, 5.0, 7.0]), x=np.array([1.0, 2.0, 3.0]), names=["x"]
         )
         fit = ols_fit(d)
@@ -70,7 +70,7 @@ class TestOlsFit:
         rng = np.random.default_rng(42)
         for _ in range(200):
             y, x = random_system(rng)
-            fit = ols_fit(DesignMatrix.from_arrays(y, x[:, 1:]))
+            fit = ols_fit(design_from_arrays(y, x[:, 1:]))
             beta, stderr, r2, adj, rse, f = normal_equations_fit(y, x)
             got = np.array(list(fit.coefficients.values()))
             got_se = np.array(list(fit.stderrs.values()))
@@ -85,7 +85,7 @@ class TestOlsFit:
         rng = np.random.default_rng(5)
         x = rng.normal(size=40)
         y = 2.0 + 0.5 * x + rng.normal(size=40) * 0.3
-        fit = ols_fit(DesignMatrix.from_arrays(y, x, names=["x"]))
+        fit = ols_fit(design_from_arrays(y, x, names=["x"]))
         ref = scipy.stats.linregress(x, y)
         assert fit.coefficients["x"] == pytest.approx(ref.slope, rel=1e-12)
         assert fit.coefficients["intercept"] == pytest.approx(ref.intercept, rel=1e-12)
@@ -96,7 +96,7 @@ class TestOlsFit:
         rng = np.random.default_rng(8)
         for _ in range(20):
             y, x = random_system(rng)
-            fit = ols_fit(DesignMatrix.from_arrays(y, x[:, 1:]))
+            fit = ols_fit(design_from_arrays(y, x[:, 1:]))
             resid = np.array([v for v in fit.residuals.values if v is not None])
             scale = float(np.abs(y).max())
             assert np.abs(x.T @ resid).max() < 1e-8 * scale * len(y)
@@ -105,9 +105,9 @@ class TestOlsFit:
     def test_rescaling_invariance(self):
         rng = np.random.default_rng(13)
         y, x = random_system(rng, n=40, p=4)
-        base = ols_fit(DesignMatrix.from_arrays(y, x[:, 1:]))
+        base = ols_fit(design_from_arrays(y, x[:, 1:]))
         factors = np.array([10.0, 1e-4, 250.0])
-        scaled = ols_fit(DesignMatrix.from_arrays(y, x[:, 1:] * factors))
+        scaled = ols_fit(design_from_arrays(y, x[:, 1:] * factors))
         names = [n for n in base.coefficients if n != "intercept"]
         for name, k in zip(names, factors):
             assert scaled.coefficients[name] * k == pytest.approx(
@@ -120,7 +120,7 @@ class TestOlsFit:
         a = rng.normal(size=30)
         x = np.column_stack([a, 2.0 * a, rng.normal(size=30)])
         with pytest.raises(SingularDesignError) as exc:
-            ols_fit(DesignMatrix.from_arrays(rng.normal(size=30), x, names=["a", "twice_a", "b"]))
+            ols_fit(design_from_arrays(rng.normal(size=30), x, names=["a", "twice_a", "b"]))
         assert set(exc.value.columns) & {"a", "twice_a"}
         assert "b" not in exc.value.columns
 
@@ -130,7 +130,7 @@ class TestOlsFit:
         x = np.column_stack([a, b, a + b, c])
         with pytest.raises(SingularDesignError) as exc:
             ols_fit(
-                DesignMatrix.from_arrays(
+                design_from_arrays(
                     rng.normal(size=30), x, names=["a", "b", "a_plus_b", "c"]
                 )
             )
@@ -140,20 +140,20 @@ class TestOlsFit:
     def test_all_zero_column(self):
         with pytest.raises(SingularDesignError, match="dead"):
             ols_fit(
-                DesignMatrix.from_arrays(
+                design_from_arrays(
                     np.arange(5.0), np.zeros((5, 1)), names=["dead"]
                 )
             )
 
     def test_too_few_observations(self):
         with pytest.raises(InsufficientDataError):
-            ols_fit(DesignMatrix.from_arrays(np.arange(3.0), np.eye(3), names=list("abc")))
+            ols_fit(design_from_arrays(np.arange(3.0), np.eye(3), names=list("abc")))
 
     def test_constant_response_r2_zero_with_warning(self):
         rng = np.random.default_rng(1)
         with pytest.warns(UserWarning, match="constant"):
             fit = ols_fit(
-                DesignMatrix.from_arrays(np.full(10, 7.0), rng.normal(size=(10, 1)))
+                design_from_arrays(np.full(10, 7.0), rng.normal(size=(10, 1)))
             )
         assert fit.r_squared == 0.0
 
@@ -161,13 +161,13 @@ class TestOlsFit:
         rng = np.random.default_rng(17)
         for _ in range(10):
             y, x = random_system(rng)
-            fit = ols_fit(DesignMatrix.from_arrays(y, x[:, 1:]))
+            fit = ols_fit(design_from_arrays(y, x[:, 1:]))
             assert fit.adj_r_squared <= fit.r_squared + 1e-15
 
     def test_to_dict_shape(self):
         rng = np.random.default_rng(2)
         y, x = random_system(rng, n=20, p=3)
-        doc = ols_fit(DesignMatrix.from_arrays(y, x[:, 1:])).to_dict()
+        doc = ols_fit(design_from_arrays(y, x[:, 1:])).to_dict()
         assert set(doc) == {"coefficients", "r2", "adj_r2", "resid_se", "f_stat", "n"}
         for entry in doc["coefficients"].values():
             assert set(entry) == {"estimate", "stderr"}
@@ -184,13 +184,13 @@ class TestDesignAndPredict:
         d = design_matrix(f, "y", [("x", 1)])
         assert d.names == ["intercept", "x_lag1"]
         # usable rows: x[t-1] present -> t in {2001Q2 missing (x 2000Q2 is None)}
-        assert d.row_index == [START + 1, START + 3, START + 4, START + 5]
+        assert d.rows.tolist() == [(START + k).index for k in (1, 3, 4, 5)]
 
     def test_training_window(self):
         f = align([series([float(i) for i in range(8)], name="y"),
                    series([float(i) for i in range(8)], name="x")])
         d = design_matrix(f, "y", ["x"], last=START + 3)
-        assert d.row_index[-1] == START + 3 and len(d.row_index) == 4
+        assert d.rows[-1] == (START + 3).index and len(d.rows) == 4
 
     def test_predict_reproduces_fitted(self):
         rng = np.random.default_rng(7)
@@ -315,6 +315,18 @@ class TestEcm:
         dynamic = ecm_forecast(fit, frame, start, mode="dynamic")
         assert static.values[0] == pytest.approx(dynamic.values[0], rel=1e-14)
 
+    def test_static_forecast_does_not_depend_on_start(self):
+        # each static step reads only the observed previous level, so a later
+        # start gives, bit for bit, the tail of an earlier one
+        x, y = simulate_ecm(noise=0.3, seed=5)
+        ys, xs = series(list(y), name="y"), series(list(x), name="x")
+        frame = ecm_frame(ys, xs)
+        fit = ecm_fit(frame, "y", [("d_x", 2)], [("x", 3)], last=START + 90)
+        early = ecm_forecast(fit, frame, START + 4, mode="static")
+        for k in (5, 91, 139):
+            late = ecm_forecast(fit, frame, START + k, mode="static")
+            assert np.array_equal(late.array, early.array[k - 4 :])
+
     def test_dynamic_forecast_tracks_noiseless_path(self):
         x, y = simulate_ecm(n=140)
         train_ys = series(list(y[:120]), name="y")
@@ -340,7 +352,6 @@ class TestEcm:
             fitted=series([0.0], name="d_y_fitted"),
             residuals=series([0.0], name="d_y_resid"),
             response_name="d_y",
-            intercept=True,
             terms=(Term("d_x", "d_x"), Term("y_lag1", "y", 1), Term("x_lag1", "x", 1)),
         )
         fit = EcmFit(

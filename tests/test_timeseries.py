@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 import hlcast.timeseries
-from hlcast.errors import DataError, InsufficientDataError, ParseError, SchemaError
+from hlcast.errors import DataError, ParseError, SchemaError
 from hlcast.timeseries import (
     Frame,
     Quarter,
     QuarterlySeries,
     align,
     atomic_write,
-    interpolate_yearly_to_quarterly,
     parse_quarter,
     read_frame_csv,
     read_series_csv,
@@ -68,55 +67,6 @@ class TestQuarter:
     def test_str_roundtrip(self):
         for q in [Quarter(1995, 1), Quarter(2008, 2), Quarter(2017, 4)]:
             assert parse_quarter(str(q)) == q
-
-
-class TestInterpolation:
-    def test_two_years_anchor_q4(self):
-        s = interpolate_yearly_to_quarterly({1997: 100.0, 1998: 108.0})
-        assert s.start == Quarter(1997, 4)
-        assert s.get(Quarter(1997, 4)) == 100.0
-        assert s.get(Quarter(1998, 1)) == 102.0
-        assert s.get(Quarter(1998, 2)) == 104.0
-        assert s.get(Quarter(1998, 3)) == 106.0
-        assert s.get(Quarter(1998, 4)) == 108.0
-        assert len(s) == 5
-
-    def test_constant_years(self):
-        s = interpolate_yearly_to_quarterly({1997: 100.0, 1998: 100.0})
-        assert all(v == 100.0 for v in s.values)
-
-    def test_price_level_segment(self):
-        # Hand-interpolated: step (97222 - 89792) / 4 = 1857.5 per quarter.
-        s = interpolate_yearly_to_quarterly({1995: 89792.0, 1996: 97222.0})
-        assert s.get(Quarter(1996, 1)) == pytest.approx(91649.5)
-        assert s.get(Quarter(1996, 2)) == pytest.approx(93507.0)
-        assert s.get(Quarter(1996, 3)) == pytest.approx(95364.5)
-
-    def test_gap_year_spans_eight_quarters(self):
-        s = interpolate_yearly_to_quarterly({1997: 100.0, 1999: 116.0})
-        assert len(s) == 9
-        assert s.get(Quarter(1998, 4)) == pytest.approx(108.0)
-        assert s.get(Quarter(1998, 2)) == pytest.approx(104.0)
-
-    def test_anchor_quarter_choice(self):
-        s = interpolate_yearly_to_quarterly({2000: 1.0, 2001: 5.0}, anchor_quarter=2)
-        assert s.start == Quarter(2000, 2)
-        assert s.get(Quarter(2001, 2)) == 5.0
-        assert s.get(Quarter(2000, 4)) == pytest.approx(3.0)
-
-    def test_anchors_exact_no_drift(self):
-        yearly = {y: 89.792 * 1.0637 ** (y - 1995) for y in range(1995, 2005)}
-        s = interpolate_yearly_to_quarterly(yearly)
-        for y, v in yearly.items():
-            assert s.get(Quarter(y, 4)) == v  # bit-exact at anchors
-
-    def test_requires_two_values(self):
-        with pytest.raises(InsufficientDataError):
-            interpolate_yearly_to_quarterly({1997: 100.0})
-
-    def test_bad_anchor(self):
-        with pytest.raises(ValueError):
-            interpolate_yearly_to_quarterly({1997: 1.0, 1998: 2.0}, anchor_quarter=5)
 
 
 class TestTrailingMean:
@@ -300,6 +250,17 @@ class TestCsv:
         path.write_text("quarter,value\n2000Q1,abc\n")
         with pytest.raises(ParseError, match=r"b\.csv:2"):
             read_series_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", " NaN "])
+    def test_non_finite_cell_names_location(self, tmp_path, cell):
+        # only an empty field is missing; nan/inf are rejected, in frames too
+        series_path, frame_path = tmp_path / "s.csv", tmp_path / "f.csv"
+        series_path.write_text(f"quarter,value\n2000Q1,1.5\n2000Q2,{cell}\n")
+        frame_path.write_text(f"quarter,a,b\n2000Q1,1.5,2.5\n2000Q2,3.5,{cell}\n")
+        with pytest.raises(ParseError, match=r"s\.csv:3: not a finite number"):
+            read_series_csv(series_path)
+        with pytest.raises(ParseError, match=r"f\.csv:3: not a finite number"):
+            read_frame_csv(frame_path)
 
     def test_non_contiguous_rejected(self, tmp_path):
         path = tmp_path / "g.csv"
