@@ -42,6 +42,7 @@ from .regress import (
     FitResult,
     LagScanResult,
     design_matrix,
+    ecm_design,
     ecm_fit,
     ecm_forecast,
     lag_scan,

@@ -11,6 +11,7 @@ of the grid.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -19,7 +20,15 @@ import numpy as np
 
 from .errors import DataError, HlcastError, SchemaError
 from .lti import LtiParams, derive_interest_only_share, hlc_series
-from .regress import design_matrix, ecm_fit, ecm_forecast, ols_fit, predict
+from .regress import (
+    DesignMatrix,
+    design_matrix,
+    ecm_design,
+    ecm_fit,
+    ecm_forecast,
+    ols_fit,
+    predict,
+)
 from .timeseries import Frame, Quarter, QuarterlySeries, align, format_value, write_text
 
 # Canonical column names for the feature frame.
@@ -121,10 +130,12 @@ def evaluate(
             f"no overlapping observations between {observed.name!r} and {predicted.name!r}"
         )
     e = p[both] - v[both]
+    n = len(e)
+    # np.mean's own sum and division, without its dispatch overhead
     return Metrics(
-        rmse=float(np.sqrt(np.mean(e**2))),
-        mae=float(np.mean(np.abs(e))),
-        n_evaluated=len(e),
+        rmse=math.sqrt(np.add.reduce(e * e) / n),
+        mae=float(np.add.reduce(np.abs(e)) / n),
+        n_evaluated=n,
     )
 
 
@@ -288,43 +299,53 @@ class BacktestReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        """The report as JSON: the header fields, then one variant per line."""
+        doc = self.to_dict()
+        variants = ",\n".join(json.dumps(v) for v in doc.pop("variants"))
+        return f'{json.dumps(doc)[:-1]}, "variants": [\n{variants}\n]}}\n'
+
+
+def _spec_design(features: Frame, spec: ModelSpec, response: str) -> tuple[DesignMatrix, Frame]:
+    """The spec's design over the whole sample, and the frame its predictions read."""
+    if spec.approach == "ols":
+        regressors = [(r.column, r.lag) for r in spec.regressors]
+        return design_matrix(features, response, regressors), features
+    # only the response and the variant's columns, with their first
+    # differences: a passthrough feature column may already be named d_<column>
+    base = [features.column(response)] + [features.column(r.column) for r in spec.regressors]
+    frame = align(base + [s.diff().rename(f"d_{s.name}") for s in base])
+    design = ecm_design(
+        frame,
+        response,
+        [(f"d_{r.column}", r.ecm_diff_lag) for r in spec.regressors],
+        [(r.column, r.ecm_level_lag) for r in spec.regressors],
+    )
+    return design, frame
+
+
+def _failed(spec: ModelSpec, regime: str, exc: HlcastError) -> VariantResult:
+    return VariantResult(
+        name=spec.name, approach=spec.approach, regime=regime, error=f"{type(exc).__name__}: {exc}"
+    )
 
 
 def _run_variant(
-    features: Frame,
     spec: ModelSpec,
+    design: DesignMatrix,
+    frame: Frame,
+    observed: QuarterlySeries,
     split: SplitSpec,
     regime: str,
     forecast_mode: str,
-    response: str,
 ) -> VariantResult:
-    observed = features.column(response)
     result = VariantResult(name=spec.name, approach=spec.approach, regime=regime)
-    last_train = split.cutoff if regime == "truncated" else None
 
     if spec.approach == "ols":
-        d = design_matrix(
-            features,
-            response,
-            [(r.column, r.lag) for r in spec.regressors],
-            last=last_train,
-        )
-        fit = ols_fit(d)
+        fit = ols_fit(design)
         result.summary = fit.to_dict()
-        result.predicted = predict(fit, features)
+        result.predicted = predict(fit, frame)
     else:
-        # only the response and the variant's columns, with their first
-        # differences: a passthrough feature column may already be named d_<column>
-        base = [observed] + [features.column(r.column) for r in spec.regressors]
-        frame = align(base + [s.diff().rename(f"d_{s.name}") for s in base])
-        ecm = ecm_fit(
-            frame,
-            response,
-            [(f"d_{r.column}", r.ecm_diff_lag) for r in spec.regressors],
-            [(r.column, r.ecm_level_lag) for r in spec.regressors],
-            last=last_train,
-        )
+        ecm = ecm_fit(design)
         result.summary = ecm.to_dict()
         fit = ecm.underlying
         # A static step uses only the observed previous level, so the path from
@@ -389,27 +410,25 @@ def run_grid(
         for r in spec.regressors:
             features.require(r.column)
 
+    observed = features.column(response)
     variants: list[VariantResult] = []
     for spec in sorted(specs, key=lambda s: (s.name, s.approach)):
+        try:
+            design, frame = _spec_design(features, spec, response)
+        except HlcastError as exc:
+            variants += [_failed(spec, regime, exc) for regime in REGIMES]
+            continue
         for regime in REGIMES:
+            # one design per spec: the truncated regime fits its row prefix
+            d = design if regime == "full" else design.until(split.cutoff)
             try:
                 variants.append(
-                    _run_variant(features, spec, split, regime, forecast_mode, response)
+                    _run_variant(spec, d, frame, observed, split, regime, forecast_mode)
                 )
             except HlcastError as exc:
-                variants.append(
-                    VariantResult(
-                        name=spec.name,
-                        approach=spec.approach,
-                        regime=regime,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
+                variants.append(_failed(spec, regime, exc))
     return BacktestReport(
-        variants=variants,
-        split=split,
-        observed=features.column(response),
-        forecast_mode=forecast_mode,
+        variants=variants, split=split, observed=observed, forecast_mode=forecast_mode
     )
 
 

@@ -143,31 +143,56 @@ def hlc(h: HouseholdInputs, params: LtiParams) -> float:
     return m * max_interest_only(h, params) + (1.0 - m) * max_annuity(h, params)
 
 
+# The frame columns hlc_series reads, in HouseholdInputs field order.
+_INPUT_COLUMNS = ("income", "interest_rate", "interest_only_share")
+
+
 def hlc_series(frame: Frame, params: LtiParams) -> QuarterlySeries:
     """Per-quarter lending capacity ``hlc`` from the aligned ``income``,
     ``interest_rate`` and ``interest_only_share`` columns; missing wherever
     any input is missing.
 
+    The quarters are computed as arrays in :func:`hlc`'s operation order,
+    with :func:`annuity_factor` per quarter, so every value equals the
+    scalar one bit for bit.
+
     Raises:
         DataError: naming the column and quarter of a value
             :class:`HouseholdInputs` rejects.
+        DomainError: as :func:`hlc` raises it.
     """
-    names = ("income", "interest_rate", "interest_only_share")
-    frame.require(*names)
-    columns = (frame.column(c).array.tolist() for c in names)
-    out = np.full(len(frame), np.nan)
-    for k, (i, r, m) in enumerate(zip(*columns)):
-        if i == i and r == r and m == m:  # NaN != NaN marks a missing input
-            try:
-                h = HouseholdInputs(i, r, m)
-            except ValueError as exc:
-                # the message starts with the rejected field; fields follow ``names``
-                field = str(exc).split()[0]
-                column = dict(zip((f.name for f in fields(HouseholdInputs)), names))[field]
-                q = Quarter.from_index(frame.start_index + k)
-                raise DataError(f"column {column!r} at {q}: {exc}") from None
-            out[k] = hlc(h, params)
+    frame.require(*_INPUT_COLUMNS)
+    income, rate, share = (frame.column(c).array for c in _INPUT_COLUMNS)
+    present = ~(np.isnan(income) | np.isnan(rate) | np.isnan(share))
+    effective = np.where(present, (1.0 - params.deduction_rate) * rate + params.cost_rate, np.nan)
+    # what HouseholdInputs rejects, or an interest-only cap at a zero rate
+    bad = present & (
+        (income <= 0) | (rate < 0) | (share < 0) | (share > 1) | ((effective <= 0) & (share != 0))
+    )
+    if bad.any():
+        _raise_scalar_error(frame, int(np.argmax(bad)), params)
+    with np.errstate(all="ignore"):  # IEEE results, as the scalar code gets them
+        interest_only = 4.0 * income * params.woonquote / effective
+        factor = [annuity_factor(x, params.term_months) for x in effective.tolist()]
+        annuity = income / 3.0 * params.woonquote * np.array(factor)
+        blend = share * interest_only + (1.0 - share) * annuity
+        out = np.where(share == 0.0, annuity, np.where(share == 1.0, interest_only, blend))
     return QuarterlySeries._from_array("hlc", frame.start_index, out, "eur")
+
+
+def _raise_scalar_error(frame: Frame, k: int, params: LtiParams) -> None:
+    """Raise what the scalar path raises at position ``k``, a rejected input
+    named by its column and quarter."""
+    inputs = [float(frame.column(c).array[k]) for c in _INPUT_COLUMNS]
+    try:
+        h = HouseholdInputs(*inputs)
+    except ValueError as exc:
+        # the message starts with the rejected field; fields follow the columns
+        field = str(exc).split()[0]
+        column = dict(zip((f.name for f in fields(HouseholdInputs)), _INPUT_COLUMNS))[field]
+        q = Quarter.from_index(frame.start_index + k)
+        raise DataError(f"column {column!r} at {q}: {exc}") from None
+    hlc(h, params)
 
 
 def new_mortgage_share(mover_share: float, stock_delta: float, prior_stock: float) -> float:

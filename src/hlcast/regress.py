@@ -11,6 +11,7 @@ lending-capacity lead time.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -71,24 +72,38 @@ class DesignMatrix:
         n, p = self.matrix.shape
         if len(self.response) != n or len(self.rows) != n or len(self.names) != p:
             raise ValueError("design matrix dimensions are inconsistent")
-        if not (np.isfinite(self.response).all() and np.isfinite(self.matrix).all()):
-            raise DataError("design matrix contains missing or non-finite cells")
         if len(set(self.names)) != p:
             raise SchemaError(f"duplicate regressor names: {self.names}")
+
+    def until(self, last: Quarter) -> DesignMatrix:
+        """The rows up to and including quarter ``last``, as views of this design.
+
+        Rows ascend by quarter and every row is built from its own quarter's
+        lagged inputs, so this prefix is the design of the frame cut at
+        ``last``.
+        """
+        k = int(np.searchsorted(self.rows, last.index, side="right"))
+        return DesignMatrix(
+            response=self.response[:k],
+            matrix=self.matrix[:k],
+            names=self.names,
+            rows=self.rows[:k],
+            response_name=self.response_name,
+            terms=self.terms,
+        )
 
 
 def design_matrix(
     frame: Frame,
     response: str,
     regressors: Sequence[str | tuple[str, int]],
-    last: Quarter | None = None,
 ) -> DesignMatrix:
     """Build a design, intercept first, from frame columns with listwise deletion.
 
     ``regressors`` entries are column names or ``(column, lag)`` pairs; a
     lagged column is named ``<column>_lag<k>``. Rows with any missing value
-    in the response or a regressor are dropped, optionally restricted to the
-    quarters up to ``last``.
+    in the response or a regressor are dropped; :meth:`DesignMatrix.until`
+    cuts the result at a training cutoff.
     """
     columns = [frame.column(response).array, np.ones(len(frame))]
     terms: list[Term] = []
@@ -98,16 +113,14 @@ def design_matrix(
             raise ValueError(f"regressor lag must be >= 0, got {k} for {col!r}")
         terms.append(Term(name=col if k == 0 else f"{col}_lag{k}", column=col, lag=k))
         columns.append(shift(frame.column(col).array, k))
-    i0, n = frame.start_index, len(frame)
-    hi = n if last is None else max(min(last.index - i0 + 1, n), 0)
-    block = np.column_stack(columns)[:hi]
+    block = np.column_stack(columns)
     keep = ~np.isnan(block).any(axis=1)
     data = block[keep]
     return DesignMatrix(
         response=data[:, 0].copy(),
         matrix=data[:, 1:].copy(),
         names=[INTERCEPT] + [t.name for t in terms],
-        rows=i0 + np.flatnonzero(keep),
+        rows=frame.start_index + np.flatnonzero(keep),
         response_name=response,
         terms=tuple(terms),
     )
@@ -134,7 +147,7 @@ class FitResult:
         """JSON-ready summary: coefficient table plus fit statistics."""
 
         def _num(v: float) -> float | None:
-            return float(v) if np.isfinite(v) else None
+            return float(v) if math.isfinite(v) else None
 
         return {
             "coefficients": {
@@ -167,9 +180,12 @@ def ols_fit(d: DesignMatrix) -> FitResult:
     design's null space. Otherwise one solve with ``R`` gives both the
     coefficients and ``R^-1``. Inference follows the classical linear model:
     coefficient variance from the residual variance times the inverse
-    cross-product diagonal, F against the intercept-only model.
+    cross-product diagonal, F against the intercept-only model. A missing or
+    infinite cell raises :class:`DataError`.
     """
     y, x, names = d.response, d.matrix, d.names
+    if not (np.isfinite(y).all() and np.isfinite(x).all()):
+        raise DataError("design matrix contains missing or non-finite cells")
     n, p = x.shape
     if n <= p:
         raise InsufficientDataError(
@@ -280,30 +296,41 @@ class EcmFit:
         return out
 
 
-def ecm_fit(
+def ecm_design(
     frame: Frame,
     response: str,
     short_run: Sequence[str | tuple[str, int]],
     levels: Sequence[str | tuple[str, int]],
-    last: Quarter | None = None,
-) -> EcmFit:
-    """Fit an error correction model by OLS on its unrestricted form.
+) -> DesignMatrix:
+    """The design of an error correction model in its unrestricted form.
 
     ``short_run`` and ``levels`` are :func:`design_matrix` regressor specs
     (a column name or a ``(column, lag)`` pair); ``frame`` holds the
     response, its first difference ``d_<response>`` and every column the
     specs name. The change is regressed on an intercept, the short-run
-    terms, the one-quarter-lagged response level and the level terms, over
-    quarters up to ``last``; the long-run coefficients are recovered as
-    ``-theta / gamma``.
+    terms, the one-quarter-lagged response level and the level terms.
+    """
+    return design_matrix(frame, f"d_{response}", [*short_run, (response, 1), *levels])
+
+
+def ecm_fit(d: DesignMatrix) -> EcmFit:
+    """Fit an error correction model by OLS on an :func:`ecm_design`.
+
+    ``d`` may be cut at a training cutoff (:meth:`DesignMatrix.until`). The
+    long-run coefficients are recovered as ``-theta / gamma``, with
+    ``gamma`` the coefficient of the lagged response level.
 
     A non-negative ``gamma`` (no correction toward equilibrium) produces a
     warning, not an error; ``gamma == 0`` leaves the long-run coefficients
     undefined and raises :class:`NumericalError`.
     """
-    d = design_matrix(frame, f"d_{response}", [*short_run, (response, 1), *levels], last=last)
+    response = d.response_name.removeprefix("d_")
+    # the lagged level follows the short-run terms; names are unique, so it is
+    # the only (response, 1) term
+    k = next((i for i, t in enumerate(d.terms) if (t.column, t.lag) == (response, 1)), None)
+    if k is None or not d.response_name.startswith("d_"):
+        raise SchemaError(f"the design of {d.response_name!r} is not an error correction design")
     fit = ols_fit(d)
-    k = len(short_run)
     ylag = d.terms[k].name
     gamma = fit.coefficients[ylag]
     if gamma >= 0:
@@ -356,7 +383,13 @@ def ecm_forecast(
             f"no observed {fit.response_name!r} level at {start - 1} to anchor the forecast"
         )
     coeffs = fit.underlying.coefficients
-    products = [coeffs[t.name] * shift(frame.column(t.column).array, t.lag)[a:] for t in terms]
+
+    def lagged(t: Term) -> np.ndarray:
+        """Column ``t`` at its lag over positions ``a..n-1``, NaN before its start."""
+        x = frame.column(t.column).array
+        return x[a - t.lag : n - t.lag] if a >= t.lag else shift(x, t.lag)[a:]
+
+    products = [coeffs[t.name] * lagged(t) for t in terms]
     # change = intercept + gamma * previous level + terms in fit order; NaN marks missing
     if mode == "static":
         prev = y[a - 1 : n - 1]

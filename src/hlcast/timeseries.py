@@ -14,7 +14,8 @@ for callers and tests, never for hot paths.
 
 CSV conventions: one file per series with header ``quarter,value`` and rows
 like ``1995Q1,89792``; an empty value field marks a missing observation,
-and a ``nan`` or ``inf`` cell is a parse error.
+and a ``nan`` or ``inf`` cell is a parse error. Writing an infinite value is
+an error too, so every file written here reads back.
 Frames export as ``quarter,<col1>,<col2>,...``. CSV is UTF-8 (a leading
 byte-order mark is accepted on read), comma delimited, ``.`` decimal
 separator. Every file is written through :func:`atomic_write`, so a reader
@@ -419,6 +420,17 @@ def write_text(path: str | Path, text: str) -> None:
 
 
 def _write_table(path: str | Path, header: list[str], start_index: int, columns) -> None:
+    """Write ``quarter,...`` rows; an infinite cell, which no reader accepts, is an error."""
+    infinite = [
+        (int(np.argmax(np.isinf(c))), j) for j, c in enumerate(columns) if np.isinf(c).any()
+    ]
+    if infinite:
+        i, j = min(infinite)  # the first quarter, then the first column
+        q = Quarter.from_index(start_index + i)
+        raise DataError(
+            f"cannot write {path}: column {header[j + 1]!r} at {q} is not a finite number: "
+            f"{float(columns[j][i])!r}"
+        )
     with atomic_write(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)

@@ -35,7 +35,14 @@ from hlcast.lti import (
     max_interest_only,
     new_mortgage_share,
 )
-from hlcast.regress import design_matrix, ecm_fit, ecm_forecast, lag_scan, ols_fit
+from hlcast.regress import (
+    design_matrix,
+    ecm_design,
+    ecm_fit,
+    ecm_forecast,
+    lag_scan,
+    ols_fit,
+)
 from hlcast.synthetic import ScenarioConfig, generate
 from hlcast.timeseries import Quarter, QuarterlySeries, align, read_series_csv
 
@@ -102,7 +109,7 @@ def test_criterion_03_ecm_reparametrization_identity():
             # coefficient; irrelevant to the identity under test
             warnings.simplefilter("ignore", UserWarning)
             frame = align([ys, xs, ys.diff().rename("d_y"), xs.diff().rename("d_x")])
-            fit = ecm_fit(frame, "y", ["d_x"], [("x", 1)])
+            fit = ecm_fit(ecm_design(frame, "y", ["d_x"], [("x", 1)]))
         fitted = fit.underlying.fitted
         scale = max(abs(v) for v in fitted.values if v is not None)
         for q, want in fitted.items():
@@ -122,10 +129,12 @@ def test_criterion_04_ecm_identification_and_dynamic_forecast():
     xs = QuarterlySeries("x", Quarter(2000, 1), tuple(x))
     train = QuarterlySeries("y", Quarter(2000, 1), tuple(y[:120]))
     fit = ecm_fit(
-        align([train, xs, train.diff().rename("d_y"), xs.diff().rename("d_x")]),
-        "y",
-        ["d_x"],
-        [("x", 1)],
+        ecm_design(
+            align([train, xs, train.diff().rename("d_y"), xs.diff().rename("d_x")]),
+            "y",
+            ["d_x"],
+            [("x", 1)],
+        )
     )
     params_ok = (
         abs(fit.gamma - (-0.3)) < 1e-8

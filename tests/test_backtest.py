@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import hlcast.backtest
+import hlcast.regress
 from hlcast.backtest import (
     HLC,
     HLC_INCOME_RATIO,
@@ -12,9 +14,12 @@ from hlcast.backtest import (
     INTEREST_ONLY_SHARE,
     INTEREST_RATE,
     LTV,
+    BacktestReport,
     ModelSpec,
     Regressor,
     SplitSpec,
+    VariantResult,
+    _spec_design,
     build_features,
     default_specs,
     emit_plot_data,
@@ -25,7 +30,7 @@ from hlcast.errors import DataError, SchemaError
 from hlcast.lti import LtiParams
 from hlcast.regress import DesignMatrix, design_matrix, ols_fit
 from hlcast.synthetic import ScenarioConfig, generate
-from hlcast.timeseries import Quarter, QuarterlySeries, align
+from hlcast.timeseries import Frame, Quarter, QuarterlySeries, align
 
 START = Quarter(2000, 1)
 CUTOFF = Quarter(2008, 2)
@@ -302,6 +307,127 @@ class TestRunGrid:
             terms=wide.terms[:3],
         )
         assert ols_fit(wide).r_squared >= ols_fit(narrow).r_squared - 1e-12
+
+
+def cut_frame(frame: Frame, last: Quarter) -> Frame:
+    """The frame's quarters up to and including ``last``."""
+    k = last.index - frame.start_index + 1
+    return align(s._with_array(s.array[:k]) for s in frame.columns.values())
+
+
+class TestOneDesignPerSpec:
+    """The truncated regime fits the row prefix of the spec's full design."""
+
+    @pytest.fixture(scope="class")
+    def gappy(self, features):
+        # interior missing quarters in the response, a benchmark input and the capacity
+        columns = []
+        for s in features.columns.values():
+            a = s.to_array()
+            if s.name in (HOUSE_PRICE, INCOME, HLC):
+                a[[22, 30, 31, 47, 60]] = np.nan
+            columns.append(s._with_array(a))
+        return align(columns)
+
+    @pytest.mark.parametrize(
+        "cutoff", [Quarter(2008, 2), Quarter(2006, 4), Quarter(2003, 1)], ids=str
+    )
+    @pytest.mark.parametrize("gaps", [False, True], ids=["complete", "interior-gaps"])
+    def test_prefix_equals_design_of_cut_frame(self, features, gappy, cutoff, gaps):
+        frame = gappy if gaps else features
+        for spec in default_specs():
+            prefix = _spec_design(frame, spec, HOUSE_PRICE)[0].until(cutoff)
+            cut = _spec_design(cut_frame(frame, cutoff), spec, HOUSE_PRICE)[0]
+            assert (prefix.names, prefix.terms) == (cut.names, cut.terms)
+            assert prefix.rows[-1] <= cutoff.index and len(prefix.rows) > len(prefix.names)
+            for field in ("response", "matrix", "rows"):
+                assert np.array_equal(getattr(prefix, field), getattr(cut, field)), (
+                    spec.name, spec.approach, field
+                )
+
+    def test_one_design_matrix_call_per_spec(self, features, monkeypatch):
+        calls = []
+        original = hlcast.regress.design_matrix
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(hlcast.regress, "design_matrix", counted)
+        monkeypatch.setattr(hlcast.backtest, "design_matrix", counted)
+        report = run_grid(features, default_specs(), SplitSpec())
+        assert all(v.error is None for v in report.variants)
+        assert sorted(calls) == ["d_house_price"] * 3 + ["house_price"] * 3
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_infinite_cell_after_cutoff_fails_only_the_full_fit(self, features):
+        columns = dict(features.columns)
+        a = columns[LTV].to_array()
+        a[70] = math.inf  # after the cutoff
+        columns[LTV] = columns[LTV]._with_array(a)
+        report = run_grid(align(columns.values()), default_specs(), SplitSpec())
+        for approach in ("ols", "ecm"):
+            # the truncated rows stop before the infinite cell and still fit
+            assert report.variant("benchmark", approach, "truncated").error is None
+            assert report.variant("benchmark", approach, "full").error == (
+                "DataError: design matrix contains missing or non-finite cells"
+            )
+
+
+class TestReportJson:
+    def test_one_variant_per_line(self, features):
+        report = run_grid(features, default_specs(), SplitSpec())
+        text = report.to_json()
+        assert json.loads(text) == report.to_dict()
+        lines = text.split("\n")
+        assert lines[0].startswith('{"schema_version": 1, "cutoff": "2008Q2", ')
+        assert lines[0].endswith('"variants": [')
+        assert lines[-2:] == ["]}", ""]
+        variants = [json.loads(line.removesuffix(",")) for line in lines[1:-2]]
+        assert variants == report.to_dict()["variants"]
+
+    def test_indented_layout_is_one_reencode_away(self, features):
+        # the indent=2 layout of earlier releases, from the same document
+        report = run_grid(features, default_specs(), SplitSpec())
+        indented = json.dumps(report.to_dict(), indent=2) + "\n"
+        assert json.dumps(json.loads(report.to_json()), indent=2) + "\n" == indented
+        small = BacktestReport(
+            variants=[VariantResult("hlc", "ols", "full", error="DataError: no data")],
+            split=SplitSpec(),
+            observed=series([1.0]),
+        )
+        assert json.dumps(json.loads(small.to_json()), indent=2) + "\n" == INDENTED_SMALL
+
+
+# json.dumps(small.to_dict(), indent=2) + "\n", as the indented encoder wrote it
+INDENTED_SMALL = """{
+  "schema_version": 1,
+  "cutoff": "2008Q2",
+  "evaluation_window": "all_quarters",
+  "forecast_mode": "dynamic",
+  "variants": [
+    {
+      "name": "hlc",
+      "approach": "ols",
+      "regime": "full",
+      "metrics_all": null,
+      "metrics_holdout": null,
+      "coefficients": null,
+      "stats": null,
+      "gamma": null,
+      "long_run_alphas": null,
+      "train": {
+        "n": 0,
+        "start": null,
+        "end": null
+      },
+      "forecast_mode": null,
+      "alt_forecast": null,
+      "error": "DataError: no data"
+    }
+  ]
+}
+"""
 
 
 class TestEmitPlotData:

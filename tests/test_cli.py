@@ -232,6 +232,24 @@ class TestErrors:
         assert result.exit_code == 3
         assert "ltv.csv:2: not a finite number: 'inf'" in result.output
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_overflowing_feature_is_data_error(self, runner, tmp_path):
+        # four incomes of 1e308 overflow the trailing mean to inf, which
+        # features.csv could not be read back with
+        config = make_workspace(runner, tmp_path)
+        path = tmp_path / "data" / "income.csv"
+        lines = path.read_text().splitlines()
+        lines[1:5] = [line.split(",")[0] + ",1e308" for line in lines[1:5]]
+        path.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["features", "--config", str(config)])
+        assert result.exit_code == 3
+        assert (
+            "features.csv: column 'income' at 1995Q4 is not a finite number: inf"
+            in result.output
+        )
+        assert not list((tmp_path / "data" / "runs").glob("*/features.csv"))
+
     @pytest.mark.parametrize(
         "args,edit",
         [

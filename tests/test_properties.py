@@ -11,10 +11,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hlcast.errors import InsufficientDataError, SingularDesignError
+from hlcast.errors import DomainError, InsufficientDataError, SingularDesignError
+from hlcast.lti import HouseholdInputs, LtiParams, hlc, hlc_series
 from hlcast.regress import design_matrix, lag_scan, ols_fit
 from hlcast.timeseries import (
     Quarter,
@@ -174,3 +175,41 @@ def test_closed_form_lag_scan_matches_ols_fit(resp, cand):
             # the reference's 1 - SSR/SST carries absolute rounding near R^2 = 0
             assert e.r_squared == pytest.approx(r2, rel=1e-12, abs=1e-14)
     assert _constant_warnings(got_warnings) == _constant_warnings(want_warnings)
+
+
+# One quarter of household inputs, None for a gap. Shares 0 and 1 and a rate
+# of 0 are drawn often: with cost_rate 0, a rate of 0 is the annuity factor's
+# x == 0 limit at share 0 and a DomainError at any other share.
+hlc_quarters = st.tuples(
+    st.one_of(st.none(), st.floats(min_value=1.0, max_value=1e6)),
+    st.one_of(st.none(), st.just(0.0), st.floats(min_value=0.0, max_value=0.25)),
+    st.one_of(st.none(), st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+)
+
+
+@SETTINGS
+@given(st.lists(hlc_quarters, min_size=1, max_size=24), st.sampled_from([0.0, 0.025]))
+@example([(1e4, 0.0, 0.0), (1e4, 0.05, 1.0), (None, 0.05, 0.5), (2e4, 0.03, 0.4)], 0.0)
+@example([(1e4, 0.04, 0.0), (3e4, 0.0, 0.5), (None, 0.0, 1.0)], 0.0)
+def test_hlc_series_equals_scalar_hlc(quarters, cost_rate):
+    params = LtiParams(cost_rate=cost_rate)
+    names = ("income", "interest_rate", "interest_only_share")
+    frame = align([series([q[j] for q in quarters], name=c) for j, c in enumerate(names)])
+    expected, error = [], None
+    for inputs in quarters:
+        if None in inputs:
+            expected.append(math.nan)
+            continue
+        try:
+            expected.append(hlc(HouseholdInputs(*inputs), params))
+        except DomainError as exc:
+            error = exc
+            break
+    if error is None:
+        got = hlc_series(frame, params).array
+        assert np.array_equal(got, np.array(expected), equal_nan=True)
+    else:
+        # the first quarter the scalar code rejects raises its error
+        with pytest.raises(DomainError) as exc:
+            hlc_series(frame, params)
+        assert str(exc.value) == str(error)

@@ -9,6 +9,7 @@ from hlcast.regress import (
     FitResult,
     Term,
     design_matrix,
+    ecm_design,
     ecm_fit,
     ecm_forecast,
     lag_scan,
@@ -189,7 +190,7 @@ class TestDesignAndPredict:
     def test_training_window(self):
         f = align([series([float(i) for i in range(8)], name="y"),
                    series([float(i) for i in range(8)], name="x")])
-        d = design_matrix(f, "y", ["x"], last=START + 3)
+        d = design_matrix(f, "y", ["x"]).until(START + 3)
         assert d.rows[-1] == (START + 3).index and len(d.rows) == 4
 
     def test_predict_reproduces_fitted(self):
@@ -251,7 +252,7 @@ def ecm_frame(ys, *xs):
 def fit_simulated(x, y):
     xs = series(list(x), name="x")
     ys = series(list(y), name="y")
-    return ys, xs, ecm_fit(ecm_frame(ys, xs), "y", ["d_x"], [("x", 1)])
+    return ys, xs, ecm_fit(ecm_design(ecm_frame(ys, xs), "y", ["d_x"], [("x", 1)]))
 
 
 class TestEcm:
@@ -272,7 +273,8 @@ class TestEcm:
             x2 = rng.normal(size=n) * 3.0
             ys = series(list(y), name="y")
             x1s, x2s = series(list(x1), name="x1"), series(list(x2), name="x2")
-            fit = ecm_fit(ecm_frame(ys, x1s, x2s), "y", ["d_x1"], [("x1", 1), ("x2", 1)])
+            design = ecm_design(ecm_frame(ys, x1s, x2s), "y", ["d_x1"], [("x1", 1), ("x2", 1)])
+            fit = ecm_fit(design)
             # Restricted form: b0 + b*d_x1 + gamma*(y[t-1] - sum(alpha * level)).
             fitted = fit.underlying.fitted
             scale = max(abs(v) for v in fitted.values if v is not None)
@@ -290,6 +292,14 @@ class TestEcm:
                     )
                 )
                 assert abs(restricted - want) <= 1e-10 * scale
+
+    def test_non_ecm_design_rejected(self):
+        x, y = simulate_ecm(n=40)
+        frame = ecm_frame(series(list(y), name="y"), series(list(x), name="x"))
+        for design in (design_matrix(frame, "y", [("y", 1), "x"]),
+                       design_matrix(frame, "d_y", ["d_x", ("x", 1)])):
+            with pytest.raises(SchemaError, match="not an error correction design"):
+                ecm_fit(design)
 
     def test_positive_gamma_warns(self):
         # A positive adjustment coefficient (explosive response) must warn.
@@ -321,7 +331,7 @@ class TestEcm:
         x, y = simulate_ecm(noise=0.3, seed=5)
         ys, xs = series(list(y), name="y"), series(list(x), name="x")
         frame = ecm_frame(ys, xs)
-        fit = ecm_fit(frame, "y", [("d_x", 2)], [("x", 3)], last=START + 90)
+        fit = ecm_fit(ecm_design(frame, "y", [("d_x", 2)], [("x", 3)]).until(START + 90))
         early = ecm_forecast(fit, frame, START + 4, mode="static")
         for k in (5, 91, 139):
             late = ecm_forecast(fit, frame, START + k, mode="static")
@@ -331,7 +341,7 @@ class TestEcm:
         x, y = simulate_ecm(n=140)
         train_ys = series(list(y[:120]), name="y")
         xs = series(list(x), name="x")
-        fit = ecm_fit(ecm_frame(train_ys, xs), "y", ["d_x"], [("x", 1)])
+        fit = ecm_fit(ecm_design(ecm_frame(train_ys, xs), "y", ["d_x"], [("x", 1)]))
         frame = ecm_frame(series(list(y), name="y"), xs)
         start = START + 120
         forecast = ecm_forecast(fit, frame, start, mode="dynamic")

@@ -262,6 +262,29 @@ class TestCsv:
         with pytest.raises(ParseError, match=r"f\.csv:3: not a finite number"):
             read_frame_csv(frame_path)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf], ids=["inf", "-inf"])
+    def test_infinite_value_is_not_written(self, tmp_path, value):
+        # no reader accepts an infinite cell, so no writer makes one; NaN stays empty
+        series_path, frame_path = tmp_path / "s.csv", tmp_path / "f.csv"
+        with pytest.raises(
+            DataError,
+            match=rf"cannot write .*s\.csv: column 'value' at 2000Q2 is not a finite number: "
+            rf"{value!r}",
+        ):
+            write_series_csv(series([1.0, value, 2.0]), series_path)
+        frame = align([series([1.0, None, value], name="a"), series([None, value, 4.0], name="b")])
+        with pytest.raises(DataError, match=r"f\.csv: column 'b' at 2000Q2") as exc:
+            write_frame_csv(frame, frame_path)
+        assert exc.value.exit_code == 3
+        assert list(tmp_path.iterdir()) == []
+        # an earlier file at the path is left as it was
+        write_series_csv(series([1.0, None]), series_path)
+        before = series_path.read_bytes()
+        with pytest.raises(DataError):
+            write_series_csv(series([1.0, value]), series_path)
+        assert series_path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
+
     def test_non_contiguous_rejected(self, tmp_path):
         path = tmp_path / "g.csv"
         path.write_text("quarter,value\n2000Q1,1\n2000Q3,2\n")
