@@ -26,6 +26,7 @@ from .regress import (
     ecm_design,
     ecm_fit,
     ecm_forecast,
+    finite_or_none,
     ols_fit,
     predict,
 )
@@ -107,7 +108,11 @@ class Metrics:
     n_evaluated: int
 
     def to_dict(self) -> dict:
-        return {"rmse": self.rmse, "mae": self.mae, "n": self.n_evaluated}
+        return {
+            "rmse": finite_or_none(self.rmse),
+            "mae": finite_or_none(self.mae),
+            "n": self.n_evaluated,
+        }
 
 
 def evaluate(
@@ -219,7 +224,8 @@ def build_features(
         ]
     )
     capacity = hlc_series(base, params)
-    ratio = capacity.array / base.column(INCOME).array
+    with np.errstate(invalid="ignore"):  # an overflowed income: inf / inf = nan
+        ratio = capacity.array / base.column(INCOME).array
     ratio = QuarterlySeries._from_array(HLC_INCOME_RATIO, base.start_index, ratio, "dimensionless")
     extra = [
         capacity,
@@ -386,7 +392,6 @@ def run_grid(
     specs: Sequence[ModelSpec],
     split: SplitSpec = SplitSpec(),
     forecast_mode: str = "dynamic",
-    response: str = HOUSE_PRICE,
 ) -> BacktestReport:
     """Fit every spec under both regimes and score the predictions.
 
@@ -396,11 +401,12 @@ def run_grid(
     """
     if forecast_mode not in ("static", "dynamic"):
         raise ValueError(f"forecast_mode must be 'static' or 'dynamic', got {forecast_mode!r}")
-    features.require(response)
-    if features.column(response).get(split.cutoff) is None:
+    features.require(HOUSE_PRICE)
+    observed = features.column(HOUSE_PRICE)
+    if observed.get(split.cutoff) is None:
         # The cutoff must fall inside the observed sample for the split to
         # mean anything.
-        raise DataError(f"cutoff {split.cutoff} lies outside the observed {response!r} sample")
+        raise DataError(f"cutoff {split.cutoff} lies outside the observed {HOUSE_PRICE!r} sample")
     seen = set()
     for spec in specs:
         key = (spec.name, spec.approach)
@@ -410,11 +416,10 @@ def run_grid(
         for r in spec.regressors:
             features.require(r.column)
 
-    observed = features.column(response)
     variants: list[VariantResult] = []
     for spec in sorted(specs, key=lambda s: (s.name, s.approach)):
         try:
-            design, frame = _spec_design(features, spec, response)
+            design, frame = _spec_design(features, spec, HOUSE_PRICE)
         except HlcastError as exc:
             variants += [_failed(spec, regime, exc) for regime in REGIMES]
             continue

@@ -29,7 +29,7 @@ from .backtest import (
     emit_plot_data,
     run_grid,
 )
-from .config import DEFAULT_UNITS, RunConfig, SeriesSource, load_config
+from .config import DEFAULT_UNITS, RunConfig, SeriesSource, checked_settings, load_config
 from .errors import DataError, HlcastError
 from .regress import lag_scan
 from .synthetic import ScenarioConfig, generate
@@ -106,7 +106,7 @@ def _frame(cfg: RunConfig, run_dir: Path) -> Frame:
     for name, src in sorted(cfg.data.items()):
         s = read_series_csv(src.path, name=name, unit=src.stored_unit)
         if src.factor != 1.0:
-            s = s.scale(src.factor, unit=src.stored_unit)
+            s = s.scale(src.factor)
         series.append(s)
     frame = align(series)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -185,8 +185,8 @@ def synth(out: str, seed: int, quarters: int, noise: float) -> None:
         # paths relative to the config file keep the workspace relocatable
         sources[name] = SeriesSource(path=Path(f"{name}.csv"), unit=DEFAULT_UNITS.get(name, ""))
     write_text(out_dir / "truth.json", json.dumps(data.truth(), indent=2, sort_keys=True) + "\n")
-    cfg = RunConfig(data=sources, hlc_lag=data.hlc_lag, output_dir=Path("runs"))
-    cfg.save(out_dir / "config.yaml")
+    settings = checked_settings({"features": {"hlc_lag": data.hlc_lag}})
+    RunConfig(sources, settings).save(out_dir / "config.yaml")
     click.echo(
         f"wrote {len(sources)} series ({quarters} quarters, seed {seed}) and "
         f"config.yaml under {out_dir}"
@@ -286,13 +286,12 @@ def _report_tables(doc: dict, cfg: RunConfig) -> list[str]:
                     lines.append(f"  {approach.upper():<6}{label:<22}{'failed: ' + v['error']}")
                     continue
                 m = v.get(window)
-                if m is None:
-                    lines.append(f"  {approach.upper():<6}{label:<22}{'n/a':>14}{'n/a':>14}")
-                    continue
-                lines.append(
-                    f"  {approach.upper():<6}{label:<22}"
-                    f"{m['rmse'] / 1000:>14,.3f}{m['mae'] / 1000:>14,.3f}"
+                # a window without metrics, or a null (non-finite) metric
+                values = (None, None) if m is None else (m["rmse"], m["mae"])
+                cells = "".join(
+                    f"{'n/a':>14}" if x is None else f"{x / 1000:>14,.3f}" for x in values
                 )
+                lines.append(f"  {approach.upper():<6}{label:<22}{cells}")
     return lines + [
         "",
         f"evaluation window: {cfg.split.evaluation_window}; metrics in thousands of euros",

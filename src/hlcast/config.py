@@ -9,9 +9,10 @@ of data that has since changed.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
@@ -27,7 +28,7 @@ from .backtest import (
     SHARE_INPUTS,
     SplitSpec,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, ParseError
 from .lti import LtiParams
 from .timeseries import Quarter, parse_quarter, write_text
 
@@ -58,8 +59,18 @@ UNIT_FACTORS = {
 # libyaml's parser when PyYAML was built with it: ~8x faster on a run config
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
-DEFAULT_MODELS = ("benchmark", "hlc", "benchmark_hlc")
-KNOWN_MODELS = DEFAULT_MODELS + ("benchmark_debt",)
+# Every config key outside ``data``, by section, with its default: the one
+# statement of the defaults. The type of a default picks its key's check
+# (``_checked``); ``None`` marks an optional quarter.
+DEFAULTS = {
+    "lti": dict(vars(LtiParams())),
+    "features": {"smoothing_window": 4, "hlc_lag": 6, "interest_only_zero_from": None},
+    "split": dict(vars(SplitSpec())),
+    "lag_scan": {"min": 0, "max": 6},
+    "backtest": {"forecast_mode": "dynamic", "models": ["benchmark", "hlc", "benchmark_hlc"]},
+    "output_dir": "runs",
+}
+KNOWN_MODELS = (*DEFAULTS["backtest"]["models"], "benchmark_debt")
 
 
 @dataclass(frozen=True)
@@ -78,53 +89,53 @@ class SeriesSource:
         return "fraction" if self.unit == "percent" else self.unit
 
 
+def _setting(section: str, key: str) -> property:
+    return property(lambda self: self.settings[section][key])
+
+
 @dataclass(frozen=True)
 class RunConfig:
+    """The input series plus ``settings``: every key of ``DEFAULTS`` in the
+    canonical form ``checked_settings`` gives, read through typed attributes."""
+
     data: dict[str, SeriesSource]
-    lti: LtiParams = LtiParams()
-    smoothing_window: int = 4
-    hlc_lag: int = 6
-    interest_only_zero_from: Quarter | None = None
-    split: SplitSpec = SplitSpec()
-    lag_min: int = 0
-    lag_max: int = 6
-    forecast_mode: str = "dynamic"
-    models: tuple[str, ...] = DEFAULT_MODELS
-    output_dir: Path = Path("runs")
+    settings: dict
+
+    smoothing_window = _setting("features", "smoothing_window")
+    hlc_lag = _setting("features", "hlc_lag")
+    lag_min = _setting("lag_scan", "min")
+    lag_max = _setting("lag_scan", "max")
+    forecast_mode = _setting("backtest", "forecast_mode")
+
+    @property
+    def lti(self) -> LtiParams:
+        return LtiParams(**self.settings["lti"])
+
+    @property
+    def interest_only_zero_from(self) -> Quarter | None:
+        zero_from = self.settings["features"]["interest_only_zero_from"]
+        return None if zero_from is None else parse_quarter(zero_from)
+
+    @property
+    def split(self) -> SplitSpec:
+        split = self.settings["split"]
+        return SplitSpec(parse_quarter(split["cutoff"]), split["evaluation_window"])
+
+    @property
+    def models(self) -> tuple[str, ...]:
+        return tuple(self.settings["backtest"]["models"])
+
+    @property
+    def output_dir(self) -> Path:
+        return Path(self.settings["output_dir"])
 
     def to_canonical(self) -> dict:
         """Plain-scalar tree: the hashing and round-trip representation."""
-        return {
-            "data": {
-                name: {"path": str(src.path), "unit": src.unit}
-                for name, src in sorted(self.data.items())
-            },
-            "lti": {
-                "woonquote": self.lti.woonquote,
-                "deduction_rate": self.lti.deduction_rate,
-                "cost_rate": self.lti.cost_rate,
-                "term_months": self.lti.term_months,
-            },
-            "features": {
-                "smoothing_window": self.smoothing_window,
-                "hlc_lag": self.hlc_lag,
-                "interest_only_zero_from": (
-                    str(self.interest_only_zero_from)
-                    if self.interest_only_zero_from
-                    else None
-                ),
-            },
-            "split": {
-                "cutoff": str(self.split.cutoff),
-                "evaluation_window": self.split.evaluation_window,
-            },
-            "lag_scan": {"min": self.lag_min, "max": self.lag_max},
-            "backtest": {
-                "forecast_mode": self.forecast_mode,
-                "models": list(self.models),
-            },
-            "output_dir": str(self.output_dir),
+        data = {
+            name: {"path": str(src.path), "unit": src.unit}
+            for name, src in sorted(self.data.items())
         }
+        return {"data": data, **copy.deepcopy(self.settings)}
 
     def run_hash(self) -> str:
         """Hash of the canonical config, each input file's bytes and the hlcast version."""
@@ -152,26 +163,10 @@ def _require_mapping(node, where: str) -> dict:
     return node
 
 
-def _reject_unknown(node: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(node) - allowed)
+def _reject_unknown(node: dict, allowed, where: str) -> None:
+    unknown = sorted(set(node) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown key(s) under {where}: {', '.join(unknown)}")
-
-
-def _number(node: dict, key: str, default, cast: type, where: str):
-    """``node[key]`` (or ``default``) cast to int or float; a ConfigError if it is not one.
-
-    A boolean is not a number, and an integer key takes no fractional value.
-    """
-    value = node.get(key, default)
-    kind = "an integer" if cast is int else "a number"
-    fractional = cast is int and isinstance(value, float) and not value.is_integer()
-    try:
-        if isinstance(value, bool) or fractional:
-            raise TypeError
-        return cast(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{where}.{key} must be {kind}, got {value!r}") from None
 
 
 def _string(value, key: str) -> str:
@@ -181,13 +176,118 @@ def _string(value, key: str) -> str:
     return value
 
 
-def _parse_quarter_opt(value, where: str) -> Quarter | None:
-    if value is None:
-        return None
+def _checked(where: str, value):
+    """``value`` of the key ``where`` (``section.key``, or a top-level key) in
+    canonical form; a ConfigError if it is not of the kind of the key's default.
+
+    An int or float key takes a number that is no bool, and an int key no
+    fraction; a quarter key takes a quarter label and keeps it as ``YYYYQn``;
+    a list key takes a list of strings; a string key a string.
+    """
+    section, _, key = where.partition(".")
+    default = DEFAULTS[section][key] if key else DEFAULTS[section]
+    if default is None or isinstance(default, Quarter):
+        if value is None and default is None:
+            return None
+        try:
+            return str(parse_quarter(str(value)))
+        except ParseError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+    if isinstance(default, (int, float)):
+        cast = type(default)
+        fractional = cast is int and isinstance(value, float) and not value.is_integer()
+        try:
+            if isinstance(value, bool) or fractional:
+                raise TypeError
+            return cast(value)
+        except (TypeError, ValueError, OverflowError):
+            kind = "an integer" if cast is int else "a number"
+            raise ConfigError(f"{where} must be {kind}, got {value!r}") from None
+    if isinstance(default, list):
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise ConfigError(f"{where} must be a list of strings, got {value!r}")
+        return list(value)
+    return _string(value, where)
+
+
+def checked_settings(raw: dict) -> dict:
+    """Every key of ``DEFAULTS``, from ``raw`` where it sets one, through ``_checked``."""
+    settings = {}
+    for section, default in DEFAULTS.items():
+        if not isinstance(default, dict):
+            settings[section] = _checked(section, raw.get(section, default))
+            continue
+        node = _require_mapping(raw.get(section), section)
+        _reject_unknown(node, default, section)
+        settings[section] = {
+            key: _checked(f"{section}.{key}", node.get(key, d)) for key, d in default.items()
+        }
+    return settings
+
+
+def _check_values(settings: dict, sources: dict[str, SeriesSource]) -> None:
+    """The value and cross-key rules that a key's type does not settle."""
     try:
-        return parse_quarter(str(value))
-    except Exception as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+        LtiParams(**settings["lti"])
+    except ValueError as exc:
+        raise ConfigError(f"invalid lti parameters: {exc}") from None
+    features, scan = settings["features"], settings["lag_scan"]
+    if features["smoothing_window"] < 1 or features["hlc_lag"] < 0:
+        raise ConfigError("smoothing_window must be >= 1 and hlc_lag >= 0")
+    try:
+        SplitSpec(evaluation_window=settings["split"]["evaluation_window"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if not 0 <= scan["min"] <= scan["max"]:
+        raise ConfigError("lag_scan must satisfy 0 <= min <= max")
+    mode, models = settings["backtest"]["forecast_mode"], settings["backtest"]["models"]
+    if mode not in ("dynamic", "static"):
+        raise ConfigError(f"backtest.forecast_mode must be 'dynamic' or 'static', got {mode!r}")
+    bad = sorted(set(models) - set(KNOWN_MODELS))
+    if bad:
+        raise ConfigError(
+            f"unknown model(s) in backtest.models: {', '.join(bad)} "
+            f"(known: {', '.join(KNOWN_MODELS)})"
+        )
+    if not models:
+        raise ConfigError("backtest.models must not be empty")
+    if "benchmark_debt" in models and DEBT_TO_GDP not in sources:
+        raise ConfigError(f"model 'benchmark_debt' needs a data.{DEBT_TO_GDP} series")
+
+
+def _sources(node, base: Path) -> dict[str, SeriesSource]:
+    """The ``data`` section; relative paths resolve against ``base``."""
+    node = _require_mapping(node, "data")
+    if not node:
+        raise ConfigError("config must declare input series under 'data'")
+    sources: dict[str, SeriesSource] = {}
+    for name, entry in node.items():
+        _string(name, "a data series name")
+        if isinstance(entry, str):
+            entry = {"path": entry}
+        entry = _require_mapping(entry, f"data.{name}")
+        _reject_unknown(entry, {"path", "unit"}, f"data.{name}")
+        if "path" not in entry:
+            raise ConfigError(f"data.{name} has no path")
+        unit = _string(entry.get("unit", DEFAULT_UNITS.get(name, "")), f"data.{name}.unit")
+        if unit not in UNIT_FACTORS:
+            raise ConfigError(
+                f"data.{name}: unknown unit {unit!r} "
+                f"(expected one of {', '.join(sorted(UNIT_FACTORS))})"
+            )
+        sources[name] = SeriesSource(base / _string(entry["path"], f"data.{name}.path"), unit)
+    missing = [s for s in REQUIRED_SERIES if s not in sources]
+    if missing:
+        raise ConfigError(f"config is missing required data series: {', '.join(missing)}")
+    if INTEREST_ONLY_SHARE not in sources and not all(s in sources for s in SHARE_INPUTS):
+        raise ConfigError(
+            f"config must provide data.{INTEREST_ONLY_SHARE} or all of "
+            f"{', '.join(SHARE_INPUTS)}"
+        )
+    absent = sorted(str(s.path) for s in sources.values() if not s.path.is_file())
+    if absent:
+        raise ConfigError(f"data file(s) not found: {', '.join(absent)}")
+    return sources
 
 
 def parse_lag_range(text: str) -> tuple[int, int]:
@@ -211,8 +311,9 @@ def load_config(
     """Load and validate a YAML run configuration.
 
     ``out``, ``cutoff`` and ``lags`` are the command-line overrides; any that
-    are given replace the file's values before validation. Relative data
-    paths resolve against the config file's directory.
+    are given replace the file's values once those have passed every check,
+    and go through the same per-key checks. Relative data paths and
+    ``output_dir`` resolve against the config file's directory.
     """
     path = Path(path)
     try:
@@ -222,130 +323,16 @@ def load_config(
     except yaml.YAMLError as exc:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from None
     raw = _require_mapping(raw, str(path))
-    _reject_unknown(
-        raw,
-        {"data", "lti", "features", "split", "lag_scan", "backtest", "output_dir"},
-        str(path),
-    )
-
-    data_node = _require_mapping(raw.get("data"), "data")
-    if not data_node:
-        raise ConfigError("config must declare input series under 'data'")
-    sources: dict[str, SeriesSource] = {}
-    for name, entry in data_node.items():
-        _string(name, "a data series name")
-        if isinstance(entry, str):
-            entry = {"path": entry}
-        entry = _require_mapping(entry, f"data.{name}")
-        _reject_unknown(entry, {"path", "unit"}, f"data.{name}")
-        if "path" not in entry:
-            raise ConfigError(f"data.{name} has no path")
-        unit = _string(entry.get("unit", DEFAULT_UNITS.get(name, "")), f"data.{name}.unit")
-        if unit not in UNIT_FACTORS:
-            raise ConfigError(
-                f"data.{name}: unknown unit {unit!r} "
-                f"(expected one of {', '.join(sorted(UNIT_FACTORS))})"
-            )
-        src_path = Path(_string(entry["path"], f"data.{name}.path"))
-        if not src_path.is_absolute():
-            src_path = path.parent / src_path
-        sources[name] = SeriesSource(path=src_path, unit=unit)
-    missing = [s for s in REQUIRED_SERIES if s not in sources]
-    if missing:
-        raise ConfigError(f"config is missing required data series: {', '.join(missing)}")
-    if INTEREST_ONLY_SHARE not in sources and not all(s in sources for s in SHARE_INPUTS):
-        raise ConfigError(
-            f"config must provide data.{INTEREST_ONLY_SHARE} or all of "
-            f"{', '.join(SHARE_INPUTS)}"
-        )
-    absent = sorted(str(s.path) for s in sources.values() if not s.path.is_file())
-    if absent:
-        raise ConfigError(f"data file(s) not found: {', '.join(absent)}")
-
-    lti_node = _require_mapping(raw.get("lti"), "lti")
-    _reject_unknown(
-        lti_node, {"woonquote", "deduction_rate", "cost_rate", "term_months"}, "lti"
-    )
-    try:
-        lti = LtiParams(
-            woonquote=_number(lti_node, "woonquote", 0.30, float, "lti"),
-            deduction_rate=_number(lti_node, "deduction_rate", 0.40, float, "lti"),
-            cost_rate=_number(lti_node, "cost_rate", 0.025, float, "lti"),
-            term_months=_number(lti_node, "term_months", 360, int, "lti"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid lti parameters: {exc}") from None
-
-    feat = _require_mapping(raw.get("features"), "features")
-    _reject_unknown(
-        feat, {"smoothing_window", "hlc_lag", "interest_only_zero_from"}, "features"
-    )
-    smoothing = _number(feat, "smoothing_window", 4, int, "features")
-    hlc_lag = _number(feat, "hlc_lag", 6, int, "features")
-    if smoothing < 1 or hlc_lag < 0:
-        raise ConfigError("smoothing_window must be >= 1 and hlc_lag >= 0")
-    zero_from = _parse_quarter_opt(
-        feat.get("interest_only_zero_from"), "features.interest_only_zero_from"
-    )
-
-    split_node = _require_mapping(raw.get("split"), "split")
-    _reject_unknown(split_node, {"cutoff", "evaluation_window"}, "split")
-    cutoff_text = cutoff if cutoff is not None else split_node.get("cutoff", "2008Q2")
-    cutoff_q = _parse_quarter_opt(str(cutoff_text), "split.cutoff")
-    window = split_node.get("evaluation_window", "all_quarters")
-    try:
-        split = SplitSpec(cutoff=cutoff_q, evaluation_window=str(window))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    scan = _require_mapping(raw.get("lag_scan"), "lag_scan")
-    _reject_unknown(scan, {"min", "max"}, "lag_scan")
+    _reject_unknown(raw, {"data", *DEFAULTS}, str(path))
+    sources = _sources(raw.get("data"), path.parent)
+    settings = checked_settings(raw)
+    _check_values(settings, sources)
+    # a flag replaces a file value only after the file has passed every check
+    if out is not None:
+        settings["output_dir"] = _checked("output_dir", out)
+    if cutoff is not None:
+        settings["split"]["cutoff"] = _checked("split.cutoff", cutoff)
     if lags is not None:
-        lag_min, lag_max = parse_lag_range(lags)
-    else:
-        lag_min = _number(scan, "min", 0, int, "lag_scan")
-        lag_max = _number(scan, "max", 6, int, "lag_scan")
-        if lag_min < 0 or lag_max < lag_min:
-            raise ConfigError("lag_scan must satisfy 0 <= min <= max")
-
-    bt = _require_mapping(raw.get("backtest"), "backtest")
-    _reject_unknown(bt, {"forecast_mode", "models"}, "backtest")
-    mode = str(bt.get("forecast_mode", "dynamic"))
-    if mode not in ("dynamic", "static"):
-        raise ConfigError(f"backtest.forecast_mode must be 'dynamic' or 'static', got {mode!r}")
-    models = bt.get("models", list(DEFAULT_MODELS))
-    if not isinstance(models, list) or not all(isinstance(m, str) for m in models):
-        raise ConfigError(f"backtest.models must be a list of model names, got {models!r}")
-    models = tuple(models)
-    bad = sorted(set(models) - set(KNOWN_MODELS))
-    if bad:
-        raise ConfigError(
-            f"unknown model(s) in backtest.models: {', '.join(bad)} "
-            f"(known: {', '.join(KNOWN_MODELS)})"
-        )
-    if not models:
-        raise ConfigError("backtest.models must not be empty")
-    if "benchmark_debt" in models and DEBT_TO_GDP not in sources:
-        raise ConfigError(
-            f"model 'benchmark_debt' needs a data.{DEBT_TO_GDP} series"
-        )
-
-    if out is None:
-        out = _string(raw.get("output_dir", "runs"), "output_dir")
-    out_dir = Path(out)
-    if not out_dir.is_absolute():
-        out_dir = path.parent / out_dir
-
-    return RunConfig(
-        data=sources,
-        lti=lti,
-        smoothing_window=smoothing,
-        hlc_lag=hlc_lag,
-        interest_only_zero_from=zero_from,
-        split=split,
-        lag_min=lag_min,
-        lag_max=lag_max,
-        forecast_mode=mode,
-        models=models,
-        output_dir=out_dir,
-    )
+        settings["lag_scan"]["min"], settings["lag_scan"]["max"] = parse_lag_range(lags)
+    settings["output_dir"] = str(path.parent / settings["output_dir"])
+    return RunConfig(sources, settings)

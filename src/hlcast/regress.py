@@ -126,6 +126,11 @@ def design_matrix(
     )
 
 
+def finite_or_none(v: float) -> float | None:
+    """``v`` as a float, or ``None`` (JSON null) if it is NaN or infinite."""
+    return float(v) if math.isfinite(v) else None
+
+
 @dataclass
 class FitResult:
     """Estimated coefficients with classical linear-model inference."""
@@ -145,19 +150,18 @@ class FitResult:
 
     def to_dict(self) -> dict:
         """JSON-ready summary: coefficient table plus fit statistics."""
-
-        def _num(v: float) -> float | None:
-            return float(v) if math.isfinite(v) else None
-
         return {
             "coefficients": {
-                name: {"estimate": _num(est), "stderr": _num(self.stderrs[name])}
+                name: {
+                    "estimate": finite_or_none(est),
+                    "stderr": finite_or_none(self.stderrs[name]),
+                }
                 for name, est in self.coefficients.items()
             },
-            "r2": _num(self.r_squared),
-            "adj_r2": _num(self.adj_r_squared),
-            "resid_se": _num(self.residual_stderr),
-            "f_stat": _num(self.f_statistic),
+            "r2": finite_or_none(self.r_squared),
+            "adj_r2": finite_or_none(self.adj_r_squared),
+            "resid_se": finite_or_none(self.residual_stderr),
+            "f_stat": finite_or_none(self.f_statistic),
             "n": self.n_obs,
         }
 
@@ -254,7 +258,7 @@ def ols_fit(d: DesignMatrix) -> FitResult:
     )
 
 
-def predict(fit: FitResult, frame: Frame, name: str | None = None) -> QuarterlySeries:
+def predict(fit: FitResult, frame: Frame) -> QuarterlySeries:
     """Evaluate a fitted linear model on every quarter of a frame.
 
     Each term is rebuilt from its base column at its lag and added in the
@@ -264,7 +268,7 @@ def predict(fit: FitResult, frame: Frame, name: str | None = None) -> QuarterlyS
     acc = np.full(len(frame), fit.coefficients[INTERCEPT])
     for t in fit.terms:
         acc = acc + fit.coefficients[t.name] * shift(frame.column(t.column).array, t.lag)
-    return QuarterlySeries._from_array(name or f"{fit.response_name}_pred", frame.start_index, acc)
+    return QuarterlySeries._from_array(f"{fit.response_name}_pred", frame.start_index, acc)
 
 
 @dataclass
@@ -289,10 +293,8 @@ class EcmFit:
 
     def to_dict(self) -> dict:
         out = self.underlying.to_dict()
-        out["gamma"] = self.gamma if np.isfinite(self.gamma) else None
-        out["long_run_alphas"] = {
-            k: (v if np.isfinite(v) else None) for k, v in self.long_run_alphas.items()
-        }
+        out["gamma"] = finite_or_none(self.gamma)
+        out["long_run_alphas"] = {k: finite_or_none(v) for k, v in self.long_run_alphas.items()}
         return out
 
 

@@ -182,11 +182,9 @@ class QuarterlySeries:
     def rename(self, name: str) -> QuarterlySeries:
         return QuarterlySeries._from_array(name, self.start_index, self.array, self.unit)
 
-    def scale(self, factor: float, unit: str | None = None) -> QuarterlySeries:
-        """Multiply all present values by ``factor``, optionally relabeling the unit."""
-        return QuarterlySeries._from_array(
-            self.name, self.start_index, self.array * factor, self.unit if unit is None else unit
-        )
+    def scale(self, factor: float) -> QuarterlySeries:
+        """Multiply all present values by ``factor``."""
+        return self._with_array(self.array * factor)
 
     # -- transforms ---------------------------------------------------------
 
@@ -204,8 +202,10 @@ class QuarterlySeries:
         out = np.full(n, np.nan)
         if n >= window:
             acc = a[: n - window + 1].copy()
-            for j in range(1, window):
-                acc += a[j : n - window + 1 + j]
+            # a sum past the float range is inf, as in plain float arithmetic
+            with np.errstate(over="ignore"):
+                for j in range(1, window):
+                    acc += a[j : n - window + 1 + j]
             out[window - 1 :] = acc / window
         return self._with_array(out)
 

@@ -373,6 +373,18 @@ class TestOneDesignPerSpec:
                 "DataError: design matrix contains missing or non-finite cells"
             )
 
+        def no_constant(name):
+            raise ValueError(f"{name} is not strict JSON")
+
+        # the truncated variants score infinite predictions: their metrics are null
+        doc = json.loads(report.to_json(), parse_constant=no_constant)
+        truncated = [
+            v["metrics_all"]
+            for v in doc["variants"]
+            if v["name"] == "benchmark" and v["regime"] == "truncated"
+        ]
+        assert [(m["rmse"], m["mae"]) for m in truncated] == [(None, None)] * 2
+
 
 class TestReportJson:
     def test_one_variant_per_line(self, features):

@@ -232,8 +232,7 @@ class TestErrors:
         assert result.exit_code == 3
         assert "ltv.csv:2: not a finite number: 'inf'" in result.output
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_feature_is_data_error(self, runner, tmp_path):
         # four incomes of 1e308 overflow the trailing mean to inf, which
         # features.csv could not be read back with
@@ -274,6 +273,26 @@ class TestErrors:
         result = runner.invoke(main, ["lagscan", "--config", str(config), *args])
         assert result.exit_code == 3, result.output
         assert "error: lag_scan.max must be below the sample length of 92 quarters" in result.output
+
+    @pytest.mark.parametrize(
+        "edit,key",
+        [
+            (lambda doc: doc["lag_scan"].update(max="four"), "lag_scan.max"),
+            (lambda doc: doc["lag_scan"].update(min=5, max=3), "lag_scan must satisfy"),
+            (lambda doc: doc["split"].update(cutoff="never"), "split.cutoff"),
+            (lambda doc: doc.update(output_dir=5), "output_dir"),
+        ],
+        ids=["lag_scan-max", "lag_scan-min-above-max", "split-cutoff", "output_dir"],
+    )
+    def test_flags_do_not_hide_bad_file_values(self, runner, tmp_path, edit, key):
+        config = make_workspace(runner, tmp_path)
+        doc = yaml.safe_load(config.read_text())
+        edit(doc)
+        config.write_text(yaml.safe_dump(doc))
+        flags = ["--lags", "0..3", "--cutoff", "2008Q2", "--out", "o"]
+        result = runner.invoke(main, ["ingest", "--config", str(config), *flags])
+        assert result.exit_code == 2, result.output
+        assert f"error: {key}" in result.output
 
     def test_bad_lags_flag(self, runner, tmp_path):
         config = make_workspace(runner, tmp_path)
@@ -376,6 +395,20 @@ class TestReportFile:
         result = runner.invoke(main, ["report", "--config", str(config)])
         assert result.exit_code == 3, result.output
         assert f"error: {path} is not a readable hlcast report" in result.output
+
+    def test_null_metric_prints_na(self, runner, tmp_path):
+        # a non-finite metric is written as null
+        config = make_workspace(runner, tmp_path)
+        run_ok(runner, ["backtest", "--config", str(config)])
+        path = load_config(config).run_dir() / "report.json"
+        doc = json.loads(path.read_text())
+        for v in doc["variants"]:
+            if v["name"] == "hlc" and v["regime"] == "truncated":
+                v["metrics_all"].update(rmse=None, mae=None)
+        path.write_text(json.dumps(doc))
+        out = run_ok(runner, ["report", "--config", str(config)]).output
+        na = [line.split() for line in out.splitlines() if "n/a" in line]
+        assert na == [[a, "up", "to", "2008Q2", "n/a", "n/a"] for a in ("OLS", "ECM")]
 
 
 class TestSummaryStats:
