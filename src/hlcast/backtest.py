@@ -115,6 +115,39 @@ class Metrics:
         }
 
 
+def _metrics(e: np.ndarray) -> Metrics:
+    """RMSE and MAE of the error vector ``e``."""
+    n = len(e)
+    # np.mean's own sum and division, without its dispatch overhead
+    return Metrics(
+        rmse=math.sqrt(np.add.reduce(e * e) / n),
+        mae=float(np.add.reduce(np.abs(e)) / n),
+        n_evaluated=n,
+    )
+
+
+def _errors(
+    observed: QuarterlySeries, predicted: QuarterlySeries, first: Quarter | None
+) -> tuple[np.ndarray, int]:
+    """Errors over the quarters where both series are present, in quarter order.
+
+    Also returns how many of those quarters precede ``first``: the errors
+    from ``first`` on are the suffix after them. An empty overlap is an
+    error, not a zero.
+    """
+    o0, p0 = observed.start_index, predicted.start_index
+    lo = max(o0, p0)
+    hi = max(lo, min(o0 + len(observed), p0 + len(predicted)))
+    v, p = observed.array[lo - o0 : hi - o0], predicted.array[lo - p0 : hi - p0]
+    both = ~(np.isnan(v) | np.isnan(p))
+    if not both.any():
+        raise DataError(
+            f"no overlapping observations between {observed.name!r} and {predicted.name!r}"
+        )
+    before = 0 if first is None else int(np.count_nonzero(both[: max(first.index - lo, 0)]))
+    return p[both] - v[both], before
+
+
 def evaluate(
     observed: QuarterlySeries,
     predicted: QuarterlySeries,
@@ -125,23 +158,24 @@ def evaluate(
     Optionally restricted to quarters from ``first`` on. An empty overlap is
     an error, not a zero.
     """
-    o0, p0 = observed.start_index, predicted.start_index
-    lo = max(o0, p0) if first is None else max(o0, p0, first.index)
-    hi = max(lo, min(o0 + len(observed), p0 + len(predicted)))
-    v, p = observed.array[lo - o0 : hi - o0], predicted.array[lo - p0 : hi - p0]
-    both = ~(np.isnan(v) | np.isnan(p))
-    if not both.any():
+    e, before = _errors(observed, predicted, first)
+    if before == len(e):
         raise DataError(
-            f"no overlapping observations between {observed.name!r} and {predicted.name!r}"
+            f"no overlapping observations between {observed.name!r} and "
+            f"{predicted.name!r} from {first} on"
         )
-    e = p[both] - v[both]
-    n = len(e)
-    # np.mean's own sum and division, without its dispatch overhead
-    return Metrics(
-        rmse=math.sqrt(np.add.reduce(e * e) / n),
-        mae=float(np.add.reduce(np.abs(e)) / n),
-        n_evaluated=n,
-    )
+    return _metrics(e[before:])
+
+
+def _score(
+    observed: QuarterlySeries, predicted: QuarterlySeries, first: Quarter
+) -> tuple[Metrics, Metrics | None]:
+    """``evaluate`` over all quarters and from ``first`` on, in one pass.
+
+    The second is ``None`` where nothing from ``first`` on overlaps.
+    """
+    e, before = _errors(observed, predicted, first)
+    return _metrics(e), (_metrics(e[before:]) if before < len(e) else None)
 
 
 def default_specs(hlc_lag: int = 6, include_debt_ratio: bool = False) -> list[ModelSpec]:
@@ -345,6 +379,7 @@ def _run_variant(
     forecast_mode: str,
 ) -> VariantResult:
     result = VariantResult(name=spec.name, approach=spec.approach, regime=regime)
+    first = split.cutoff + 1  # the first holdout quarter
 
     if spec.approach == "ols":
         fit = ols_fit(design)
@@ -356,34 +391,29 @@ def _run_variant(
         fit = ecm.underlying
         # A static step uses only the observed previous level, so the path from
         # the first fitted quarter is also the static out-of-sample forecast.
-        static = ecm_forecast(ecm, frame, start=fit.fitted.start, mode="static")
+        static = ecm_forecast(ecm, frame, start=Quarter.from_index(fit.rows[0]), mode="static")
         result.predicted = static
         if regime == "truncated":
             dynamic = static.to_array()
-            dynamic[split.cutoff.index + 1 - static.start_index :] = ecm_forecast(
-                ecm, frame, start=split.cutoff + 1, mode="dynamic"
+            dynamic[first.index - static.start_index :] = ecm_forecast(
+                ecm, frame, start=first, mode="dynamic"
             ).array
             paths = {"static": static, "dynamic": static._with_array(dynamic)}
             other = "static" if forecast_mode == "dynamic" else "dynamic"
             result.predicted, alt = paths[forecast_mode], paths[other]
             result.forecast_mode = forecast_mode
-            try:
-                alt_holdout = evaluate(observed, alt, first=split.cutoff + 1).to_dict()
-            except DataError:
-                alt_holdout = None
+            alt_all, alt_holdout = _score(observed, alt, first)
             result.alt_forecast = {
                 "mode": other,
-                "metrics_all": evaluate(observed, alt).to_dict(),
-                "metrics_holdout": alt_holdout,
+                "metrics_all": alt_all.to_dict(),
+                "metrics_holdout": alt_holdout.to_dict() if alt_holdout else None,
             }
 
     result.n_train = fit.n_obs
-    result.train_start, result.train_end = fit.fitted.start, fit.fitted.end
-    result.metrics_all = evaluate(observed, result.predicted)
-    try:
-        result.metrics_holdout = evaluate(observed, result.predicted, first=split.cutoff + 1)
-    except DataError:
-        result.metrics_holdout = None  # cutoff at the sample edge: no holdout
+    result.train_start = Quarter.from_index(fit.rows[0])
+    result.train_end = Quarter.from_index(fit.rows[-1])
+    # metrics_holdout is None for a cutoff at the sample edge: no holdout
+    result.metrics_all, result.metrics_holdout = _score(observed, result.predicted, first)
     return result
 
 

@@ -105,15 +105,19 @@ def design_matrix(
     in the response or a regressor are dropped; :meth:`DesignMatrix.until`
     cuts the result at a training cutoff.
     """
-    columns = [frame.column(response).array, np.ones(len(frame))]
+    n = len(frame)
+    # response, intercept, then one column per regressor, filled in place
+    block = np.empty((n, 2 + len(regressors)))
+    block[:, 0] = frame.column(response).array
+    block[:, 1] = 1.0
     terms: list[Term] = []
-    for r in regressors:
+    for j, r in enumerate(regressors, 2):
         col, k = (r, 0) if isinstance(r, str) else r
         if k < 0:
             raise ValueError(f"regressor lag must be >= 0, got {k} for {col!r}")
         terms.append(Term(name=col if k == 0 else f"{col}_lag{k}", column=col, lag=k))
-        columns.append(shift(frame.column(col).array, k))
-    block = np.column_stack(columns)
+        block[:k, j] = np.nan
+        block[k:, j] = frame.column(col).array[: max(n - k, 0)]
     keep = ~np.isnan(block).any(axis=1)
     data = block[keep]
     return DesignMatrix(
@@ -133,7 +137,11 @@ def finite_or_none(v: float) -> float | None:
 
 @dataclass
 class FitResult:
-    """Estimated coefficients with classical linear-model inference."""
+    """Estimated coefficients with classical linear-model inference.
+
+    ``rows`` holds the quarter number of each fitted observation, ascending;
+    ``fitted_array`` and ``residual_array`` hold one value per row.
+    """
 
     coefficients: dict[str, float]
     stderrs: dict[str, float]
@@ -143,10 +151,21 @@ class FitResult:
     f_statistic: float
     n_obs: int
     df_residual: int
-    fitted: QuarterlySeries
-    residuals: QuarterlySeries
+    rows: np.ndarray
+    fitted_array: np.ndarray
+    residual_array: np.ndarray
     response_name: str
     terms: tuple[Term, ...] = ()
+
+    @property
+    def fitted(self) -> QuarterlySeries:
+        """Fitted values over the span of ``rows``, missing between rows."""
+        return _scatter(self.rows, self.fitted_array, f"{self.response_name}_fitted")
+
+    @property
+    def residuals(self) -> QuarterlySeries:
+        """Residuals over the span of ``rows``, missing between rows."""
+        return _scatter(self.rows, self.residual_array, f"{self.response_name}_resid")
 
     def to_dict(self) -> dict:
         """JSON-ready summary: coefficient table plus fit statistics."""
@@ -167,40 +186,21 @@ class FitResult:
 
 
 def _scatter(rows: np.ndarray, values: np.ndarray, name: str) -> QuarterlySeries:
-    """Place per-row values onto the contiguous quarterly span of ``rows``."""
-    start = int(rows.min())
-    out = np.full(int(rows.max()) - start + 1, np.nan)
+    """Place per-row values onto the contiguous quarterly span of ascending ``rows``."""
+    start = int(rows[0])
+    out = np.full(int(rows[-1]) - start + 1, np.nan)
     out[rows - start] = values
     return QuarterlySeries._from_array(name, start, out)
 
 
-def ols_fit(d: DesignMatrix) -> FitResult:
-    """Least-squares fit with standard errors, R-squared and F statistic.
+def _require_full_rank(xs: np.ndarray, r_mat: np.ndarray, names: list[str]) -> None:
+    """Raise :class:`SingularDesignError` if ``R`` fails the singular-value rank rule.
 
-    Columns are equilibrated to unit norm and factored once, ``X = QR``. The
-    singular values of the small ``R`` factor (those of the equilibrated
-    design) give the rank: any below ``RANK_RTOL`` of the largest raise a
-    :class:`SingularDesignError` naming every column with weight in the
-    design's null space. Otherwise one solve with ``R`` gives both the
-    coefficients and ``R^-1``. Inference follows the classical linear model:
-    coefficient variance from the residual variance times the inverse
-    cross-product diagonal, F against the intercept-only model. A missing or
-    infinite cell raises :class:`DataError`.
+    The rank counts the singular values of ``R`` above ``RANK_RTOL`` of the
+    largest. The error names every column with weight in the null space of
+    the equilibrated design ``xs``.
     """
-    y, x, names = d.response, d.matrix, d.names
-    if not (np.isfinite(y).all() and np.isfinite(x).all()):
-        raise DataError("design matrix contains missing or non-finite cells")
-    n, p = x.shape
-    if n <= p:
-        raise InsufficientDataError(
-            f"{n} usable observations cannot identify {p} parameters"
-        )
-    norms = np.sqrt((x**2).sum(axis=0))
-    dead = [names[j] for j in np.flatnonzero(norms == 0.0)]
-    if dead:
-        raise SingularDesignError(f"all-zero column(s): {', '.join(dead)}", dead)
-    xs = x / norms
-    q_mat, r_mat = np.linalg.qr(xs)
+    p = len(names)
     singular_values = np.linalg.svd(r_mat, compute_uv=False)
     rank = int(np.sum(singular_values > RANK_RTOL * singular_values[0]))
     if rank < p:
@@ -212,17 +212,72 @@ def ols_fit(d: DesignMatrix) -> FitResult:
             f"collinear column(s): {', '.join(collinear)}",
             collinear,
         )
-    solved = np.linalg.solve(r_mat, np.column_stack([q_mat.T @ y, np.eye(p)]))
-    beta = solved[:, 0] / norms
-    fitted = x @ beta
-    resid = y - fitted
+
+
+def ols_fit(d: DesignMatrix) -> FitResult:
+    """Least-squares fit with standard errors, R-squared and F statistic.
+
+    Columns are equilibrated to unit norm and factored once, ``X = QR``, and
+    one solve with ``R`` gives both the coefficients and ``R^-1``. The
+    design is rank deficient when a singular value of ``R`` (those of the
+    equilibrated design) is at or below ``RANK_RTOL`` of the largest; this
+    raises a :class:`SingularDesignError` naming every column with weight
+    in the design's null space. The singular values are computed only when
+    the cheap bound ``sigma_max / sigma_min <= ||R||_F * ||R^-1||_F`` cannot
+    rule that out with a margin of 16. Inference follows the classical
+    linear model: coefficient variance from the residual variance times the
+    inverse cross-product diagonal, F against the intercept-only model. A
+    missing or infinite cell raises :class:`DataError`; finite cells whose
+    squares overflow raise :class:`NumericalError` naming their column or
+    the response.
+    """
+    y, x, names = d.response, d.matrix, d.names
+    if not (np.isfinite(y).all() and np.isfinite(x).all()):
+        raise DataError("design matrix contains missing or non-finite cells")
+    n, p = x.shape
+    if n <= p:
+        raise InsufficientDataError(
+            f"{n} usable observations cannot identify {p} parameters"
+        )
+    # overflow and inf - inf are found by the finiteness checks below
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt(np.add.reduce(x * x, axis=0))
+        norm_list = norms.tolist()
+        huge = [name for name, v in zip(names, norm_list) if v == math.inf]
+        if huge:
+            raise NumericalError(f"squares of column(s) {', '.join(huge)} overflow")
+        dead = [name for name, v in zip(names, norm_list) if v == 0.0]
+        if dead:
+            raise SingularDesignError(f"all-zero column(s): {', '.join(dead)}", dead)
+        xs = x / norms
+        q_mat, r_mat = np.linalg.qr(xs)
+        rhs = np.eye(p, p + 1, 1)  # [Q'y | I]
+        rhs[:, 0] = q_mat.T @ y
+        try:
+            solved = np.linalg.solve(r_mat, rhs)
+        except np.linalg.LinAlgError:  # an exact zero pivot: R fails the rank rule
+            _require_full_rank(xs, r_mat, names)
+            raise
+        # squared row norms of R^-1: their sum is ||R^-1||_F^2
+        r_inv = solved[:, 1:]
+        inv_rows = np.add.reduce(r_inv * r_inv, axis=1)
+        bound = math.sqrt(np.add.reduce(r_mat * r_mat, axis=None) * np.add.reduce(inv_rows))
+        if not bound * 16 * RANK_RTOL < 1:
+            _require_full_rank(xs, r_mat, names)
+        beta = solved[:, 0] / norms
+        fitted = x @ beta
+        resid = y - fitted
+        ssr = float(resid @ resid)
+        # np.mean's own sum and division
+        centred = y - np.add.reduce(y) / n
+        sst = float(np.add.reduce(centred * centred))
+    if not (math.isfinite(ssr) and math.isfinite(sst)):
+        raise NumericalError(f"squares of response {d.response_name!r} overflow")
     df = n - p
-    ssr = float(resid @ resid)
     sigma2 = ssr / df
     # diag(cov) is sigma2 times the squared row norms of R^-1, unscaled
-    stderr = np.sqrt((solved[:, 1:] ** 2).sum(axis=1) * sigma2) / norms
+    stderr = np.sqrt(inv_rows * sigma2) / norms
 
-    sst = float(((y - y.mean()) ** 2).sum())
     df_model = p - 1
     if sst <= 0.0:
         warnings.warn(
@@ -251,8 +306,9 @@ def ols_fit(d: DesignMatrix) -> FitResult:
         f_statistic=float(f_stat),
         n_obs=n,
         df_residual=df,
-        fitted=_scatter(d.rows, fitted, f"{d.response_name}_fitted"),
-        residuals=_scatter(d.rows, resid, f"{d.response_name}_resid"),
+        rows=d.rows,
+        fitted_array=fitted,
+        residual_array=resid,
         response_name=d.response_name,
         terms=d.terms,
     )
@@ -391,24 +447,26 @@ def ecm_forecast(
         x = frame.column(t.column).array
         return x[a - t.lag : n - t.lag] if a >= t.lag else shift(x, t.lag)[a:]
 
-    products = [coeffs[t.name] * lagged(t) for t in terms]
-    # change = intercept + gamma * previous level + terms in fit order; NaN marks missing
-    if mode == "static":
-        prev = y[a - 1 : n - 1]
-        delta = fit.intercept + fit.gamma * prev
-        for p in products:
-            delta = delta + p
-        levels = prev + delta
-    else:
-        intercept, gamma, level = fit.intercept, fit.gamma, float(y[a - 1])
-        out = []
-        for inputs in np.column_stack(products).tolist() if products else [()] * (n - a):
-            delta = intercept + gamma * level
-            for p in inputs:
-                delta += p
-            level = level + delta
-            out.append(level)
-        levels = np.array(out, dtype=float)
+    # change = intercept + gamma * previous level + terms in fit order; NaN
+    # marks missing, and an infinite input gives inf - inf = NaN
+    with np.errstate(invalid="ignore"):
+        products = [coeffs[t.name] * lagged(t) for t in terms]
+        if mode == "static":
+            prev = y[a - 1 : n - 1]
+            delta = fit.intercept + fit.gamma * prev
+            for p in products:
+                delta = delta + p
+            levels = prev + delta
+        else:
+            intercept, gamma, level = fit.intercept, fit.gamma, float(y[a - 1])
+            out = []
+            for inputs in np.column_stack(products).tolist() if products else [()] * (n - a):
+                delta = intercept + gamma * level
+                for p in inputs:
+                    delta += p
+                level = level + delta
+                out.append(level)
+            levels = np.array(out, dtype=float)
     return QuarterlySeries._from_array(
         f"{fit.response_name}_forecast", start.index, levels, observed.unit
     )
@@ -481,10 +539,13 @@ def lag_scan(
 
 def _univariate_r2(y: np.ndarray, x: np.ndarray, name: str, k: int) -> float | None:
     """R-squared of ``y`` on ``[1, x]``; None when :func:`ols_fit` would call it singular."""
-    xc, yc = x - x.mean(), y - y.mean()
+    n = len(x)
+    # np.mean's own sum and division
+    sx = np.add.reduce(x)
+    xc, yc = x - sx / n, y - np.add.reduce(y) / n
     sxx, syy, sxy, x2 = xc @ xc, yc @ yc, xc @ yc, x @ x
     # smallest-to-largest singular-value ratio of the equilibrated design
-    if x2 == 0.0 or np.sqrt(sxx / x2) / (1.0 + abs(x.sum()) / np.sqrt(len(x) * x2)) <= RANK_RTOL:
+    if x2 == 0.0 or np.sqrt(sxx / x2) / (1.0 + abs(sx) / np.sqrt(n * x2)) <= RANK_RTOL:
         return None
     if syy == 0.0:
         warnings.warn(

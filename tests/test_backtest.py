@@ -1,8 +1,11 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hlcast.backtest
 import hlcast.regress
@@ -19,6 +22,7 @@ from hlcast.backtest import (
     Regressor,
     SplitSpec,
     VariantResult,
+    _score,
     _spec_design,
     build_features,
     default_specs,
@@ -89,6 +93,56 @@ class TestEvaluate:
     def test_missing_pairs_skipped(self):
         m = evaluate(series([1.0, None, 3.0]), series([1.5, 2.0, None]))
         assert m.n_evaluated == 1
+
+
+class TestOnePassScoring:
+    """One pass gives what ``evaluate`` gives over all quarters and from ``first`` on."""
+
+    @staticmethod
+    def evaluated(obs, pred, first):
+        """``evaluate`` over all quarters and from ``first`` on; None for no overlap."""
+        metrics = []
+        for window in (None, first):
+            try:
+                metrics.append(evaluate(obs, pred, first=window))
+            except DataError:
+                metrics.append(None)
+        return tuple(metrics)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_equals_evaluate(self, seed):
+        # gaps in either series, infinite predictions, offset starts and a
+        # ``first`` anywhere from before the overlap to past its end
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(1, 17)), int(rng.integers(1, 19))
+        obs_values = np.where(rng.random(n) < 0.2, np.nan, rng.normal(size=n) * 1e3)
+        inf = rng.choice([np.inf, -np.inf], size=m)
+        pred_values = np.where(rng.random(m) < 0.1, inf, rng.normal(size=m) * 1e3)
+        pred_values = np.where(rng.random(m) < 0.2, np.nan, pred_values)
+        obs = series(obs_values, name="observed")
+        pred = series(pred_values, start=START + int(rng.integers(-3, 4)), name="predicted")
+        first = START + int(rng.integers(-2, n + 3))
+        want_all, want_from_first = self.evaluated(obs, pred, first)
+        if want_all is None:
+            with pytest.raises(DataError, match="no overlapping observations"):
+                _score(obs, pred, first)
+            return
+        assert _score(obs, pred, first) == (want_all, want_from_first)
+
+    def test_sample_edge_cutoff_has_no_holdout(self):
+        obs, pred = series([1.0, 2.0, None]), series([1.5, 2.5, 3.5])
+        got_all, got_holdout = _score(obs, pred, START + 2)
+        assert got_all == evaluate(obs, pred) and got_holdout is None
+        with pytest.raises(DataError, match="from 2000Q3 on"):
+            evaluate(obs, pred, first=START + 2)
+
+    def test_infinite_predictions_give_null_metrics(self):
+        obs, pred = series([1.0, 2.0, 3.0, 4.0]), series([1.0, math.inf, 3.0, 4.5])
+        got_all, got_holdout = _score(obs, pred, START + 2)
+        assert (got_all, got_holdout) == (evaluate(obs, pred), evaluate(obs, pred, START + 2))
+        assert got_all.to_dict() == {"rmse": None, "mae": None, "n": 4}
+        assert got_holdout.to_dict() == {"rmse": math.sqrt(0.125), "mae": 0.25, "n": 2}
 
 
 def make_raw(n=60, start=Quarter(1995, 1)):
@@ -359,7 +413,6 @@ class TestOneDesignPerSpec:
         assert all(v.error is None for v in report.variants)
         assert sorted(calls) == ["d_house_price"] * 3 + ["house_price"] * 3
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_infinite_cell_after_cutoff_fails_only_the_full_fit(self, features):
         columns = dict(features.columns)
         a = columns[LTV].to_array()
@@ -384,6 +437,36 @@ class TestOneDesignPerSpec:
             if v["name"] == "benchmark" and v["regime"] == "truncated"
         ]
         assert [(m["rmse"], m["mae"]) for m in truncated] == [(None, None)] * 2
+
+
+class TestFitWork:
+    def test_healthy_grid_computes_no_svd(self, features, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        report = run_grid(features, default_specs(), SplitSpec())
+        assert all(v.error is None for v in report.variants)
+        assert calls == []
+
+    def test_overflowing_price_fails_every_variant_fitted_on_it(self):
+        features = build_features(generate(ScenarioConfig(seed=0)).frame, LtiParams())
+        columns = dict(features.columns)
+        a = columns[HOUSE_PRICE].to_array()
+        a[20] = 1e308  # 2000Q1, before the cutoff: every variant trains on it
+        columns[HOUSE_PRICE] = columns[HOUSE_PRICE]._with_array(a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_grid(align(columns.values()), default_specs(), SplitSpec())
+        assert len(report.variants) == 12
+        for v in report.variants:
+            # OLS: the response's squares; ECM: those of its lagged level
+            assert v.error.startswith("NumericalError: squares of "), v.error
+            assert "house_price" in v.error and "overflow" in v.error, v.error
 
 
 class TestReportJson:

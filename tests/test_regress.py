@@ -1,10 +1,23 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 import scipy.stats
 from conftest import design_from_arrays
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from hlcast.errors import DataError, InsufficientDataError, SchemaError, SingularDesignError
+from hlcast.errors import (
+    DataError,
+    InsufficientDataError,
+    NumericalError,
+    SchemaError,
+    SingularDesignError,
+)
 from hlcast.regress import (
+    NULL_LOADING_TOL,
+    RANK_RTOL,
     EcmFit,
     FitResult,
     Term,
@@ -172,6 +185,104 @@ class TestOlsFit:
         assert set(doc) == {"coefficients", "r2", "adj_r2", "resid_se", "f_stat", "n"}
         for entry in doc["coefficients"].values():
             assert set(entry) == {"estimate", "stderr"}
+
+
+def svd_rule(d):
+    """``RANK_RTOL`` applied to ``np.linalg.svd`` of the equilibrated design.
+
+    Returns the rank, the smallest-to-largest singular-value ratio and the
+    sorted names of the columns loading on the null space.
+    """
+    xs = d.matrix / np.sqrt((d.matrix**2).sum(axis=0))
+    _, s, vt = np.linalg.svd(xs, full_matrices=False)
+    rank = int(np.sum(s > RANK_RTOL * s[0]))
+    loaded = np.abs(vt[rank:]).max(axis=0, initial=0.0) > NULL_LOADING_TOL
+    return rank, s[-1] / s[0], sorted(d.names[j] for j in np.flatnonzero(loaded))
+
+
+def rank_verdict(d):
+    """``ols_fit``'s verdict: None for a fit, else the collinear columns it names."""
+    try:
+        ols_fit(d)
+    except SingularDesignError as exc:
+        return sorted(exc.columns)
+    return None
+
+
+class TestRankCheck:
+    """The cheap norm bound must give the same verdict as the singular values."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(8, 40),
+        k=st.integers(2, 4),
+        exponent=st.floats(-12.0, -6.0),
+        toward_intercept=st.booleans(),
+    )
+    def test_blended_column_matches_svd_rule(self, seed, n, k, exponent, toward_intercept):
+        # the last column is blended toward the intercept or another column,
+        # so the singular-value ratio falls anywhere from ~1e-12 to ~1e-6
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, k)) * 10.0 ** rng.uniform(-2.0, 5.0, size=k)
+        target = np.ones(n) if toward_intercept else x[:, 0]
+        x[:, -1] = target + 10.0**exponent * rng.normal(size=n) * np.abs(target).max()
+        d = design_from_arrays(rng.normal(size=n), x)
+        rank, ratio, collinear = svd_rule(d)
+        # on the threshold itself the last rounding bit of a singular value decides
+        assume(abs(ratio / RANK_RTOL - 1.0) > 1e-3)
+        assert rank_verdict(d) == (None if rank == d.matrix.shape[1] else collinear)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(8, 40),
+        k=st.integers(2, 4),
+        factor=st.sampled_from([1.0, -1.0, 2.0, 0.5, 1024.0, 3.0, 0.1]),
+    )
+    def test_exact_duplicate_matches_svd_rule(self, seed, n, k, factor):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, k))
+        x[:, -1] = factor * x[:, 0]
+        d = design_from_arrays(rng.normal(size=n), x)
+        rank, _, collinear = svd_rule(d)
+        assert rank < d.matrix.shape[1]
+        assert rank_verdict(d) == collinear
+        assert {"x0", f"x{k - 1}"} <= set(collinear)
+
+    # at n = 9 the QR leaves an exact zero on R's diagonal and the solve fails
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_duplicate_of_intercept_matches_svd_rule(self, n):
+        x = np.column_stack([np.arange(float(n)), np.ones(n)])
+        d = design_from_arrays(np.arange(float(n)) ** 2, x)
+        assert rank_verdict(d) == svd_rule(d)[2] == ["intercept", "x1"]
+
+
+class TestOverflow:
+    def test_overflowing_column_named(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(20, 2))
+        x[5, 1] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="squares of column.*big overflow"):
+                ols_fit(design_from_arrays(rng.normal(size=20), x, names=["a", "big"]))
+
+    def test_overflowing_response_named(self):
+        rng = np.random.default_rng(4)
+        y = rng.normal(size=20)
+        y[5] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="squares of response 'y' overflow"):
+                ols_fit(design_from_arrays(y, rng.normal(size=(20, 2))))
+
+    def test_largest_finite_squares_still_fit(self):
+        # 1e150 squared is 1e300: large, but no overflow
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(20, 1)) * 1e150
+        fit = ols_fit(design_from_arrays(rng.normal(size=20) * 1e150, x))
+        assert math.isfinite(fit.r_squared)
 
 
 class TestDesignAndPredict:
@@ -359,8 +470,9 @@ class TestEcm:
             f_statistic=0.0,
             n_obs=10,
             df_residual=6,
-            fitted=series([0.0], name="d_y_fitted"),
-            residuals=series([0.0], name="d_y_resid"),
+            rows=np.array([START.index]),
+            fitted_array=np.array([0.0]),
+            residual_array=np.array([0.0]),
             response_name="d_y",
             terms=(Term("d_x", "d_x"), Term("y_lag1", "y", 1), Term("x_lag1", "x", 1)),
         )
