@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .errors import DataError, HlcastError, SchemaError
 from .lti import LtiParams, derive_interest_only_share, hlc_series
 from .regress import (
@@ -447,21 +446,24 @@ def run_grid(
             features.require(r.column)
 
     variants: list[VariantResult] = []
-    for spec in sorted(specs, key=lambda s: (s.name, s.approach)):
-        try:
-            design, frame = _spec_design(features, spec, HOUSE_PRICE)
-        except HlcastError as exc:
-            variants += [_failed(spec, regime, exc) for regime in REGIMES]
-            continue
-        for regime in REGIMES:
-            # one design per spec: the truncated regime fits its row prefix
-            d = design if regime == "full" else design.until(split.cutoff)
+    # a path whose squared errors overflow scores as infinite, which
+    # Metrics.to_dict writes as null
+    with np.errstate(over="ignore"):
+        for spec in sorted(specs, key=lambda s: (s.name, s.approach)):
             try:
-                variants.append(
-                    _run_variant(spec, d, frame, observed, split, regime, forecast_mode)
-                )
+                design, frame = _spec_design(features, spec, HOUSE_PRICE)
             except HlcastError as exc:
-                variants.append(_failed(spec, regime, exc))
+                variants += [_failed(spec, regime, exc) for regime in REGIMES]
+                continue
+            for regime in REGIMES:
+                # one design per spec: the truncated regime fits its row prefix
+                d = design if regime == "full" else design.until(split.cutoff)
+                try:
+                    variants.append(
+                        _run_variant(spec, d, frame, observed, split, regime, forecast_mode)
+                    )
+                except HlcastError as exc:
+                    variants.append(_failed(spec, regime, exc))
     return BacktestReport(
         variants=variants, split=split, observed=observed, forecast_mode=forecast_mode
     )

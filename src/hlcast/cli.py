@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
+from . import errors
+from ._numpy import np
 from .backtest import (
     HLC,
     HOUSE_PRICE,
@@ -30,7 +32,7 @@ from .backtest import (
     run_grid,
 )
 from .config import DEFAULT_UNITS, RunConfig, SeriesSource, checked_settings, load_config
-from .errors import DataError, HlcastError
+from .errors import DataError, HlcastError, NumericalError
 from .regress import lag_scan
 from .synthetic import ScenarioConfig, generate
 from .timeseries import (
@@ -142,24 +144,45 @@ def _backtest(cfg: RunConfig, run_dir: Path) -> BacktestReport:
 
 
 def _summary_table(frame: Frame) -> list[str]:
+    """One line of statistics per column; a statistic that overflows prints n/a."""
     lines = [f"{'series':<28}{'N':>5}{'mean':>14}{'sd':>12}{'min':>12}"
              f"{'p25':>12}{'p75':>12}{'max':>12}"]
-    for name in frame.names():
-        arr = frame.column(name).to_array()
-        arr = arr[~np.isnan(arr)]
-        if arr.size == 0:
-            lines.append(f"{name:<28}{0:>5}")
-            continue
-        sd = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
-        # np.percentile's linear quartiles; np.percentile itself would import
-        # numpy.ma (~14 ms) on first use
-        p25, p75 = np.interp([0.25 * (arr.size - 1), 0.75 * (arr.size - 1)],
-                             np.arange(arr.size), np.sort(arr))
-        lines.append(
-            f"{name:<28}{arr.size:>5}{np.mean(arr):>14,.3f}{sd:>12,.3f}"
-            f"{arr.min():>12,.3f}{p25:>12,.3f}{p75:>12,.3f}{arr.max():>12,.3f}"
-        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name in frame.names():
+            arr = frame.column(name).to_array()
+            arr = arr[~np.isnan(arr)]
+            if arr.size == 0:
+                lines.append(f"{name:<28}{0:>5}")
+                continue
+            sd = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
+            # np.percentile's linear quartiles; np.percentile itself would
+            # import numpy.ma (~14 ms) on first use
+            p25, p75 = np.interp([0.25 * (arr.size - 1), 0.75 * (arr.size - 1)],
+                                 np.arange(arr.size), np.sort(arr))
+            stats = (np.mean(arr), sd, arr.min(), p25, p75, arr.max())
+            cells = "".join(
+                f"{x:>{width},.3f}" if math.isfinite(x) else f"{'n/a':>{width}}"
+                for x, width in zip(stats, (14, 12, 12, 12, 12, 12))
+            )
+            lines.append(f"{name:<28}{arr.size:>5}{cells}")
     return lines
+
+
+def _require_a_fit(variants: list[tuple[str, str | None]]) -> None:
+    """Fail when every variant failed; ``variants`` holds (label, error) pairs.
+
+    The error names the failed count and the first failure, and exits 4
+    when that failure is numerical, 3 otherwise.
+    """
+    failed = [(label, error) for label, error in variants if error]
+    if not failed or len(failed) < len(variants):
+        return
+    label, error = failed[0]
+    cls = getattr(errors, str(error).partition(":")[0], None)
+    numerical = isinstance(cls, type) and issubclass(cls, NumericalError)
+    raise (NumericalError if numerical else DataError)(
+        f"{len(failed)} of {len(variants)} variants failed; first: {label}: {error}"
+    )
 
 
 # -- commands ----------------------------------------------------------------
@@ -248,9 +271,11 @@ def backtest(cfg: RunConfig, run_dir: Path) -> None:
         f"backtest: {ok}/{len(report.variants)} variants fitted "
         f"(cutoff {cfg.split.cutoff}) -> {run_dir / 'report.json'}"
     )
-    for v in report.variants:
-        if v.error:
-            click.echo(f"  {v.name}/{v.approach}/{v.regime}: FAILED: {v.error}")
+    variants = [(f"{v.name}/{v.approach}/{v.regime}", v.error) for v in report.variants]
+    for label, error in variants:
+        if error:
+            click.echo(f"  {label}: FAILED: {error}")
+    _require_a_fit(variants)
 
 
 @_stage
@@ -260,10 +285,15 @@ def report(cfg: RunConfig, run_dir: Path) -> None:
     if not path.is_file():
         _backtest(cfg, run_dir)
     try:
-        lines = _report_tables(json.loads(path.read_text(encoding="utf-8")), cfg)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        lines = _report_tables(doc, cfg)
+        variants = [
+            (f"{v['name']}/{v['approach']}/{v['regime']}", v.get("error")) for v in doc["variants"]
+        ]
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise DataError(f"{path} is not a readable hlcast report: {exc!r}") from None
     click.echo("\n".join(lines))
+    _require_a_fit(variants)
 
 
 def _report_tables(doc: dict, cfg: RunConfig) -> list[str]:

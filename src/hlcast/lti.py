@@ -21,8 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-import numpy as np
-
+from ._numpy import np
 from .errors import DataError, DomainError, InconsistencyError
 from .timeseries import Frame, Quarter, QuarterlySeries, align
 

@@ -16,8 +16,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .errors import (
     DataError,
     InsufficientDataError,
@@ -527,23 +526,35 @@ def lag_scan(
     y_all, x_all = merged.column(response.name).array, merged.column(cand.name).array
     y_ok, x_ok = ~np.isnan(y_all), ~np.isnan(x_all)
     entries: list[LagScanEntry] = []
-    for k in lag_list:
-        # pair the response at quarter t with the candidate at t - k
-        y, x = y_all[k:], x_all[: max(len(x_all) - k, 0)]
-        keep = y_ok[k:] & x_ok[: len(x)]
-        n = int(np.count_nonzero(keep))
-        r2 = _univariate_r2(y[keep], x[keep], response.name, k) if n > 2 else None
-        entries.append(LagScanEntry(lag=k, r_squared=r2, n_obs=n))
+    # overflowed sums are found by _univariate_r2's finiteness checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in lag_list:
+            # pair the response at quarter t with the candidate at t - k
+            y, x = y_all[k:], x_all[: max(len(x_all) - k, 0)]
+            keep = y_ok[k:] & x_ok[: len(x)]
+            n = int(np.count_nonzero(keep))
+            r2 = _univariate_r2(y[keep], x[keep], response.name, cand.name, k) if n > 2 else None
+            entries.append(LagScanEntry(lag=k, r_squared=r2, n_obs=n))
     return LagScanResult(response=response.name, candidate=cand.name, entries=entries)
 
 
-def _univariate_r2(y: np.ndarray, x: np.ndarray, name: str, k: int) -> float | None:
-    """R-squared of ``y`` on ``[1, x]``; None when :func:`ols_fit` would call it singular."""
+def _univariate_r2(
+    y: np.ndarray, x: np.ndarray, name: str, candidate: str, k: int
+) -> float | None:
+    """R-squared of ``y`` on ``[1, x]``; None when :func:`ols_fit` would call it singular.
+
+    Sums that overflow raise :class:`NumericalError` naming the response or
+    the candidate, as :func:`ols_fit` does.
+    """
     n = len(x)
     # np.mean's own sum and division
     sx = np.add.reduce(x)
     xc, yc = x - sx / n, y - np.add.reduce(y) / n
     sxx, syy, sxy, x2 = xc @ xc, yc @ yc, xc @ yc, x @ x
+    if not math.isfinite(syy):
+        raise NumericalError(f"squares of response {name!r} overflow at lag {k}")
+    if not (math.isfinite(x2) and math.isfinite(sxx)):
+        raise NumericalError(f"squares of column {candidate!r} overflow at lag {k}")
     # smallest-to-largest singular-value ratio of the equilibrated design
     if x2 == 0.0 or np.sqrt(sxx / x2) / (1.0 + abs(sx) / np.sqrt(n * x2)) <= RANK_RTOL:
         return None

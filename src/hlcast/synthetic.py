@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .backtest import HOUSE_PRICE, INCOME, INTEREST_ONLY_SHARE, INTEREST_RATE, LTV
 from .lti import LtiParams, hlc_series
 from .timeseries import Frame, Quarter, QuarterlySeries, align

@@ -33,8 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
-import numpy as np
-
+from ._numpy import np
 from .errors import DataError, ParseError, SchemaError
 
 _QUARTER_RE = re.compile(r"^(\d{4})-?Q(\d)$")

@@ -468,6 +468,25 @@ class TestFitWork:
             assert v.error.startswith("NumericalError: squares of "), v.error
             assert "house_price" in v.error and "overflow" in v.error, v.error
 
+    def test_overflowing_errors_score_as_null(self):
+        # a 1e308 price after the cutoff: the truncated fits never see it, but
+        # their squared errors on it overflow
+        features = build_features(generate(ScenarioConfig(seed=0)).frame, LtiParams())
+        columns = dict(features.columns)
+        a = columns[HOUSE_PRICE].to_array()
+        a[70] = 1e308
+        columns[HOUSE_PRICE] = columns[HOUSE_PRICE]._with_array(a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_grid(align(columns.values()), default_specs(), SplitSpec())
+            doc = json.loads(report.to_json(), parse_constant=pytest.fail)
+        truncated = [v for v in doc["variants"] if v["regime"] == "truncated"]
+        assert len(truncated) == 6
+        for v in truncated:
+            assert v["error"] is None, v["error"]
+            assert v["metrics_all"]["rmse"] is None
+            assert v["metrics_holdout"]["rmse"] is None
+
 
 class TestReportJson:
     def test_one_variant_per_line(self, features):

@@ -411,6 +411,72 @@ class TestReportFile:
         assert na == [[a, "up", "to", "2008Q2", "n/a", "n/a"] for a in ("OLS", "ECM")]
 
 
+class TestOverflowingPrice:
+    """A price of 1e308 fails every variant; no stage prints a numpy warning."""
+
+    @pytest.fixture()
+    def config(self, runner, tmp_path):
+        config = make_workspace(runner, tmp_path)
+        path = tmp_path / "data" / "house_price.csv"
+        lines = path.read_text().splitlines()
+        assert lines[21].startswith("2000Q1,")
+        lines[21] = "2000Q1,1e308"
+        path.write_text("\n".join(lines) + "\n")
+        return config
+
+    def test_ingest_prints_na_for_an_overflowing_statistic(self, runner, config):
+        out = run_ok(runner, ["ingest", "--config", str(config)]).output
+        (row,) = [line.split() for line in out.splitlines() if line.startswith("house_price ")]
+        # the sd; the mean, 1e308 / 92, is finite
+        assert row.count("n/a") == 1
+        assert "Warning" not in out
+
+    def test_lagscan_names_the_overflowing_response(self, runner, config):
+        result = runner.invoke(main, ["lagscan", "--config", str(config)])
+        assert result.exit_code == 4, result.output
+        assert "error: squares of response 'house_price' overflow at lag 0" in result.output
+        assert "Warning" not in result.output
+
+    def test_backtest_and_report_exit_4_after_writing(self, runner, config):
+        result = runner.invoke(main, ["backtest", "--config", str(config)])
+        assert result.exit_code == 4, result.output
+        assert "Warning" not in result.output
+        run_dir = load_config(config).run_dir()
+        assert (run_dir / "report.json").is_file()
+        assert list((run_dir / "plots").iterdir())
+        (error,) = [line for line in result.output.splitlines() if line.startswith("error:")]
+        assert error.startswith(
+            "error: 12 of 12 variants failed; first: benchmark/ecm/full: NumericalError: "
+            "squares of column(s) house_price_lag1 overflow"
+        ), error
+        result = runner.invoke(main, ["report", "--config", str(config)])
+        assert result.exit_code == 4, result.output
+        assert "evaluation window" in result.output
+        assert error in result.output.splitlines()
+
+    @pytest.mark.parametrize(
+        "errors,code",
+        [
+            (["InsufficientDataError: too few"] * 12, 3),
+            (["SingularDesignError: rank 2"] + ["DataError: no overlap"] * 11, 4),
+            (["Unknown: x"] * 12, 3),
+            ([None] + ["NumericalError: x"] * 11, 0),
+        ],
+        ids=["data", "numerical-first", "unknown-class", "one-fitted"],
+    )
+    def test_report_exit_code_follows_the_first_failure(self, runner, tmp_path, errors, code):
+        config = make_workspace(runner, tmp_path)
+        run_ok(runner, ["backtest", "--config", str(config)])
+        path = load_config(config).run_dir() / "report.json"
+        doc = json.loads(path.read_text())
+        for v, error in zip(doc["variants"], errors, strict=True):
+            v["error"] = error
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["report", "--config", str(config)])
+        assert result.exit_code == code, result.output
+        assert ("error: 12 of 12 variants failed" in result.output) == (code != 0)
+
+
 class TestSummaryStats:
     def test_constant_series_stats(self):
         from hlcast.cli import _summary_table

@@ -574,6 +574,17 @@ class TestLagScan:
         assert by_lag[4].r_squared is None  # one overlapping pair is not a fit
         assert result.best_lag == 0
 
+    @pytest.mark.parametrize("which", ["resp", "cand"])
+    def test_overflowing_sums_named(self, which):
+        rng = np.random.default_rng(4)
+        values = {"resp": rng.normal(size=30), "cand": rng.normal(size=30)}
+        values[which][10] = 1e308
+        resp, cand = (series(list(values[n]), name=n) for n in ("resp", "cand"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=f"squares of .*'{which}' overflow at lag 0"):
+                lag_scan(resp, cand, range(0, 4))
+
     def test_empty_and_negative_ranges(self):
         resp = series([1.0, 2.0], name="resp")
         with pytest.raises(ValueError):
