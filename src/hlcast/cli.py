@@ -12,13 +12,12 @@ backtest when there is none.
 
 from __future__ import annotations
 
-import functools
+import argparse
 import json
 import math
 import sys
 from pathlib import Path
-
-import click
+from typing import NoReturn
 
 from . import errors
 from ._numpy import np
@@ -32,7 +31,7 @@ from .backtest import (
     run_grid,
 )
 from .config import DEFAULT_UNITS, RunConfig, SeriesSource, checked_settings, load_config
-from .errors import DataError, HlcastError, NumericalError
+from .errors import ConfigError, DataError, HlcastError, NumericalError
 from .regress import lag_scan
 from .synthetic import ScenarioConfig, generate
 from .timeseries import (
@@ -52,52 +51,12 @@ MODEL_LABELS = {
 }
 
 
-def _handle_errors(f):
-    @functools.wraps(f)
-    def wrapper(*args, **kwargs):
-        try:
-            return f(*args, **kwargs)
-        except HlcastError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(exc.exit_code)
-
-    return wrapper
-
-
-@click.group()
-def main() -> None:
-    """House-price forecasting pipeline built on household lending capacity."""
-
-
-def _stage(f):
-    """Register ``f(cfg, run_dir)`` as a pipeline command.
-
-    The command takes ``--config`` plus the ``--out``, ``--cutoff`` and
-    ``--lags`` overrides, loads the configuration, hashes the run directory
-    once (the hash reads every input file) and maps an HlcastError to its
-    exit code.
-    """
-
-    @main.command()
-    @click.option(
-        "--config",
-        "config_path",
-        required=True,
-        type=click.Path(dir_okay=False),
-        help="Run configuration file (YAML).",
-    )
-    @click.option("--out", default=None, help="Override the output directory.")
-    @click.option("--cutoff", default=None, help="Override the split cutoff, e.g. 2008Q2.")
-    @click.option("--lags", default=None, help="Override the lag-scan range, e.g. 0..8.")
-    @_handle_errors
-    @functools.wraps(f)
-    def command(config_path: str, out: str | None, cutoff: str | None, lags: str | None) -> None:
-        # a module-global lookup at call time, so a wrapper installed on
-        # cli.load_config (the benchmark's layer tracer) still sees the call
-        cfg = load_config(config_path, out=out, cutoff=cutoff, lags=lags)
-        f(cfg, cfg.run_dir())
-
-    return command
+def _make_dir(path: Path) -> None:
+    """Create the output directory ``path`` and its parents, or raise ConfigError."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from None
 
 
 # -- pipeline stages ---------------------------------------------------------
@@ -111,7 +70,7 @@ def _frame(cfg: RunConfig, run_dir: Path) -> Frame:
             s = s.scale(src.factor)
         series.append(s)
     frame = align(series)
-    run_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(run_dir)
     write_frame_csv(frame, run_dir / "frame.csv")
     return frame
 
@@ -161,11 +120,18 @@ def _summary_table(frame: Frame) -> list[str]:
                                  np.arange(arr.size), np.sort(arr))
             stats = (np.mean(arr), sd, arr.min(), p25, p75, arr.max())
             cells = "".join(
-                f"{x:>{width},.3f}" if math.isfinite(x) else f"{'n/a':>{width}}"
-                for x, width in zip(stats, (14, 12, 12, 12, 12, 12))
+                _stat_cell(x, width) for x, width in zip(stats, (14, 12, 12, 12, 12, 12))
             )
             lines.append(f"{name:<28}{arr.size:>5}{cells}")
     return lines
+
+
+def _stat_cell(x: float, width: int) -> str:
+    if not math.isfinite(x):
+        return f"{'n/a':>{width}}"
+    text = f"{x:,.3f}"
+    # text that fills its field would run into the cell before it
+    return f"{text:>{width}}" if len(text) < width else f"{x:>{width}.3e}"
 
 
 def _require_a_fit(variants: list[tuple[str, str | None]]) -> None:
@@ -188,16 +154,10 @@ def _require_a_fit(variants: list[tuple[str, str | None]]) -> None:
 # -- commands ----------------------------------------------------------------
 
 
-@main.command()
-@click.option("--out", required=True, type=click.Path(file_okay=False))
-@click.option("--seed", default=0, type=int, help="Generator seed.")
-@click.option("--quarters", default=92, type=int, help="Number of quarters to generate.")
-@click.option("--noise", default=0.01, type=float, help="Price noise scale (fraction).")
-@_handle_errors
 def synth(out: str, seed: int, quarters: int, noise: float) -> None:
     """Generate a synthetic dataset plus a ready-to-run config file."""
     out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
     try:
         data = generate(ScenarioConfig(seed=seed, n_quarters=quarters, noise_scale=noise))
     except ValueError as exc:
@@ -210,34 +170,31 @@ def synth(out: str, seed: int, quarters: int, noise: float) -> None:
     write_text(out_dir / "truth.json", json.dumps(data.truth(), indent=2, sort_keys=True) + "\n")
     settings = checked_settings({"features": {"hlc_lag": data.hlc_lag}})
     RunConfig(sources, settings).save(out_dir / "config.yaml")
-    click.echo(
+    print(
         f"wrote {len(sources)} series ({quarters} quarters, seed {seed}) and "
         f"config.yaml under {out_dir}"
     )
 
 
-@_stage
 def ingest(cfg: RunConfig, run_dir: Path) -> None:
     """Read per-series CSVs, normalize units, write the aligned frame."""
     frame = _frame(cfg, run_dir)
-    click.echo(f"frame: {len(frame)} quarters ({frame.start}..{frame.end}), "
-               f"{len(frame.names())} columns -> {run_dir / 'frame.csv'}")
+    print(f"frame: {len(frame)} quarters ({frame.start}..{frame.end}), "
+          f"{len(frame.names())} columns -> {run_dir / 'frame.csv'}")
     for line in _summary_table(frame):
-        click.echo(line)
+        print(line)
 
 
-@_stage
 def features(cfg: RunConfig, run_dir: Path) -> None:
     """Derive the model-ready feature frame (smoothing, capacity, lags)."""
     frame = _features(cfg, run_dir)
     span = frame.complete_range()
-    click.echo(f"features: {', '.join(frame.names())}")
-    click.echo(f"rows {frame.start}..{frame.end} -> {run_dir / 'features.csv'}")
+    print(f"features: {', '.join(frame.names())}")
+    print(f"rows {frame.start}..{frame.end} -> {run_dir / 'features.csv'}")
     if span:
-        click.echo(f"complete sample: {span[0]}..{span[1]}")
+        print(f"complete sample: {span[0]}..{span[1]}")
 
 
-@_stage
 def lagscan(cfg: RunConfig, run_dir: Path) -> None:
     """Scan R-squared of price on lagged lending capacity."""
     frame = _features(cfg, run_dir)
@@ -253,32 +210,30 @@ def lagscan(cfg: RunConfig, run_dir: Path) -> None:
         range(cfg.lag_min, cfg.lag_max + 1),
     )
     lines = ["lag,r_squared,n_obs"]
-    click.echo(f"{'lag':>4}{'R^2':>10}{'n':>6}")
+    print(f"{'lag':>4}{'R^2':>10}{'n':>6}")
     for e in result.entries:
         r2 = "" if e.r_squared is None else f"{e.r_squared:.6f}"
-        click.echo(f"{e.lag:>4}{r2:>10}{e.n_obs:>6}")
+        print(f"{e.lag:>4}{r2:>10}{e.n_obs:>6}")
         lines.append(f"{e.lag},{r2},{e.n_obs}")
-    click.echo(f"best lag: {result.best_lag}")
+    print(f"best lag: {result.best_lag}")
     write_text(run_dir / "lag_scan.csv", "\n".join(lines) + "\n")
 
 
-@_stage
 def backtest(cfg: RunConfig, run_dir: Path) -> None:
     """Fit all model variants on full and truncated samples and score them."""
     report = _backtest(cfg, run_dir)
     ok = sum(1 for v in report.variants if v.error is None)
-    click.echo(
+    print(
         f"backtest: {ok}/{len(report.variants)} variants fitted "
         f"(cutoff {cfg.split.cutoff}) -> {run_dir / 'report.json'}"
     )
     variants = [(f"{v.name}/{v.approach}/{v.regime}", v.error) for v in report.variants]
     for label, error in variants:
         if error:
-            click.echo(f"  {label}: FAILED: {error}")
+            print(f"  {label}: FAILED: {error}")
     _require_a_fit(variants)
 
 
-@_stage
 def report(cfg: RunConfig, run_dir: Path) -> None:
     """Render the per-model RMSE/MAE tables from the saved report."""
     path = run_dir / "report.json"
@@ -292,7 +247,7 @@ def report(cfg: RunConfig, run_dir: Path) -> None:
         ]
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise DataError(f"{path} is not a readable hlcast report: {exc!r}") from None
-    click.echo("\n".join(lines))
+    print("\n".join(lines))
     _require_a_fit(variants)
 
 
@@ -326,6 +281,49 @@ def _report_tables(doc: dict, cfg: RunConfig) -> list[str]:
         "",
         f"evaluation window: {cfg.split.evaluation_window}; metrics in thousands of euros",
     ]
+
+
+STAGES = {stage.__name__: stage for stage in (ingest, features, lagscan, backtest, report)}
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None) -> NoReturn:
+    """Run one command of ``args`` (default ``sys.argv[1:]``) and exit with its code.
+
+    Every path ends in SystemExit: 0 on success, 2 on a usage error, and an
+    HlcastError's exit code after an ``error:`` line on stderr.
+    """
+    parser = argparse.ArgumentParser(
+        prog=prog_name or "hlcast",
+        description="House-price forecasting pipeline built on household lending capacity.",
+        allow_abbrev=False,
+    )
+    commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    cmd = commands.add_parser("synth", help=synth.__doc__, allow_abbrev=False)
+    cmd.add_argument("--out", required=True, help="Directory to write the workspace to.")
+    cmd.add_argument("--seed", default=0, type=int, help="Generator seed.")
+    cmd.add_argument("--quarters", default=92, type=int, help="Number of quarters to generate.")
+    cmd.add_argument("--noise", default=0.01, type=float, help="Price noise scale (fraction).")
+    for name, stage in STAGES.items():
+        cmd = commands.add_parser(name, help=stage.__doc__, allow_abbrev=False)
+        cmd.add_argument("--config", required=True, help="Run configuration file (YAML).")
+        cmd.add_argument("--out", help="Override the output directory.")
+        cmd.add_argument("--cutoff", help="Override the split cutoff, e.g. 2008Q2.")
+        cmd.add_argument("--lags", help="Override the lag-scan range, e.g. 0..8.")
+    opts = parser.parse_args(args)
+    try:
+        if opts.command == "synth":
+            synth(opts.out, opts.seed, opts.quarters, opts.noise)
+        else:
+            # a module-global lookup at call time, so a wrapper installed on
+            # cli.load_config (the benchmark's layer tracer) still sees the call
+            cfg = load_config(opts.config, out=opts.out, cutoff=opts.cutoff, lags=opts.lags)
+            # run_dir() hashes every input file, so compute it once
+            STAGES[opts.command](cfg, cfg.run_dir())
+    except HlcastError as exc:
+        sys.stdout.flush()  # a merged log keeps the tables before the error
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(exc.exit_code)
+    sys.exit(0)
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hlcast.backtest import build_features
+from hlcast.cli import main
 from hlcast.lti import LtiParams
 from hlcast.regress import INTERCEPT, DesignMatrix, Term
 from hlcast.synthetic import ScenarioConfig, generate
@@ -22,6 +23,22 @@ def scenario():
 @pytest.fixture(scope="session")
 def features(scenario):
     return build_features(scenario.frame, LtiParams())
+
+
+@pytest.fixture()
+def cli(capsys):
+    """Run ``hlcast <args>`` in-process; returns (exit code, stdout, stderr)."""
+
+    def invoke(args: list[str]) -> tuple[int, str, str]:
+        capsys.readouterr()
+        try:
+            main(args, prog_name="hlcast")
+        except SystemExit as exc:
+            out, err = capsys.readouterr()
+            return exc.code, out, err
+        raise AssertionError("main returned without SystemExit")
+
+    return invoke
 
 
 def real_data_dir() -> Path | None:

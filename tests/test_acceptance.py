@@ -10,7 +10,6 @@ import time
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from conftest import REAL_DATA_ENV, REAL_SERIES, design_from_arrays, real_data_dir
 from test_regress import normal_equations_fit, random_system, simulate_ecm
@@ -24,7 +23,6 @@ from hlcast.backtest import (
     evaluate,
     run_grid,
 )
-from hlcast.cli import main as cli_main
 from hlcast.config import load_config
 from hlcast.lti import (
     HouseholdInputs,
@@ -217,21 +215,16 @@ def test_criterion_08_metric_identities():
     )
 
 
-def test_criterion_09_end_to_end_determinism(tmp_path):
-    runner = CliRunner()
+def test_criterion_09_end_to_end_determinism(tmp_path, cli):
     reports = []
     for child in ("first", "second"):
         root = tmp_path / child
-        result = runner.invoke(
-            cli_main, ["synth", "--out", str(root), "--seed", "1"], catch_exceptions=False
-        )
-        assert result.exit_code == 0, result.output
+        code, out, err = cli(["synth", "--out", str(root), "--seed", "1"])
+        assert code == 0, out + err
         config = root / "config.yaml"
         for command in ("ingest", "features", "backtest", "report"):
-            result = runner.invoke(
-                cli_main, [command, "--config", str(config)], catch_exceptions=False
-            )
-            assert result.exit_code == 0, result.output
+            code, out, err = cli([command, "--config", str(config)])
+            assert code == 0, out + err
         reports.append((load_config(config).run_dir() / "report.json").read_bytes())
     identical = reports[0] == reports[1]
 

@@ -6,7 +6,6 @@ from pathlib import Path
 
 import pytest
 import yaml
-from click.testing import CliRunner
 
 import hlcast
 import hlcast.cli
@@ -23,27 +22,21 @@ from hlcast.timeseries import (
 )
 
 
-@pytest.fixture()
-def runner():
-    return CliRunner()
+def run_ok(cli, args) -> str:
+    code, out, err = cli(args)
+    assert code == 0, out + err
+    return out
 
 
-def run_ok(runner, args):
-    result = runner.invoke(main, args, catch_exceptions=False)
-    assert result.exit_code == 0, result.output
-    return result
-
-
-def make_workspace(runner, tmp_path, seed=0) -> Path:
-    run_ok(runner, ["synth", "--out", str(tmp_path / "data"), "--seed", str(seed)])
+def make_workspace(cli, tmp_path, seed=0) -> Path:
+    run_ok(cli, ["synth", "--out", str(tmp_path / "data"), "--seed", str(seed)])
     return tmp_path / "data" / "config.yaml"
 
 
 class TestSynth:
-    def test_writes_series_truth_and_config(self, runner, tmp_path):
+    def test_writes_series_truth_and_config(self, cli, tmp_path):
         out = tmp_path / "data"
-        result = run_ok(runner, ["synth", "--out", str(out), "--seed", "3"])
-        assert "config.yaml" in result.output
+        assert "config.yaml" in run_ok(cli, ["synth", "--out", str(out), "--seed", "3"])
         for name in ("house_price", "income", "interest_rate", "ltv", "interest_only_share"):
             assert (out / f"{name}.csv").is_file()
         truth = json.loads((out / "truth.json").read_text())
@@ -51,22 +44,22 @@ class TestSynth:
         cfg = load_config(out / "config.yaml")
         assert cfg.hlc_lag == truth["hlc_lag"]
 
-    def test_rejects_too_few_quarters(self, runner, tmp_path):
-        result = runner.invoke(main, ["synth", "--out", str(tmp_path), "--quarters", "10"])
-        assert result.exit_code == 3
+    def test_rejects_too_few_quarters(self, cli, tmp_path):
+        code, out, err = cli(["synth", "--out", str(tmp_path), "--quarters", "10"])
+        assert code == 3
 
 
 class TestPipeline:
-    def test_full_chain(self, runner, tmp_path):
-        config = make_workspace(runner, tmp_path)
-        out = run_ok(runner, ["ingest", "--config", str(config)]).output
+    def test_full_chain(self, cli, tmp_path):
+        config = make_workspace(cli, tmp_path)
+        out = run_ok(cli, ["ingest", "--config", str(config)])
         assert "92 quarters" in out and "house_price" in out
-        run_ok(runner, ["features", "--config", str(config)])
-        scan = run_ok(runner, ["lagscan", "--config", str(config)]).output
+        run_ok(cli, ["features", "--config", str(config)])
+        scan = run_ok(cli, ["lagscan", "--config", str(config)])
         assert "best lag: 6" in scan
-        bt = run_ok(runner, ["backtest", "--config", str(config)]).output
+        bt = run_ok(cli, ["backtest", "--config", str(config)])
         assert "12/12 variants fitted" in bt
-        rep = run_ok(runner, ["report", "--config", str(config)]).output
+        rep = run_ok(cli, ["report", "--config", str(config)])
         assert "Benchmark model" in rep
         assert "Lending capacity model" in rep
         assert "up to 2008Q2" in rep
@@ -77,56 +70,56 @@ class TestPipeline:
         assert (run_dir / "plots" / "summary.csv").is_file()
         assert len(list((run_dir / "plots").glob("*.csv"))) == 13
 
-    def test_stage_commands_self_sufficient(self, runner, tmp_path):
+    def test_stage_commands_self_sufficient(self, cli, tmp_path):
         # backtest on a virgin config must compute ingest+features itself
-        config = make_workspace(runner, tmp_path)
-        run_ok(runner, ["backtest", "--config", str(config)])
+        config = make_workspace(cli, tmp_path)
+        run_ok(cli, ["backtest", "--config", str(config)])
         run_dir = load_config(config).run_dir()
         assert (run_dir / "frame.csv").is_file()
         assert (run_dir / "report.json").is_file()
 
-    def test_end_to_end_deterministic(self, runner, tmp_path):
+    def test_end_to_end_deterministic(self, cli, tmp_path):
         reports = []
         for child in ("one", "two"):
             root = tmp_path / child
-            config = make_workspace(runner, root, seed=42)
-            run_ok(runner, ["backtest", "--config", str(config)])
+            config = make_workspace(cli, root, seed=42)
+            run_ok(cli, ["backtest", "--config", str(config)])
             reports.append((load_config(config).run_dir() / "report.json").read_bytes())
         assert reports[0] == reports[1]
 
-    def test_rerun_idempotent(self, runner, tmp_path):
-        config = make_workspace(runner, tmp_path)
-        run_ok(runner, ["ingest", "--config", str(config)])
+    def test_rerun_idempotent(self, cli, tmp_path):
+        config = make_workspace(cli, tmp_path)
+        run_ok(cli, ["ingest", "--config", str(config)])
         frame_path = load_config(config).run_dir() / "frame.csv"
         first = frame_path.read_bytes()
-        run_ok(runner, ["ingest", "--config", str(config)])
+        run_ok(cli, ["ingest", "--config", str(config)])
         assert frame_path.read_bytes() == first
-        run_ok(runner, ["backtest", "--config", str(config)])
+        run_ok(cli, ["backtest", "--config", str(config)])
         report_path = load_config(config).run_dir() / "report.json"
         first_report = report_path.read_bytes()
-        run_ok(runner, ["backtest", "--config", str(config)])
+        run_ok(cli, ["backtest", "--config", str(config)])
         assert report_path.read_bytes() == first_report
 
-    def test_cutoff_override_changes_run_dir(self, runner, tmp_path):
-        config = make_workspace(runner, tmp_path)
+    def test_cutoff_override_changes_run_dir(self, cli, tmp_path):
+        config = make_workspace(cli, tmp_path)
         base_dir = load_config(config).run_dir()
         moved_dir = load_config(config, cutoff="2006Q4").run_dir()
         assert base_dir != moved_dir
-        run_ok(runner, ["backtest", "--config", str(config), "--cutoff", "2006Q4"])
+        run_ok(cli, ["backtest", "--config", str(config), "--cutoff", "2006Q4"])
         doc = json.loads((moved_dir / "report.json").read_text())
         assert doc["cutoff"] == "2006Q4"
 
-    def test_lags_override(self, runner, tmp_path):
-        config = make_workspace(runner, tmp_path)
-        out = run_ok(runner, ["lagscan", "--config", str(config), "--lags", "0..8"]).output
+    def test_lags_override(self, cli, tmp_path):
+        config = make_workspace(cli, tmp_path)
+        out = run_ok(cli, ["lagscan", "--config", str(config), "--lags", "0..8"])
         assert out.count("\n") >= 10  # 9 lag rows plus headers
 
-    def test_holdout_window_report(self, runner, tmp_path):
-        config = make_workspace(runner, tmp_path)
+    def test_holdout_window_report(self, cli, tmp_path):
+        config = make_workspace(cli, tmp_path)
         doc = yaml.safe_load(config.read_text())
         doc["split"] = {"cutoff": "2008Q2", "evaluation_window": "holdout_only"}
         config.write_text(yaml.safe_dump(doc))
-        out = run_ok(runner, ["report", "--config", str(config)]).output
+        out = run_ok(cli, ["report", "--config", str(config)])
         assert "evaluation window: holdout_only" in out
         assert "Benchmark model" in out
 
@@ -134,118 +127,119 @@ class TestPipeline:
 class TestStaleArtifacts:
     """A run directory never holds results of inputs that have since changed."""
 
-    def test_edited_input_gets_new_run_dir_and_report(self, runner, tmp_path):
-        config = make_workspace(runner, tmp_path)
-        run_ok(runner, ["backtest", "--config", str(config)])
+    def test_edited_input_gets_new_run_dir_and_report(self, cli, tmp_path):
+        config = make_workspace(cli, tmp_path)
+        run_ok(cli, ["backtest", "--config", str(config)])
         old_dir = load_config(config).run_dir()
         old_report = (old_dir / "report.json").read_bytes()
-        old_tables = run_ok(runner, ["report", "--config", str(config)]).output
+        old_tables = run_ok(cli, ["report", "--config", str(config)])
 
         prices = tmp_path / "data" / "house_price.csv"
         write_series_csv(read_series_csv(prices).scale(2.0), prices)
         new_dir = load_config(config).run_dir()
         assert new_dir != old_dir
 
-        new_tables = run_ok(runner, ["report", "--config", str(config)]).output
+        new_tables = run_ok(cli, ["report", "--config", str(config)])
         assert new_tables != old_tables
         new_report = (new_dir / "report.json").read_bytes()
         assert new_report != old_report
-        run_ok(runner, ["backtest", "--config", str(config)])
+        run_ok(cli, ["backtest", "--config", str(config)])
         assert (new_dir / "report.json").read_bytes() == new_report
         assert (old_dir / "report.json").read_bytes() == old_report
 
-    def test_tampered_features_are_not_read_back(self, runner, tmp_path):
-        config = make_workspace(runner, tmp_path)
-        run_ok(runner, ["backtest", "--config", str(config)])
+    def test_tampered_features_are_not_read_back(self, cli, tmp_path):
+        config = make_workspace(cli, tmp_path)
+        run_ok(cli, ["backtest", "--config", str(config)])
         run_dir = load_config(config).run_dir()
         clean = (run_dir / "report.json").read_bytes()
 
         feats = read_frame_csv(run_dir / "features.csv")
         zeroed = [feats.column(n).scale(0.0 if n == "hlc" else 1.0) for n in feats.names()]
         write_frame_csv(align(zeroed), run_dir / "features.csv")
-        run_ok(runner, ["backtest", "--config", str(config)])
+        run_ok(cli, ["backtest", "--config", str(config)])
         assert (run_dir / "report.json").read_bytes() == clean
 
-    def test_version_is_part_of_the_run_hash(self, runner, tmp_path, monkeypatch):
-        cfg = load_config(make_workspace(runner, tmp_path))
+    def test_version_is_part_of_the_run_hash(self, cli, tmp_path, monkeypatch):
+        cfg = load_config(make_workspace(cli, tmp_path))
         before = cfg.run_hash()
         monkeypatch.setattr(hlcast.config, "__version__", hlcast.__version__ + ".post1")
         assert cfg.run_hash() != before
 
 
 class TestErrors:
-    def test_missing_config_file(self, runner, tmp_path):
-        result = runner.invoke(main, ["ingest", "--config", str(tmp_path / "nope.yaml")])
-        assert result.exit_code == 2
+    def test_missing_config_file(self, cli, tmp_path):
+        for path in (tmp_path / "nope.yaml", tmp_path):  # no file, and a directory
+            code, out, err = cli(["ingest", "--config", str(path)])
+            assert code == 2, out + err
 
-    def test_malformed_yaml(self, runner, tmp_path):
-        config = make_workspace(runner, tmp_path)
+    def test_malformed_yaml(self, cli, tmp_path):
+        config = make_workspace(cli, tmp_path)
         config.write_text("data: [unclosed\n")
-        result = runner.invoke(main, ["backtest", "--config", str(config)])
-        assert result.exit_code == 2
-        assert f"error: config {config} is not valid YAML" in result.output
+        code, out, err = cli(["backtest", "--config", str(config)])
+        assert code == 2
+        assert f"error: config {config} is not valid YAML" in err
 
-    def test_unreadable_input_is_data_error(self, runner, tmp_path, monkeypatch):
-        config = make_workspace(runner, tmp_path)
+    def test_unreadable_input_is_data_error(self, cli, tmp_path, monkeypatch):
+        config = make_workspace(cli, tmp_path)
 
         def denied(self):
             raise PermissionError(13, "Permission denied", str(self))
 
         monkeypatch.setattr(Path, "read_bytes", denied)
-        result = runner.invoke(main, ["ingest", "--config", str(config)])
-        assert result.exit_code == 3
-        assert "error: cannot read" in result.output and "Permission denied" in result.output
+        code, out, err = cli(["ingest", "--config", str(config)])
+        assert code == 3
+        assert "error: cannot read" in err and "Permission denied" in err
 
-    def test_unknown_config_key(self, runner, tmp_path):
-        config = make_workspace(runner, tmp_path)
+    def test_unknown_config_key(self, cli, tmp_path):
+        config = make_workspace(cli, tmp_path)
         doc = yaml.safe_load(config.read_text())
         doc["surprise"] = 1
         config.write_text(yaml.safe_dump(doc))
-        result = runner.invoke(main, ["ingest", "--config", str(config)])
-        assert result.exit_code == 2
-        assert "surprise" in result.output
+        code, out, err = cli(["ingest", "--config", str(config)])
+        assert code == 2
+        assert "surprise" in err
 
-    def test_missing_required_series(self, runner, tmp_path):
-        config = make_workspace(runner, tmp_path)
+    def test_missing_required_series(self, cli, tmp_path):
+        config = make_workspace(cli, tmp_path)
         doc = yaml.safe_load(config.read_text())
         del doc["data"]["ltv"]
         config.write_text(yaml.safe_dump(doc))
-        result = runner.invoke(main, ["ingest", "--config", str(config)])
-        assert result.exit_code == 2
-        assert "ltv" in result.output
+        code, out, err = cli(["ingest", "--config", str(config)])
+        assert code == 2
+        assert "ltv" in err
 
-    def test_malformed_csv_is_data_error(self, runner, tmp_path):
-        config = make_workspace(runner, tmp_path)
+    def test_malformed_csv_is_data_error(self, cli, tmp_path):
+        config = make_workspace(cli, tmp_path)
         bad = tmp_path / "data" / "ltv.csv"
         bad.write_text("quarter,value\n1995Q1,not_a_number\n")
-        result = runner.invoke(main, ["ingest", "--config", str(config)])
-        assert result.exit_code == 3
-        assert "ltv.csv:2" in result.output
+        code, out, err = cli(["ingest", "--config", str(config)])
+        assert code == 3
+        assert "ltv.csv:2" in err
 
-    def test_non_finite_csv_cell_is_data_error(self, runner, tmp_path):
-        config = make_workspace(runner, tmp_path)
+    def test_non_finite_csv_cell_is_data_error(self, cli, tmp_path):
+        config = make_workspace(cli, tmp_path)
         bad = tmp_path / "data" / "ltv.csv"
         lines = bad.read_text().splitlines()
         lines[1] = lines[1].split(",")[0] + ",inf"
         bad.write_text("\n".join(lines) + "\n")
-        result = runner.invoke(main, ["backtest", "--config", str(config)])
-        assert result.exit_code == 3
-        assert "ltv.csv:2: not a finite number: 'inf'" in result.output
+        code, out, err = cli(["backtest", "--config", str(config)])
+        assert code == 3
+        assert "ltv.csv:2: not a finite number: 'inf'" in err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_overflowing_feature_is_data_error(self, runner, tmp_path):
+    def test_overflowing_feature_is_data_error(self, cli, tmp_path):
         # four incomes of 1e308 overflow the trailing mean to inf, which
         # features.csv could not be read back with
-        config = make_workspace(runner, tmp_path)
+        config = make_workspace(cli, tmp_path)
         path = tmp_path / "data" / "income.csv"
         lines = path.read_text().splitlines()
         lines[1:5] = [line.split(",")[0] + ",1e308" for line in lines[1:5]]
         path.write_text("\n".join(lines) + "\n")
-        result = runner.invoke(main, ["features", "--config", str(config)])
-        assert result.exit_code == 3
+        code, out, err = cli(["features", "--config", str(config)])
+        assert code == 3
         assert (
             "features.csv: column 'income' at 1995Q4 is not a finite number: inf"
-            in result.output
+            in err
         )
         assert not list((tmp_path / "data" / "runs").glob("*/features.csv"))
 
@@ -259,20 +253,20 @@ class TestErrors:
         ids=["config-max", "lags-flag", "max-at-sample-length"],
     )
     def test_lag_range_beyond_sample_is_data_error(
-        self, runner, tmp_path, monkeypatch, args, edit
+        self, cli, tmp_path, monkeypatch, args, edit
     ):
         def no_scan(*_, **__):
             raise AssertionError("lag_scan called with a lag range beyond the sample")
 
         monkeypatch.setattr(hlcast.regress, "lag_scan", no_scan)
         monkeypatch.setattr(hlcast.cli, "lag_scan", no_scan)
-        config = make_workspace(runner, tmp_path)
+        config = make_workspace(cli, tmp_path)
         doc = yaml.safe_load(config.read_text())
         edit(doc)
         config.write_text(yaml.safe_dump(doc))
-        result = runner.invoke(main, ["lagscan", "--config", str(config), *args])
-        assert result.exit_code == 3, result.output
-        assert "error: lag_scan.max must be below the sample length of 92 quarters" in result.output
+        code, out, err = cli(["lagscan", "--config", str(config), *args])
+        assert code == 3, out + err
+        assert "error: lag_scan.max must be below the sample length of 92 quarters" in err
 
     @pytest.mark.parametrize(
         "edit,key",
@@ -284,25 +278,25 @@ class TestErrors:
         ],
         ids=["lag_scan-max", "lag_scan-min-above-max", "split-cutoff", "output_dir"],
     )
-    def test_flags_do_not_hide_bad_file_values(self, runner, tmp_path, edit, key):
-        config = make_workspace(runner, tmp_path)
+    def test_flags_do_not_hide_bad_file_values(self, cli, tmp_path, edit, key):
+        config = make_workspace(cli, tmp_path)
         doc = yaml.safe_load(config.read_text())
         edit(doc)
         config.write_text(yaml.safe_dump(doc))
         flags = ["--lags", "0..3", "--cutoff", "2008Q2", "--out", "o"]
-        result = runner.invoke(main, ["ingest", "--config", str(config), *flags])
-        assert result.exit_code == 2, result.output
-        assert f"error: {key}" in result.output
+        code, out, err = cli(["ingest", "--config", str(config), *flags])
+        assert code == 2, out + err
+        assert f"error: {key}" in err
 
-    def test_bad_lags_flag(self, runner, tmp_path):
-        config = make_workspace(runner, tmp_path)
-        result = runner.invoke(main, ["lagscan", "--config", str(config), "--lags", "abc"])
-        assert result.exit_code == 2
+    def test_bad_lags_flag(self, cli, tmp_path):
+        config = make_workspace(cli, tmp_path)
+        code, out, err = cli(["lagscan", "--config", str(config), "--lags", "abc"])
+        assert code == 2
 
-    def test_bad_cutoff_flag(self, runner, tmp_path):
-        config = make_workspace(runner, tmp_path)
-        result = runner.invoke(main, ["backtest", "--config", str(config), "--cutoff", "never"])
-        assert result.exit_code == 2
+    def test_bad_cutoff_flag(self, cli, tmp_path):
+        config = make_workspace(cli, tmp_path)
+        code, out, err = cli(["backtest", "--config", str(config), "--cutoff", "never"])
+        assert code == 2
 
     @pytest.mark.parametrize(
         "section,key,value",
@@ -322,15 +316,15 @@ class TestErrors:
             for value, suffix in [("four", ""), (True, "-bool")] + [(4.7, "-fraction")] * integer
         ],
     )
-    def test_non_numeric_config_value(self, runner, tmp_path, section, key, value):
-        config = make_workspace(runner, tmp_path)
+    def test_non_numeric_config_value(self, cli, tmp_path, section, key, value):
+        config = make_workspace(cli, tmp_path)
         doc = yaml.safe_load(config.read_text())
         doc.setdefault(section, {})[key] = value
         config.write_text(yaml.safe_dump(doc))
-        result = runner.invoke(main, ["ingest", "--config", str(config)])
-        assert result.exit_code == 2
-        assert f"error: {section}.{key} must be" in result.output
-        assert repr(value) in result.output
+        code, out, err = cli(["ingest", "--config", str(config)])
+        assert code == 2
+        assert f"error: {section}.{key} must be" in err
+        assert repr(value) in err
 
     @pytest.mark.parametrize(
         "edit,key",
@@ -343,36 +337,89 @@ class TestErrors:
         ],
         ids=["models-int", "models-nested-list", "output_dir-int", "unit-list", "path-int"],
     )
-    def test_config_value_of_wrong_type(self, runner, tmp_path, edit, key):
-        config = make_workspace(runner, tmp_path)
+    def test_config_value_of_wrong_type(self, cli, tmp_path, edit, key):
+        config = make_workspace(cli, tmp_path)
         doc = yaml.safe_load(config.read_text())
         edit(doc)
         config.write_text(yaml.safe_dump(doc))
-        result = runner.invoke(main, ["ingest", "--config", str(config)])
-        assert result.exit_code == 2, result.output
-        assert f"error: {key} must be" in result.output
+        code, out, err = cli(["ingest", "--config", str(config)])
+        assert code == 2, out + err
+        assert f"error: {key} must be" in err
 
     @pytest.mark.parametrize(
         "name,row,value",
         [("interest_only_share", 10, "1.5"), ("interest_rate", 20, "-1.0")],
         ids=["share-above-one", "negative-rate"],
     )
-    def test_out_of_domain_value_is_data_error(self, runner, tmp_path, name, row, value):
-        config = make_workspace(runner, tmp_path)
+    def test_out_of_domain_value_is_data_error(self, cli, tmp_path, name, row, value):
+        config = make_workspace(cli, tmp_path)
         path = tmp_path / "data" / f"{name}.csv"
         lines = path.read_text().splitlines()
         lines[row] = lines[row].split(",")[0] + "," + value
         path.write_text("\n".join(lines) + "\n")
-        result = runner.invoke(main, ["features", "--config", str(config)])
-        assert result.exit_code == 3, result.output
-        assert f"error: column {name!r} at " in result.output
+        code, out, err = cli(["features", "--config", str(config)])
+        assert code == 3, out + err
+        assert f"error: column {name!r} at " in err
 
-    def test_bom_prefixed_csv_is_read(self, runner, tmp_path):
-        config = make_workspace(runner, tmp_path)
+    def test_bom_prefixed_csv_is_read(self, cli, tmp_path):
+        config = make_workspace(cli, tmp_path)
         income = tmp_path / "data" / "income.csv"
         income.write_bytes(b"\xef\xbb\xbf" + income.read_bytes())
-        out = run_ok(runner, ["ingest", "--config", str(config)]).output
+        out = run_ok(cli, ["ingest", "--config", str(config)])
         assert "92 quarters" in out
+
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["synth", "--out", "afile/sub"],
+            ["ingest", "--config", "ws/config.yaml", "--out", "{tmp}/afile"],
+            ["synth", "--out", "afile"],
+        ],
+        ids=["synth-under-a-file", "run-dir-under-a-file", "synth-onto-a-file"],
+    )
+    def test_output_directory_that_cannot_be_made(self, cli, tmp_path, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+        run_ok(cli, ["synth", "--out", "ws"])
+        Path("afile").write_text("")
+        code, out, err = cli([a.format(tmp=tmp_path) for a in args])
+        assert code == 2, out + err
+        assert err.startswith("error: cannot create output directory "), err
+        assert "afile" in err
+
+
+class TestCommandLine:
+    """Usage errors exit 2; every run of ``main`` ends in SystemExit."""
+
+    def test_no_command_prints_usage(self, cli):
+        code, out, err = cli([])
+        assert code == 2
+        assert err.lower().startswith("usage: hlcast ")
+
+    def test_help_lists_every_command(self, cli):
+        code, out, err = cli(["--help"])
+        assert code == 0, err
+        assert {"synth", "ingest", "features", "lagscan", "backtest", "report"} <= set(out.split())
+
+    @pytest.mark.parametrize(
+        "args",
+        [["ingest", "--conf", "config.yaml"], ["synth", "--out", "ws", "--seed", "x"]],
+        ids=["abbreviated-option", "non-integer-seed"],
+    )
+    def test_usage_error_exits_2(self, cli, tmp_path, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = cli(args)
+        assert code == 2
+        assert "usage: hlcast " in err.lower()
+
+    def test_main_raises_system_exit_on_every_path(self, tmp_path):
+        synth = ["synth", "--out", str(tmp_path / "ws")]
+        with pytest.raises(SystemExit) as done:
+            main(args=synth, prog_name="hlcast")
+        assert done.value.code == 0
+        with pytest.raises(SystemExit) as done:  # a DataError
+            main(args=[*synth, "--quarters", "10"], prog_name="hlcast")
+        assert done.value.code == 3
 
 
 class TestReportFile:
@@ -387,26 +434,26 @@ class TestReportFile:
         ],
         ids=["truncated-json", "empty-object", "variant-without-approach"],
     )
-    def test_unreadable_report_is_data_error(self, runner, tmp_path, text):
-        config = make_workspace(runner, tmp_path)
-        run_ok(runner, ["backtest", "--config", str(config)])
+    def test_unreadable_report_is_data_error(self, cli, tmp_path, text):
+        config = make_workspace(cli, tmp_path)
+        run_ok(cli, ["backtest", "--config", str(config)])
         path = load_config(config).run_dir() / "report.json"
         path.write_text(text + "\n")
-        result = runner.invoke(main, ["report", "--config", str(config)])
-        assert result.exit_code == 3, result.output
-        assert f"error: {path} is not a readable hlcast report" in result.output
+        code, out, err = cli(["report", "--config", str(config)])
+        assert code == 3, out + err
+        assert f"error: {path} is not a readable hlcast report" in err
 
-    def test_null_metric_prints_na(self, runner, tmp_path):
+    def test_null_metric_prints_na(self, cli, tmp_path):
         # a non-finite metric is written as null
-        config = make_workspace(runner, tmp_path)
-        run_ok(runner, ["backtest", "--config", str(config)])
+        config = make_workspace(cli, tmp_path)
+        run_ok(cli, ["backtest", "--config", str(config)])
         path = load_config(config).run_dir() / "report.json"
         doc = json.loads(path.read_text())
         for v in doc["variants"]:
             if v["name"] == "hlc" and v["regime"] == "truncated":
                 v["metrics_all"].update(rmse=None, mae=None)
         path.write_text(json.dumps(doc))
-        out = run_ok(runner, ["report", "--config", str(config)]).output
+        out = run_ok(cli, ["report", "--config", str(config)])
         na = [line.split() for line in out.splitlines() if "n/a" in line]
         assert na == [[a, "up", "to", "2008Q2", "n/a", "n/a"] for a in ("OLS", "ECM")]
 
@@ -415,8 +462,8 @@ class TestOverflowingPrice:
     """A price of 1e308 fails every variant; no stage prints a numpy warning."""
 
     @pytest.fixture()
-    def config(self, runner, tmp_path):
-        config = make_workspace(runner, tmp_path)
+    def config(self, cli, tmp_path):
+        config = make_workspace(cli, tmp_path)
         path = tmp_path / "data" / "house_price.csv"
         lines = path.read_text().splitlines()
         assert lines[21].startswith("2000Q1,")
@@ -424,35 +471,37 @@ class TestOverflowingPrice:
         path.write_text("\n".join(lines) + "\n")
         return config
 
-    def test_ingest_prints_na_for_an_overflowing_statistic(self, runner, config):
-        out = run_ok(runner, ["ingest", "--config", str(config)]).output
+    def test_ingest_prints_na_for_an_overflowing_statistic(self, cli, config):
+        code, out, err = cli(["ingest", "--config", str(config)])
+        assert code == 0, out + err
         (row,) = [line.split() for line in out.splitlines() if line.startswith("house_price ")]
         # the sd; the mean, 1e308 / 92, is finite
         assert row.count("n/a") == 1
-        assert "Warning" not in out
+        assert len(row) == 8
+        assert "Warning" not in out + err
 
-    def test_lagscan_names_the_overflowing_response(self, runner, config):
-        result = runner.invoke(main, ["lagscan", "--config", str(config)])
-        assert result.exit_code == 4, result.output
-        assert "error: squares of response 'house_price' overflow at lag 0" in result.output
-        assert "Warning" not in result.output
+    def test_lagscan_names_the_overflowing_response(self, cli, config):
+        code, out, err = cli(["lagscan", "--config", str(config)])
+        assert code == 4, out + err
+        assert "error: squares of response 'house_price' overflow at lag 0" in err
+        assert "Warning" not in out + err
 
-    def test_backtest_and_report_exit_4_after_writing(self, runner, config):
-        result = runner.invoke(main, ["backtest", "--config", str(config)])
-        assert result.exit_code == 4, result.output
-        assert "Warning" not in result.output
+    def test_backtest_and_report_exit_4_after_writing(self, cli, config):
+        code, out, err = cli(["backtest", "--config", str(config)])
+        assert code == 4, out + err
+        assert "Warning" not in out + err
         run_dir = load_config(config).run_dir()
         assert (run_dir / "report.json").is_file()
         assert list((run_dir / "plots").iterdir())
-        (error,) = [line for line in result.output.splitlines() if line.startswith("error:")]
+        (error,) = [line for line in err.splitlines() if line.startswith("error:")]
         assert error.startswith(
             "error: 12 of 12 variants failed; first: benchmark/ecm/full: NumericalError: "
             "squares of column(s) house_price_lag1 overflow"
         ), error
-        result = runner.invoke(main, ["report", "--config", str(config)])
-        assert result.exit_code == 4, result.output
-        assert "evaluation window" in result.output
-        assert error in result.output.splitlines()
+        code, out, err = cli(["report", "--config", str(config)])
+        assert code == 4, out + err
+        assert "evaluation window" in out
+        assert error in err.splitlines()
 
     @pytest.mark.parametrize(
         "errors,code",
@@ -464,17 +513,17 @@ class TestOverflowingPrice:
         ],
         ids=["data", "numerical-first", "unknown-class", "one-fitted"],
     )
-    def test_report_exit_code_follows_the_first_failure(self, runner, tmp_path, errors, code):
-        config = make_workspace(runner, tmp_path)
-        run_ok(runner, ["backtest", "--config", str(config)])
+    def test_report_exit_code_follows_the_first_failure(self, cli, tmp_path, errors, code):
+        config = make_workspace(cli, tmp_path)
+        run_ok(cli, ["backtest", "--config", str(config)])
         path = load_config(config).run_dir() / "report.json"
         doc = json.loads(path.read_text())
         for v, error in zip(doc["variants"], errors, strict=True):
             v["error"] = error
         path.write_text(json.dumps(doc))
-        result = runner.invoke(main, ["report", "--config", str(config)])
-        assert result.exit_code == code, result.output
-        assert ("error: 12 of 12 variants failed" in result.output) == (code != 0)
+        status, out, err = cli(["report", "--config", str(config)])
+        assert status == code, out + err
+        assert ("error: 12 of 12 variants failed" in err) == (code != 0)
 
 
 class TestSummaryStats:
@@ -506,15 +555,15 @@ class TestSummaryStats:
             p25, p75 = np.percentile(values, [25, 75])
             assert fields[5:7] == [f"{p25:,.3f}", f"{p75:,.3f}"]
 
-    def test_ingest_prints_table_header(self, runner, tmp_path):
-        config = make_workspace(runner, tmp_path)
-        out = run_ok(runner, ["ingest", "--config", str(config)]).output
+    def test_ingest_prints_table_header(self, cli, tmp_path):
+        config = make_workspace(cli, tmp_path)
+        out = run_ok(cli, ["ingest", "--config", str(config)])
         assert "series" in out and "p25" in out and "p75" in out
 
 
 class TestConfigRoundTrip:
-    def test_save_load_is_lossless(self, runner, tmp_path):
-        config = make_workspace(runner, tmp_path)
+    def test_save_load_is_lossless(self, cli, tmp_path):
+        config = make_workspace(cli, tmp_path)
         cfg = load_config(config)
         resaved = tmp_path / "resaved.yaml"
         cfg.save(resaved)
@@ -522,19 +571,19 @@ class TestConfigRoundTrip:
         assert again.to_canonical() == cfg.to_canonical()
         assert again.run_hash() == cfg.run_hash()
 
-    def test_pure_python_loader_agrees(self, runner, tmp_path, monkeypatch):
-        config = make_workspace(runner, tmp_path)
+    def test_pure_python_loader_agrees(self, cli, tmp_path, monkeypatch):
+        config = make_workspace(cli, tmp_path)
         fast = load_config(config)
         monkeypatch.setattr(hlcast.config, "_YAML_LOADER", yaml.SafeLoader)
         assert load_config(config) == fast
 
-    def test_unit_override_scales_values(self, runner, tmp_path):
-        config = make_workspace(runner, tmp_path)
+    def test_unit_override_scales_values(self, cli, tmp_path):
+        config = make_workspace(cli, tmp_path)
         doc = yaml.safe_load(config.read_text())
         # declare the rate file as percent: ingested values shrink 100x
         doc["data"]["interest_rate"]["unit"] = "percent"
         config.write_text(yaml.safe_dump(doc))
-        run_ok(runner, ["ingest", "--config", str(config)])
+        run_ok(cli, ["ingest", "--config", str(config)])
         frame_path = load_config(config).run_dir() / "frame.csv"
         header = frame_path.read_text().splitlines()
         idx = header[0].split(",").index("interest_rate")
@@ -543,7 +592,17 @@ class TestConfigRoundTrip:
 
 
 def test_import_leaves_scipy_out():
+    # of third-party packages, importing the CLI loads only the runtime
+    # dependencies, plus the Cython runtime of PyYAML's compiled loader
     env = {**os.environ, "PYTHONPATH": str(Path(hlcast.__file__).parents[1])}
-    code = "import hlcast.cli, sys; assert 'scipy' not in sys.modules, 'scipy imported'"
+    code = (
+        "import sys; before = set(sys.modules); import hlcast.cli; "
+        "print(*{m.split('.')[0] for m in set(sys.modules) - before})"
+    )
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+    loaded = {
+        m for m in set(done.stdout.split()) - set(sys.stdlib_module_names)
+        if not m.startswith("_cython_") and m != "cython_runtime"
+    }
+    assert loaded <= {"hlcast", "numpy", "yaml", "_yaml"}, loaded

@@ -9,10 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from click.testing import CliRunner
-
 import hlcast
-from hlcast.cli import main
 
 ENV = {**os.environ, "PYTHONPATH": str(Path(hlcast.__file__).parents[1])}
 
@@ -43,17 +40,16 @@ def probe_cli(*args: str) -> tuple[int, str, str]:
     return done.returncode, "\n".join(out), done.stderr
 
 
-def workspace(tmp_path: Path) -> Path:
-    runner = CliRunner()
-    done = runner.invoke(main, ["synth", "--out", str(tmp_path / "ws")])
-    assert done.exit_code == 0, done.output
+def workspace(cli, tmp_path: Path) -> Path:
+    code, out, err = cli(["synth", "--out", str(tmp_path / "ws")])
+    assert code == 0, out + err
     return tmp_path / "ws" / "config.yaml"
 
 
-def test_report_on_an_existing_run_never_imports_numpy(tmp_path):
-    config = workspace(tmp_path)
-    done = CliRunner().invoke(main, ["backtest", "--config", str(config)])
-    assert done.exit_code == 0, done.output
+def test_report_on_an_existing_run_never_imports_numpy(cli, tmp_path):
+    config = workspace(cli, tmp_path)
+    code, out, err = cli(["backtest", "--config", str(config)])
+    assert code == 0, out + err
     code, out, err = probe_cli("report", "--config", str(config))
     assert code == 0, err
     assert "evaluation window: all_quarters" in out
@@ -65,8 +61,8 @@ def test_help_never_imports_numpy():
     assert "report" in out
 
 
-def test_config_error_never_imports_numpy(tmp_path):
-    config = workspace(tmp_path)
+def test_config_error_never_imports_numpy(cli, tmp_path):
+    config = workspace(cli, tmp_path)
     bad = tmp_path / "ws" / "bad.yaml"
     bad.write_text(config.read_text().replace("smoothing_window: 4", "smoothing_window: four"))
     code, _, err = probe_cli("ingest", "--config", str(bad))
