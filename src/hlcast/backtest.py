@@ -49,10 +49,26 @@ REGIMES = ("full", "truncated")
 
 SCHEMA_VERSION = 1
 
-# Lags of the capacity terms in the shipped error correction models: the
-# difference enters at lag 4, the level at lag 5.
+# The paper's feature settings: income and rates are smoothed with a trailing
+# mean over a year; lending capacity enters the level models at lag 6, and the
+# error correction models differenced at lag 4 and as a level at lag 5.
+SMOOTHING_WINDOW = 4
+HLC_LAG = 6
 ECM_DIFF_LAG = 4
 ECM_LEVEL_LAG = 5
+
+# The grid's model forms in grid order, the paper's three first:
+# name -> (report label, regressor columns). The debt-ratio variant, which the
+# paper sets lending capacity against, needs a debt_to_gdp series. Capacity
+# columns enter at the capacity lags, the others unlagged.
+_BENCHMARK = (INCOME, INTEREST_RATE, LTV)
+MODELS = {
+    "benchmark": ("Benchmark", _BENCHMARK),
+    "hlc": ("Lending capacity", (HLC,)),
+    "benchmark_hlc": ("Benchmark + lending capacity", (*_BENCHMARK, HLC_INCOME_RATIO)),
+    "benchmark_debt": ("Benchmark + debt ratio", (*_BENCHMARK, DEBT_TO_GDP)),
+}
+PAPER_MODELS = tuple(MODELS)[:3]
 
 
 @dataclass(frozen=True)
@@ -177,30 +193,22 @@ def _score(
     return _metrics(e), (_metrics(e[before:]) if before < len(e) else None)
 
 
-def default_specs(hlc_lag: int = 6, include_debt_ratio: bool = False) -> list[ModelSpec]:
-    """The shipped experiment grid: three model forms, each as OLS and ECM.
+def default_specs(hlc_lag: int = HLC_LAG, models: Sequence[str] = PAPER_MODELS) -> list[ModelSpec]:
+    """The experiment grid of the forms named in ``models``, each as OLS and ECM.
 
     The benchmark regresses prices on income, rates and loan-to-value; the
     capacity model is univariate in lagged lending capacity; the combined
-    model adds the capacity-to-income ratio to the benchmark. The optional
-    debt-ratio variant extends the benchmark with a mortgage debt-to-GDP
-    column when the caller's data provides one.
+    model adds the capacity-to-income ratio to the benchmark; the debt-ratio
+    variant adds a mortgage debt-to-GDP column to the benchmark.
     """
-    benchmark = (Regressor(INCOME), Regressor(INTEREST_RATE), Regressor(LTV))
-    capacity = (Regressor(HLC, hlc_lag, ECM_DIFF_LAG, ECM_LEVEL_LAG),)
-    ratio = (Regressor(HLC_INCOME_RATIO, hlc_lag, ECM_DIFF_LAG, ECM_LEVEL_LAG),)
-    forms = [
-        ("benchmark", benchmark),
-        ("hlc", capacity),
-        ("benchmark_hlc", benchmark + ratio),
-    ]
-    if include_debt_ratio:
-        forms.append(("benchmark_debt", benchmark + (Regressor(DEBT_TO_GDP),)))
-    return [
-        ModelSpec(name=name, regressors=regs, approach=approach)
-        for name, regs in forms
-        for approach in ("ols", "ecm")
-    ]
+    capacity = {
+        c: Regressor(c, hlc_lag, ECM_DIFF_LAG, ECM_LEVEL_LAG) for c in (HLC, HLC_INCOME_RATIO)
+    }
+    specs = []
+    for name in models:
+        regressors = tuple([capacity.get(c) or Regressor(c) for c in MODELS[name][1]])
+        specs += [ModelSpec(name, regressors, approach) for approach in ("ols", "ecm")]
+    return specs
 
 
 def _zero_from(series: QuarterlySeries, start: Quarter) -> QuarterlySeries:
@@ -212,8 +220,8 @@ def _zero_from(series: QuarterlySeries, start: Quarter) -> QuarterlySeries:
 def build_features(
     raw: Frame,
     params: LtiParams,
-    smoothing_window: int = 4,
-    hlc_lag: int = 6,
+    smoothing_window: int = SMOOTHING_WINDOW,
+    hlc_lag: int = HLC_LAG,
     interest_only_zero_from: Quarter | None = None,
 ) -> Frame:
     """Derive the model-ready frame from ingested raw series.

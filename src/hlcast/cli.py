@@ -24,6 +24,7 @@ from ._numpy import np
 from .backtest import (
     HLC,
     HOUSE_PRICE,
+    MODELS,
     BacktestReport,
     build_features,
     default_specs,
@@ -43,14 +44,6 @@ from .timeseries import (
     write_text,
 )
 
-MODEL_LABELS = {
-    "benchmark": "Benchmark",
-    "hlc": "Lending capacity",
-    "benchmark_hlc": "Benchmark + lending capacity",
-    "benchmark_debt": "Benchmark + debt ratio",
-}
-
-
 def _make_dir(path: Path) -> None:
     """Create the output directory ``path`` and its parents, or raise ConfigError."""
     try:
@@ -65,7 +58,7 @@ def _make_dir(path: Path) -> None:
 def _frame(cfg: RunConfig, run_dir: Path) -> Frame:
     series = []
     for name, src in sorted(cfg.data.items()):
-        s = read_series_csv(src.path, name=name, unit=src.stored_unit)
+        s = read_series_csv(src.path, name=name)
         if src.factor != 1.0:
             s = s.scale(src.factor)
         series.append(s)
@@ -89,13 +82,7 @@ def _features(cfg: RunConfig, run_dir: Path) -> Frame:
 
 def _backtest(cfg: RunConfig, run_dir: Path) -> BacktestReport:
     features = _features(cfg, run_dir)
-    specs = [
-        s
-        for s in default_specs(
-            hlc_lag=cfg.hlc_lag, include_debt_ratio="benchmark_debt" in cfg.models
-        )
-        if s.name in cfg.models
-    ]
+    specs = default_specs(cfg.hlc_lag, cfg.models)
     report = run_grid(features, specs, cfg.split, forecast_mode=cfg.forecast_mode)
     write_text(run_dir / "report.json", report.to_json())
     emit_plot_data(report, run_dir / "plots")
@@ -259,7 +246,7 @@ def _report_tables(doc: dict, cfg: RunConfig) -> list[str]:
     for model in cfg.models:
         lines += [
             "",
-            f"{MODEL_LABELS.get(model, model)} model",
+            f"{MODELS[model][0]} model",
             f"  {'fit':<6}{'sample':<22}{'RMSE (k EUR)':>14}{'MAE (k EUR)':>14}",
         ]
         for approach in ("ols", "ecm"):

@@ -20,12 +20,16 @@ import yaml
 from . import __version__
 from .backtest import (
     DEBT_TO_GDP,
+    HLC_LAG,
     HOUSE_PRICE,
     INCOME,
     INTEREST_ONLY_SHARE,
     INTEREST_RATE,
     LTV,
+    MODELS,
+    PAPER_MODELS,
     SHARE_INPUTS,
+    SMOOTHING_WINDOW,
     SplitSpec,
 )
 from .errors import ConfigError, DataError, ParseError
@@ -64,13 +68,14 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 # (``_checked``); ``None`` marks an optional quarter.
 DEFAULTS = {
     "lti": dict(vars(LtiParams())),
-    "features": {"smoothing_window": 4, "hlc_lag": 6, "interest_only_zero_from": None},
+    "features": {
+        "smoothing_window": SMOOTHING_WINDOW, "hlc_lag": HLC_LAG, "interest_only_zero_from": None
+    },
     "split": dict(vars(SplitSpec())),
     "lag_scan": {"min": 0, "max": 6},
-    "backtest": {"forecast_mode": "dynamic", "models": ["benchmark", "hlc", "benchmark_hlc"]},
+    "backtest": {"forecast_mode": "dynamic", "models": list(PAPER_MODELS)},
     "output_dir": "runs",
 }
-KNOWN_MODELS = (*DEFAULTS["backtest"]["models"], "benchmark_debt")
 
 
 @dataclass(frozen=True)
@@ -83,10 +88,6 @@ class SeriesSource:
     @property
     def factor(self) -> float:
         return UNIT_FACTORS[self.unit]
-
-    @property
-    def stored_unit(self) -> str:
-        return "fraction" if self.unit == "percent" else self.unit
 
 
 def _setting(section: str, key: str) -> property:
@@ -243,14 +244,17 @@ def _check_values(settings: dict, sources: dict[str, SeriesSource]) -> None:
     mode, models = settings["backtest"]["forecast_mode"], settings["backtest"]["models"]
     if mode not in ("dynamic", "static"):
         raise ConfigError(f"backtest.forecast_mode must be 'dynamic' or 'static', got {mode!r}")
-    bad = sorted(set(models) - set(KNOWN_MODELS))
+    bad = sorted(set(models) - set(MODELS))
     if bad:
         raise ConfigError(
             f"unknown model(s) in backtest.models: {', '.join(bad)} "
-            f"(known: {', '.join(KNOWN_MODELS)})"
+            f"(known: {', '.join(MODELS)})"
         )
     if not models:
         raise ConfigError("backtest.models must not be empty")
+    twice = sorted({m for m in models if models.count(m) > 1})
+    if twice:
+        raise ConfigError(f"backtest.models names {', '.join(twice)} more than once")
     if "benchmark_debt" in models and DEBT_TO_GDP not in sources:
         raise ConfigError(f"model 'benchmark_debt' needs a data.{DEBT_TO_GDP} series")
 

@@ -180,18 +180,20 @@ def hlc_series(frame: Frame, params: LtiParams) -> QuarterlySeries:
 
 
 def _raise_scalar_error(frame: Frame, k: int, params: LtiParams) -> None:
-    """Raise what the scalar path raises at position ``k``, a rejected input
-    named by its column and quarter."""
+    """Raise what the scalar path raises at position ``k``, named by the
+    column and quarter at fault."""
     inputs = [float(frame.column(c).array[k]) for c in _INPUT_COLUMNS]
+    q = Quarter.from_index(frame.start_index + k)
     try:
-        h = HouseholdInputs(*inputs)
+        hlc(HouseholdInputs(*inputs), params)
     except ValueError as exc:
         # the message starts with the rejected field; fields follow the columns
         field = str(exc).split()[0]
         column = dict(zip((f.name for f in fields(HouseholdInputs)), _INPUT_COLUMNS))[field]
-        q = Quarter.from_index(frame.start_index + k)
         raise DataError(f"column {column!r} at {q}: {exc}") from None
-    hlc(h, params)
+    except DomainError as exc:
+        # valid inputs fail only at a carrying-cost rate of zero
+        raise DomainError(f"column 'interest_rate' at {q}: {exc}") from None
 
 
 def new_mortgage_share(mover_share: float, stock_delta: float, prior_stock: float) -> float:
@@ -254,8 +256,10 @@ def derive_interest_only_share(
         s_now, s_prev, t, h = stock[k], stock[k - 1], trans[k], hh[k]
         if s_now != s_now or s_prev != s_prev or t != t or h != h:  # a missing input
             continue
-        if not 0.0 <= s_now <= 1.0:
-            raise DataError(f"stock share out of [0, 1] at {Quarter.from_index(i0 + k)}: {s_now}")
+        # the previous share too: the first quarter's and a skipped quarter's are read only here
+        for j, s in ((k - 1, s_prev), (k, s_now)):
+            if not 0.0 <= s <= 1.0:
+                raise DataError(f"stock share out of [0, 1] at {Quarter.from_index(i0 + j)}: {s}")
         if h <= 0 or t < 0 or t > h:
             raise DataError(
                 "transactions must satisfy 0 <= transactions <= households"

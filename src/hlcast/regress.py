@@ -149,7 +149,6 @@ class FitResult:
     residual_stderr: float
     f_statistic: float
     n_obs: int
-    df_residual: int
     rows: np.ndarray
     fitted_array: np.ndarray
     residual_array: np.ndarray
@@ -159,12 +158,10 @@ class FitResult:
     @property
     def fitted(self) -> QuarterlySeries:
         """Fitted values over the span of ``rows``, missing between rows."""
-        return _scatter(self.rows, self.fitted_array, f"{self.response_name}_fitted")
-
-    @property
-    def residuals(self) -> QuarterlySeries:
-        """Residuals over the span of ``rows``, missing between rows."""
-        return _scatter(self.rows, self.residual_array, f"{self.response_name}_resid")
+        start = int(self.rows[0])
+        out = np.full(int(self.rows[-1]) - start + 1, np.nan)
+        out[self.rows - start] = self.fitted_array
+        return QuarterlySeries._from_array(f"{self.response_name}_fitted", start, out)
 
     def to_dict(self) -> dict:
         """JSON-ready summary: coefficient table plus fit statistics."""
@@ -182,14 +179,6 @@ class FitResult:
             "f_stat": finite_or_none(self.f_statistic),
             "n": self.n_obs,
         }
-
-
-def _scatter(rows: np.ndarray, values: np.ndarray, name: str) -> QuarterlySeries:
-    """Place per-row values onto the contiguous quarterly span of ascending ``rows``."""
-    start = int(rows[0])
-    out = np.full(int(rows[-1]) - start + 1, np.nan)
-    out[rows - start] = values
-    return QuarterlySeries._from_array(name, start, out)
 
 
 def _require_full_rank(xs: np.ndarray, r_mat: np.ndarray, names: list[str]) -> None:
@@ -304,7 +293,6 @@ def ols_fit(d: DesignMatrix) -> FitResult:
         residual_stderr=float(np.sqrt(sigma2)),
         f_statistic=float(f_stat),
         n_obs=n,
-        df_residual=df,
         rows=d.rows,
         fitted_array=fitted,
         residual_array=resid,
@@ -482,8 +470,6 @@ class LagScanEntry:
 class LagScanResult:
     """R-squared of a univariate regression per candidate lag."""
 
-    response: str
-    candidate: str
     entries: list[LagScanEntry]
 
     @property
@@ -535,7 +521,7 @@ def lag_scan(
             n = int(np.count_nonzero(keep))
             r2 = _univariate_r2(y[keep], x[keep], response.name, cand.name, k) if n > 2 else None
             entries.append(LagScanEntry(lag=k, r_squared=r2, n_obs=n))
-    return LagScanResult(response=response.name, candidate=cand.name, entries=entries)
+    return LagScanResult(entries)
 
 
 def _univariate_r2(

@@ -14,16 +14,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._numpy import np
-from .backtest import HOUSE_PRICE, INCOME, INTEREST_ONLY_SHARE, INTEREST_RATE, LTV
+from .backtest import (
+    HLC_LAG,
+    HOUSE_PRICE,
+    INCOME,
+    INTEREST_ONLY_SHARE,
+    INTEREST_RATE,
+    LTV,
+    SMOOTHING_WINDOW,
+)
 from .lti import LtiParams, hlc_series
 from .timeseries import Frame, Quarter, QuarterlySeries, align
-
-DEFAULT_HLC_LAG = 6
-SMOOTHING_WINDOW = 4
 
 # Affine map from lagged lending capacity to the generated price level.
 PRICE_INTERCEPT = 15_000.0
 PRICE_SLOPE = 0.7
+
+# The first generated quarter, and the quarter from which regulation forces
+# the interest-only share to zero.
+START = Quarter(1995, 1)
+REGIME_CHANGE = Quarter(2011, 1)
 
 
 @dataclass(frozen=True)
@@ -32,15 +42,12 @@ class ScenarioConfig:
 
     ``n_quarters`` defaults to the real sample length; ``noise_scale`` is
     the half-width of the bounded price noise as a fraction of the mean
-    price level. ``regime_change`` is the quarter from which the
-    interest-only share is forced to zero.
+    price level.
     """
 
     seed: int = 0
     n_quarters: int = 92
     noise_scale: float = 0.01
-    start: Quarter = Quarter(1995, 1)
-    regime_change: Quarter = Quarter(2011, 1)
 
     def __post_init__(self) -> None:
         if self.n_quarters < 40:
@@ -73,9 +80,10 @@ class GeneratedData:
 def generate(config: ScenarioConfig = ScenarioConfig()) -> GeneratedData:
     """Build the scenario frame for a seed; same seed, same bytes.
 
-    The price at t is ``intercept + slope * hlc[t - 6]`` where capacity is
-    computed from the trailing-4 smoothed income and rate exactly as the
-    feature pipeline computes it, so a noiseless run is identified exactly.
+    The price at t is ``intercept + slope * hlc[t - HLC_LAG]`` where capacity
+    is computed from income and rate smoothed over ``SMOOTHING_WINDOW``
+    quarters exactly as the feature pipeline computes it, so a noiseless run
+    is identified exactly.
     Quarters whose lagged capacity is not yet defined get a flat lead-in
     price instead.
     """
@@ -90,8 +98,8 @@ def generate(config: ScenarioConfig = ScenarioConfig()) -> GeneratedData:
 
     t = np.arange(n)
     u = t / (n - 1)
-    quarters = [config.start + int(i) for i in t]
-    rc = config.regime_change - config.start
+    quarters = [START + int(i) for i in t]
+    rc = REGIME_CHANGE - START
 
     season = np.array([1.04 if q.quarter == 4 else (2.96 / 3.0) for q in quarters])
     income = 11_200.0 * 1.0088**t * season * (1.0 + 0.004 * eps_income)
@@ -113,7 +121,7 @@ def generate(config: ScenarioConfig = ScenarioConfig()) -> GeneratedData:
     ltv = np.clip(ltv + 0.0015 * eps_ltv, 0.97, 1.039)
 
     def series(name: str, values: np.ndarray, unit: str) -> QuarterlySeries:
-        return QuarterlySeries(name=name, start=config.start, values=values, unit=unit)
+        return QuarterlySeries(name=name, start=START, values=values, unit=unit)
 
     income_s = series(INCOME, income, "eur")
     rate_s = series(INTEREST_RATE, rate, "fraction")
@@ -124,7 +132,7 @@ def generate(config: ScenarioConfig = ScenarioConfig()) -> GeneratedData:
     smoothed = align(
         [income_s.trailing_mean(SMOOTHING_WINDOW), rate_s.trailing_mean(SMOOTHING_WINDOW), share_s]
     )
-    lagged_cap = hlc_series(smoothed, params).lag(DEFAULT_HLC_LAG)
+    lagged_cap = hlc_series(smoothed, params).lag(HLC_LAG)
 
     deterministic = PRICE_INTERCEPT + PRICE_SLOPE * lagged_cap.array
     first = int(np.flatnonzero(~np.isnan(deterministic))[0])
@@ -139,6 +147,6 @@ def generate(config: ScenarioConfig = ScenarioConfig()) -> GeneratedData:
         frame=frame,
         price_intercept=PRICE_INTERCEPT,
         price_slope=PRICE_SLOPE,
-        hlc_lag=DEFAULT_HLC_LAG,
+        hlc_lag=HLC_LAG,
         params=params,
     )

@@ -588,5 +588,5 @@ class TestSpecValidation:
             for n in ("benchmark", "hlc", "benchmark_hlc")
             for a in ("ols", "ecm")
         }
-        specs = default_specs(include_debt_ratio=True)
+        specs = default_specs(models=("benchmark", "hlc", "benchmark_hlc", "benchmark_debt"))
         assert len(specs) == 8

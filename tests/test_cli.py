@@ -346,6 +346,107 @@ class TestErrors:
         assert code == 2, out + err
         assert f"error: {key} must be" in err
 
+    def test_duplicate_model_exits_2(self, cli, tmp_path):
+        # a repeated model would print its table twice under its own run hash
+        config = make_workspace(cli, tmp_path)
+        doc = yaml.safe_load(config.read_text())
+        doc["backtest"]["models"] = ["benchmark", "hlc", "hlc", "benchmark_hlc"]
+        config.write_text(yaml.safe_dump(doc))
+        code, out, err = cli(["report", "--config", str(config)])
+        assert (code, out) == (2, ""), err
+        assert err == "error: backtest.models names hlc more than once\n"
+
+    @pytest.mark.parametrize(
+        "edit,args,message",
+        [
+            (lambda doc: doc.update(lti=5), [], "lti must be a mapping, got int"),
+            (
+                lambda doc: doc["lti"].update(woonquote=1.5),
+                [],
+                "invalid lti parameters: woonquote must be in (0, 1), got 1.5",
+            ),
+            (
+                lambda doc: doc["features"].update(smoothing_window=0),
+                [],
+                "smoothing_window must be >= 1 and hlc_lag >= 0",
+            ),
+            (
+                lambda doc: doc["split"].update(evaluation_window="x"),
+                [],
+                "evaluation_window must be 'all_quarters' or 'holdout_only', got 'x'",
+            ),
+            (
+                lambda doc: doc["backtest"].update(forecast_mode="x"),
+                [],
+                "backtest.forecast_mode must be 'dynamic' or 'static', got 'x'",
+            ),
+            (
+                lambda doc: doc["backtest"].update(models=["foo"]),
+                [],
+                "unknown model(s) in backtest.models: foo "
+                "(known: benchmark, hlc, benchmark_hlc, benchmark_debt)",
+            ),
+            (
+                lambda doc: doc["backtest"].update(models=[]),
+                [],
+                "backtest.models must not be empty",
+            ),
+            (
+                lambda doc: doc["backtest"].update(models=["benchmark_debt"]),
+                [],
+                "model 'benchmark_debt' needs a data.debt_to_gdp series",
+            ),
+            (lambda doc: doc.update(data={}), [], "config must declare input series under 'data'"),
+            (lambda doc: doc["data"]["ltv"].pop("path"), [], "data.ltv has no path"),
+            (
+                lambda doc: doc["data"]["ltv"].update(unit="furlong"),
+                [],
+                "data.ltv: unknown unit 'furlong' "
+                "(expected one of count, dimensionless, eur, euros, fraction, percent)",
+            ),
+            (
+                lambda doc: doc["data"].pop("interest_only_share"),
+                [],
+                "config must provide data.interest_only_share or all of "
+                "interest_only_stock_share, transactions, households",
+            ),
+            (
+                lambda doc: doc["data"]["ltv"].update(path="nope.csv"),
+                [],
+                "data file(s) not found: {ws}/nope.csv",
+            ),
+            (
+                lambda doc: None,
+                ["--lags", "5..3"],
+                "lag range must satisfy 0 <= min <= max, got '5..3'",
+            ),
+        ],
+        ids=[
+            "lti-not-a-mapping",
+            "woonquote-above-one",
+            "smoothing_window-zero",
+            "evaluation_window",
+            "forecast_mode",
+            "unknown-model",
+            "no-models",
+            "debt-model-without-series",
+            "empty-data",
+            "data-entry-without-path",
+            "unknown-unit",
+            "no-interest-only-share",
+            "missing-data-file",
+            "lags-flag-min-above-max",
+        ],
+    )
+    def test_config_rule_exits_2_with_one_error_line(self, cli, tmp_path, edit, args, message):
+        config = make_workspace(cli, tmp_path)
+        doc = yaml.safe_load(config.read_text())
+        edit(doc)
+        config.write_text(yaml.safe_dump(doc))
+        code, out, err = cli(["ingest", "--config", str(config), *args])
+        assert (code, out) == (2, ""), err
+        assert err == f"error: {message.format(ws=config.parent)}\n"
+
     @pytest.mark.parametrize(
         "name,row,value",
         [("interest_only_share", 10, "1.5"), ("interest_rate", 20, "-1.0")],

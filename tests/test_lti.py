@@ -225,11 +225,14 @@ class TestHlcSeries:
             ]
         )
         # quarter 1 is skipped (missing income); quarter 2 fails before quarter 3;
-        # a rejected input value is bad data there, named by column and quarter
+        # a rejected input value is bad data there; either error is named by
+        # column and quarter
         with pytest.raises(DataError if error is ValueError else error) as from_series:
             hlc_series(f, params)
         assert str(from_series.value).endswith(str(scalar.value))
-        assert ("at 2000Q3: " in str(from_series.value)) == (error is ValueError)
+        assert " at 2000Q3: " in str(from_series.value)
+        if error is DomainError:
+            assert str(from_series.value).startswith("column 'interest_rate' at 2000Q3: ")
 
     @pytest.mark.parametrize(
         "column,value,message",
@@ -341,6 +344,18 @@ class TestDeriveInterestOnlyShare:
             for prev, s, t, h in zip(stock, stock[1:], trans[1:], hh[1:])
         ]
         assert self.build(stock, trans, hh).values == tuple(expected)
+
+    @pytest.mark.parametrize(
+        "stock,trans,quarter",
+        [
+            ([1.5, 0.5, 0.5], [1.0] * 3, "2000Q1"),  # the first quarter
+            ([0.5, 0.5, 1.5, 0.5], [1.0, 1.0, None, 1.0], "2000Q3"),  # before a skipped one
+        ],
+    )
+    def test_prior_stock_share_named_by_quarter(self, stock, trans, quarter):
+        # a share read only as the previous quarter's is rejected at its quarter
+        with pytest.raises(DataError, match=rf"^stock share out of \[0, 1\] at {quarter}: 1.5$"):
+            self.build(stock, trans, [100.0] * len(stock))
 
     def test_first_bad_quarter_reported(self):
         with pytest.raises(DataError, match="2000Q3"):

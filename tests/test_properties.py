@@ -196,20 +196,21 @@ def test_hlc_series_equals_scalar_hlc(quarters, cost_rate):
     names = ("income", "interest_rate", "interest_only_share")
     frame = align([series([q[j] for q in quarters], name=c) for j, c in enumerate(names)])
     expected, error = [], None
-    for inputs in quarters:
+    for k, inputs in enumerate(quarters):
         if None in inputs:
             expected.append(math.nan)
             continue
         try:
             expected.append(hlc(HouseholdInputs(*inputs), params))
         except DomainError as exc:
-            error = exc
+            error = f"column 'interest_rate' at {frame.start + k}: {exc}"
             break
     if error is None:
         got = hlc_series(frame, params).array
         assert np.array_equal(got, np.array(expected), equal_nan=True)
     else:
-        # the first quarter the scalar code rejects raises its error
+        # the first quarter the scalar code rejects raises its error, named
+        # by column and quarter
         with pytest.raises(DomainError) as exc:
             hlc_series(frame, params)
-        assert str(exc.value) == str(error)
+        assert str(exc.value) == error

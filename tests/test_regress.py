@@ -78,7 +78,7 @@ class TestOlsFit:
         assert fit.coefficients["intercept"] == pytest.approx(1.0, abs=1e-10)
         assert fit.coefficients["x"] == pytest.approx(2.0, abs=1e-10)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
-        assert all(abs(v) < 1e-9 for v in fit.residuals.values)
+        assert all(abs(v) < 1e-9 for v in fit.residual_array)
 
     def test_matches_normal_equations_oracle(self):
         rng = np.random.default_rng(42)
@@ -111,7 +111,7 @@ class TestOlsFit:
         for _ in range(20):
             y, x = random_system(rng)
             fit = ols_fit(design_from_arrays(y, x[:, 1:]))
-            resid = np.array([v for v in fit.residuals.values if v is not None])
+            resid = fit.residual_array
             scale = float(np.abs(y).max())
             assert np.abs(x.T @ resid).max() < 1e-8 * scale * len(y)
             assert abs(resid.sum()) < 1e-8 * scale
@@ -469,7 +469,6 @@ class TestEcm:
             residual_stderr=0.0,
             f_statistic=0.0,
             n_obs=10,
-            df_residual=6,
             rows=np.array([START.index]),
             fitted_array=np.array([0.0]),
             residual_array=np.array([0.0]),

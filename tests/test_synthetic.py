@@ -11,7 +11,7 @@ from hlcast.backtest import (
     build_features,
 )
 from hlcast.regress import design_matrix, ols_fit
-from hlcast.synthetic import ScenarioConfig, GeneratedData, generate
+from hlcast.synthetic import REGIME_CHANGE, START, GeneratedData, ScenarioConfig, generate
 from hlcast.timeseries import Quarter, write_frame_csv
 
 
@@ -61,14 +61,14 @@ class TestShapes:
         share = generate(cfg).frame.column(INTEREST_ONLY_SHARE)
         # flat zero before adoption, a real ramp in between, zero after the
         # regulatory shutdown
-        head = [share.get(cfg.start + i) for i in range(8)]
+        head = [share.get(START + i) for i in range(8)]
         assert all(v == 0.0 for v in head)
         assert max(v for v in share.values if v is not None) > 0.3
-        q = cfg.regime_change
+        q = REGIME_CHANGE
         while q <= share.end:
             assert share.get(q) == 0.0
             q = q + 1
-        assert share.get(cfg.regime_change - 1) > 0.0
+        assert share.get(REGIME_CHANGE - 1) > 0.0
 
     def test_boom_bust_in_prices(self):
         cfg = ScenarioConfig(seed=0)
@@ -77,7 +77,7 @@ class TestShapes:
         # The shutdown hits capacity at the regime change and reaches prices
         # with the capacity lag: a pre-dip peak, a drop of at least 5%, then
         # recovery.
-        hit = (cfg.regime_change - cfg.start) + data.hlc_lag
+        hit = (REGIME_CHANGE - START) + data.hlc_lag
         peak = price[:hit].max()
         trough = price[hit : hit + 4].min()
         assert trough < 0.95 * peak
@@ -93,8 +93,7 @@ class TestIdentification:
             data.price_slope, rel=1e-8
         )
         assert fit.coefficients["intercept"] == pytest.approx(data.price_intercept, rel=1e-8)
-        resid = [v for v in fit.residuals.values if v is not None]
-        assert max(abs(v) for v in resid) < 1e-6
+        assert max(abs(v) for v in fit.residual_array) < 1e-6
 
     def test_noisy_run_close_to_truth(self):
         data = generate(ScenarioConfig(seed=11, noise_scale=0.01))
