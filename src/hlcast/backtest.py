@@ -18,7 +18,7 @@ from typing import Sequence
 
 from ._numpy import np
 from .errors import DataError, HlcastError, SchemaError
-from .lti import LtiParams, derive_interest_only_share, hlc_series
+from .lti import derive_interest_only_share, hlc_series
 from .regress import (
     DesignMatrix,
     design_matrix,
@@ -29,46 +29,32 @@ from .regress import (
     ols_fit,
     predict,
 )
+from .spec import (
+    HLC,
+    HLC_INCOME_RATIO,
+    HLC_LAG,
+    HOUSE_PRICE,
+    INCOME,
+    INTEREST_ONLY_SHARE,
+    INTEREST_RATE,
+    LTV,
+    MODELS,
+    PAPER_MODELS,
+    SHARE_INPUTS,
+    SMOOTHING_WINDOW,
+    LtiParams,
+    SplitSpec,
+)
 from .timeseries import Frame, Quarter, QuarterlySeries, align, format_value, write_text
-
-# Canonical column names for the feature frame.
-HOUSE_PRICE = "house_price"
-INCOME = "income"
-INTEREST_RATE = "interest_rate"
-LTV = "ltv"
-INTEREST_ONLY_SHARE = "interest_only_share"
-HLC = "hlc"
-HLC_INCOME_RATIO = "hlc_income_ratio"
-DEBT_TO_GDP = "debt_to_gdp"
-
-# Inputs from which the interest-only share can be derived when it is not
-# observed directly.
-SHARE_INPUTS = ("interest_only_stock_share", "transactions", "households")
 
 REGIMES = ("full", "truncated")
 
 SCHEMA_VERSION = 1
 
-# The paper's feature settings: income and rates are smoothed with a trailing
-# mean over a year; lending capacity enters the level models at lag 6, and the
-# error correction models differenced at lag 4 and as a level at lag 5.
-SMOOTHING_WINDOW = 4
-HLC_LAG = 6
+# The error correction models take lending capacity differenced at lag 4 and
+# as a level at lag 5.
 ECM_DIFF_LAG = 4
 ECM_LEVEL_LAG = 5
-
-# The grid's model forms in grid order, the paper's three first:
-# name -> (report label, regressor columns). The debt-ratio variant, which the
-# paper sets lending capacity against, needs a debt_to_gdp series. Capacity
-# columns enter at the capacity lags, the others unlagged.
-_BENCHMARK = (INCOME, INTEREST_RATE, LTV)
-MODELS = {
-    "benchmark": ("Benchmark", _BENCHMARK),
-    "hlc": ("Lending capacity", (HLC,)),
-    "benchmark_hlc": ("Benchmark + lending capacity", (*_BENCHMARK, HLC_INCOME_RATIO)),
-    "benchmark_debt": ("Benchmark + debt ratio", (*_BENCHMARK, DEBT_TO_GDP)),
-}
-PAPER_MODELS = tuple(MODELS)[:3]
 
 
 @dataclass(frozen=True)
@@ -99,21 +85,6 @@ class ModelSpec:
             raise ValueError(f"approach must be 'ols' or 'ecm', got {self.approach!r}")
         if not self.regressors:
             raise ValueError(f"model {self.name!r} has no regressors")
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """Out-of-sample split: truncated fits use quarters up to ``cutoff``."""
-
-    cutoff: Quarter = Quarter(2008, 2)
-    evaluation_window: str = "all_quarters"
-
-    def __post_init__(self) -> None:
-        if self.evaluation_window not in ("all_quarters", "holdout_only"):
-            raise ValueError(
-                f"evaluation_window must be 'all_quarters' or 'holdout_only', "
-                f"got {self.evaluation_window!r}"
-            )
 
 
 @dataclass(frozen=True)

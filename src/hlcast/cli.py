@@ -21,20 +21,11 @@ from typing import NoReturn
 
 from . import errors
 from ._numpy import np
-from .backtest import (
-    HLC,
-    HOUSE_PRICE,
-    MODELS,
-    BacktestReport,
-    build_features,
-    default_specs,
-    emit_plot_data,
-    run_grid,
-)
+from .backtest import BacktestReport, build_features, default_specs, emit_plot_data, run_grid
 from .config import DEFAULT_UNITS, RunConfig, SeriesSource, checked_settings, load_config
 from .errors import ConfigError, DataError, HlcastError, NumericalError
 from .regress import lag_scan
-from .synthetic import ScenarioConfig, generate
+from .spec import HLC, HOUSE_PRICE, MODELS
 from .timeseries import (
     Frame,
     align,
@@ -143,6 +134,9 @@ def _require_a_fit(variants: list[tuple[str, str | None]]) -> None:
 
 def synth(out: str, seed: int, quarters: int, noise: float) -> None:
     """Generate a synthetic dataset plus a ready-to-run config file."""
+    # imported here, so that no pipeline stage loads the generator
+    from .synthetic import ScenarioConfig, generate
+
     out_dir = Path(out)
     _make_dir(out_dir)
     try:

@@ -18,7 +18,8 @@ from pathlib import Path
 import yaml
 
 from . import __version__
-from .backtest import (
+from .errors import ConfigError, DataError, ParseError
+from .spec import (
     DEBT_TO_GDP,
     HLC_LAG,
     HOUSE_PRICE,
@@ -30,10 +31,9 @@ from .backtest import (
     PAPER_MODELS,
     SHARE_INPUTS,
     SMOOTHING_WINDOW,
+    LtiParams,
     SplitSpec,
 )
-from .errors import ConfigError, DataError, ParseError
-from .lti import LtiParams
 from .timeseries import Quarter, parse_quarter, write_text
 
 REQUIRED_SERIES = (HOUSE_PRICE, INCOME, INTEREST_RATE, LTV)

@@ -23,32 +23,8 @@ from dataclasses import dataclass, fields
 
 from ._numpy import np
 from .errors import DataError, DomainError, InconsistencyError
+from .spec import HLC, INCOME, INTEREST_ONLY_SHARE, INTEREST_RATE, LtiParams
 from .timeseries import Frame, Quarter, QuarterlySeries, align
-
-
-@dataclass(frozen=True)
-class LtiParams:
-    """Constants governing the lending-capacity computation.
-
-    Defaults: 30% of income available for housing (middle of the regulated
-    21-40% range), interest deducted at the 40% bracket, other annual costs
-    2.5% of home value, and a 30-year (360-month) term.
-    """
-
-    woonquote: float = 0.30
-    deduction_rate: float = 0.40
-    cost_rate: float = 0.025
-    term_months: int = 360
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.woonquote < 1.0:
-            raise ValueError(f"woonquote must be in (0, 1), got {self.woonquote}")
-        if not 0.0 <= self.deduction_rate < 1.0:
-            raise ValueError(f"deduction_rate must be in [0, 1), got {self.deduction_rate}")
-        if not 0.0 <= self.cost_rate < 1.0:
-            raise ValueError(f"cost_rate must be in [0, 1), got {self.cost_rate}")
-        if self.term_months <= 0:
-            raise ValueError(f"term_months must be positive, got {self.term_months}")
 
 
 @dataclass(frozen=True)
@@ -143,7 +119,7 @@ def hlc(h: HouseholdInputs, params: LtiParams) -> float:
 
 
 # The frame columns hlc_series reads, in HouseholdInputs field order.
-_INPUT_COLUMNS = ("income", "interest_rate", "interest_only_share")
+_INPUT_COLUMNS = (INCOME, INTEREST_RATE, INTEREST_ONLY_SHARE)
 
 
 def hlc_series(frame: Frame, params: LtiParams) -> QuarterlySeries:
@@ -176,7 +152,7 @@ def hlc_series(frame: Frame, params: LtiParams) -> QuarterlySeries:
         annuity = income / 3.0 * params.woonquote * np.array(factor)
         blend = share * interest_only + (1.0 - share) * annuity
         out = np.where(share == 0.0, annuity, np.where(share == 1.0, interest_only, blend))
-    return QuarterlySeries._from_array("hlc", frame.start_index, out, "eur")
+    return QuarterlySeries._from_array(HLC, frame.start_index, out, "eur")
 
 
 def _raise_scalar_error(frame: Frame, k: int, params: LtiParams) -> None:
@@ -193,7 +169,7 @@ def _raise_scalar_error(frame: Frame, k: int, params: LtiParams) -> None:
         raise DataError(f"column {column!r} at {q}: {exc}") from None
     except DomainError as exc:
         # valid inputs fail only at a carrying-cost rate of zero
-        raise DomainError(f"column 'interest_rate' at {q}: {exc}") from None
+        raise DomainError(f"column {INTEREST_RATE!r} at {q}: {exc}") from None
 
 
 def new_mortgage_share(mover_share: float, stock_delta: float, prior_stock: float) -> float:
@@ -269,4 +245,4 @@ def derive_interest_only_share(
             out[k] = new_mortgage_share(t / h, s_now - s_prev, s_prev)
         except InconsistencyError as exc:
             raise InconsistencyError(f"{exc} (at {Quarter.from_index(i0 + k)})") from None
-    return QuarterlySeries._from_array("interest_only_share", i0, out, "fraction")
+    return QuarterlySeries._from_array(INTEREST_ONLY_SHARE, i0, out, "fraction")

@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._numpy import np
-from .backtest import (
+from .lti import hlc_series
+from .spec import (
     HLC_LAG,
     HOUSE_PRICE,
     INCOME,
@@ -22,8 +23,8 @@ from .backtest import (
     INTEREST_RATE,
     LTV,
     SMOOTHING_WINDOW,
+    LtiParams,
 )
-from .lti import LtiParams, hlc_series
 from .timeseries import Frame, Quarter, QuarterlySeries, align
 
 # Affine map from lagged lending capacity to the generated price level.

@@ -438,7 +438,7 @@ def _write_table(path: str | Path, header: list[str], start_index: int, columns)
             writer.writerow([str(q)] + [format_value(v) for v in row])
 
 
-def read_series_csv(path: str | Path, name: str | None = None, unit: str = "") -> QuarterlySeries:
+def read_series_csv(path: str | Path, name: str | None = None) -> QuarterlySeries:
     """Read one series from a ``quarter,value`` CSV file; the name defaults to the file stem."""
     path = Path(path)
     _, start, (values,) = _read_table(
@@ -446,9 +446,7 @@ def read_series_csv(path: str | Path, name: str | None = None, unit: str = "") -
         "quarter,value",
         lambda h: ["value"] if [f.lower() for f in h[:2]] == ["quarter", "value"] else None,
     )
-    return QuarterlySeries(
-        name=name if name is not None else path.stem, start=start, values=values, unit=unit
-    )
+    return QuarterlySeries(name=name if name is not None else path.stem, start=start, values=values)
 
 
 def write_series_csv(series: QuarterlySeries, path: str | Path) -> None:

@@ -101,11 +101,11 @@ def test_missing_numpy_fails_at_import():
 import sys
 sys.modules["numpy"] = None  # what the import system reads as "not installed"
 try:
-    import hlcast
+    import hlcast.timeseries
 except ModuleNotFoundError as exc:
     assert exc.name == "numpy", exc
 else:
-    raise AssertionError("hlcast imported without numpy")
+    raise AssertionError("hlcast.timeseries imported without numpy")
 """
     done = run_python(code)
     assert done.returncode == 0, done.stderr
