@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -21,11 +21,12 @@ from .errors import DataError, HlcastError, SchemaError
 from .lti import derive_interest_only_share, hlc_series
 from .regress import (
     DesignMatrix,
+    EcmFit,
+    FitResult,
     design_matrix,
     ecm_design,
     ecm_fit,
     ecm_forecast,
-    finite_or_none,
     ols_fit,
     predict,
 )
@@ -85,6 +86,11 @@ class ModelSpec:
             raise ValueError(f"approach must be 'ols' or 'ecm', got {self.approach!r}")
         if not self.regressors:
             raise ValueError(f"model {self.name!r} has no regressors")
+
+
+def finite_or_none(v: float) -> float | None:
+    """``v`` as a float, or ``None`` (JSON null) if it is NaN or infinite."""
+    return float(v) if math.isfinite(v) else None
 
 
 @dataclass(frozen=True)
@@ -250,42 +256,58 @@ def build_features(
 
 @dataclass
 class VariantResult:
-    """Outcome of one (model, regime) cell of the experiment grid."""
+    """Outcome of one (model, regime) cell of the experiment grid.
+
+    ``fit`` is the fit the variant scored, ``None`` for a failed variant;
+    :meth:`to_dict` writes the variant's report entry from it.
+    """
 
     name: str
     approach: str
     regime: str
     metrics_all: Metrics | None = None
     metrics_holdout: Metrics | None = None
-    summary: dict = field(default_factory=dict)
+    fit: FitResult | EcmFit | None = None
     predicted: QuarterlySeries | None = None
-    n_train: int = 0
-    train_start: Quarter | None = None
-    train_end: Quarter | None = None
     forecast_mode: str | None = None
     alt_forecast: dict | None = None
     error: str | None = None
 
     def to_dict(self) -> dict:
+        ecm = self.fit if isinstance(self.fit, EcmFit) else None
+        ols = ecm.underlying if ecm else self.fit  # the fit statistics live here
         return {
             "name": self.name,
             "approach": self.approach,
             "regime": self.regime,
             "metrics_all": self.metrics_all.to_dict() if self.metrics_all else None,
             "metrics_holdout": self.metrics_holdout.to_dict() if self.metrics_holdout else None,
-            "coefficients": self.summary.get("coefficients"),
-            "stats": {
-                k: self.summary.get(k) for k in ("r2", "adj_r2", "resid_se", "f_stat", "n")
+            "coefficients": {
+                name: {"estimate": finite_or_none(est), "stderr": finite_or_none(ols.stderrs[name])}
+                for name, est in ols.coefficients.items()
             }
-            if self.summary
+            if ols
             else None,
-            "gamma": self.summary.get("gamma"),
-            "long_run_alphas": self.summary.get("long_run_alphas"),
+            "stats": {
+                "r2": finite_or_none(ols.r_squared),
+                "adj_r2": finite_or_none(ols.adj_r_squared),
+                "resid_se": finite_or_none(ols.residual_stderr),
+                "f_stat": finite_or_none(ols.f_statistic),
+                "n": ols.n_obs,
+            }
+            if ols
+            else None,
+            "gamma": finite_or_none(ecm.gamma) if ecm else None,
+            "long_run_alphas": {k: finite_or_none(v) for k, v in ecm.long_run_alphas.items()}
+            if ecm
+            else None,
             "train": {
-                "n": self.n_train,
-                "start": str(self.train_start) if self.train_start else None,
-                "end": str(self.train_end) if self.train_end else None,
-            },
+                "n": ols.n_obs,
+                "start": str(Quarter.from_index(ols.rows[0])),
+                "end": str(Quarter.from_index(ols.rows[-1])),
+            }
+            if ols
+            else {"n": 0, "start": None, "end": None},
             "forecast_mode": self.forecast_mode,
             "alt_forecast": self.alt_forecast,
             "error": self.error,
@@ -360,16 +382,14 @@ def _run_variant(
     first = split.cutoff + 1  # the first holdout quarter
 
     if spec.approach == "ols":
-        fit = ols_fit(design)
-        result.summary = fit.to_dict()
-        result.predicted = predict(fit, frame)
+        result.fit = ols_fit(design)
+        result.predicted = predict(result.fit, frame)
     else:
-        ecm = ecm_fit(design)
-        result.summary = ecm.to_dict()
-        fit = ecm.underlying
+        ecm = result.fit = ecm_fit(design)
         # A static step uses only the observed previous level, so the path from
         # the first fitted quarter is also the static out-of-sample forecast.
-        static = ecm_forecast(ecm, frame, start=Quarter.from_index(fit.rows[0]), mode="static")
+        start = Quarter.from_index(ecm.underlying.rows[0])
+        static = ecm_forecast(ecm, frame, start=start, mode="static")
         result.predicted = static
         if regime == "truncated":
             dynamic = static.to_array()
@@ -387,9 +407,6 @@ def _run_variant(
                 "metrics_holdout": alt_holdout.to_dict() if alt_holdout else None,
             }
 
-    result.n_train = fit.n_obs
-    result.train_start = Quarter.from_index(fit.rows[0])
-    result.train_end = Quarter.from_index(fit.rows[-1])
     # metrics_holdout is None for a cutoff at the sample edge: no holdout
     result.metrics_all, result.metrics_holdout = _score(observed, result.predicted, first)
     return result

@@ -129,11 +129,6 @@ def design_matrix(
     )
 
 
-def finite_or_none(v: float) -> float | None:
-    """``v`` as a float, or ``None`` (JSON null) if it is NaN or infinite."""
-    return float(v) if math.isfinite(v) else None
-
-
 @dataclass
 class FitResult:
     """Estimated coefficients with classical linear-model inference.
@@ -162,23 +157,6 @@ class FitResult:
         out = np.full(int(self.rows[-1]) - start + 1, np.nan)
         out[self.rows - start] = self.fitted_array
         return QuarterlySeries._from_array(f"{self.response_name}_fitted", start, out)
-
-    def to_dict(self) -> dict:
-        """JSON-ready summary: coefficient table plus fit statistics."""
-        return {
-            "coefficients": {
-                name: {
-                    "estimate": finite_or_none(est),
-                    "stderr": finite_or_none(self.stderrs[name]),
-                }
-                for name, est in self.coefficients.items()
-            },
-            "r2": finite_or_none(self.r_squared),
-            "adj_r2": finite_or_none(self.adj_r_squared),
-            "resid_se": finite_or_none(self.residual_stderr),
-            "f_stat": finite_or_none(self.f_statistic),
-            "n": self.n_obs,
-        }
 
 
 def _require_full_rank(xs: np.ndarray, r_mat: np.ndarray, names: list[str]) -> None:
@@ -333,12 +311,6 @@ class EcmFit:
     @property
     def intercept(self) -> float:
         return self.underlying.coefficients.get(INTERCEPT, 0.0)
-
-    def to_dict(self) -> dict:
-        out = self.underlying.to_dict()
-        out["gamma"] = finite_or_none(self.gamma)
-        out["long_run_alphas"] = {k: finite_or_none(v) for k, v in self.long_run_alphas.items()}
-        return out
 
 
 def ecm_design(

@@ -51,6 +51,8 @@ class ScenarioConfig:
     noise_scale: float = 0.01
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_quarters < 40:
             raise ValueError(
                 f"n_quarters must be >= 40 to span the lags and both regimes, "

@@ -69,7 +69,7 @@ class Quarter:
         return Quarter.from_index(self.index - other)
 
     def __str__(self) -> str:
-        return f"{self.year}Q{self.quarter}"
+        return f"{self.year:04d}Q{self.quarter}"
 
 
 def parse_quarter(text: str) -> Quarter:

@@ -275,10 +275,12 @@ class TestRunGrid:
         split = SplitSpec()
         report = run_grid(features, default_specs(), split)
         for v in report.variants:
+            fit = v.fit.underlying if v.approach == "ecm" else v.fit
+            train_end = Quarter.from_index(fit.rows[-1])
             if v.regime == "truncated":
-                assert v.train_end <= split.cutoff
+                assert train_end <= split.cutoff
             else:
-                assert v.train_end > split.cutoff
+                assert train_end > split.cutoff
 
     def test_full_fit_beats_truncated_on_all_quarters(self, features):
         # The full-sample fit minimizes squared error over a superset of the
@@ -499,6 +501,27 @@ class TestReportJson:
         assert lines[-2:] == ["]}", ""]
         variants = [json.loads(line.removesuffix(",")) for line in lines[1:-2]]
         assert variants == report.to_dict()["variants"]
+
+    def test_variant_entry_shape(self, features):
+        specs = default_specs() + [
+            ModelSpec(name="broken", regressors=(Regressor(INCOME), Regressor(INCOME)))
+        ]
+        entries = {
+            (v["name"], v["approach"], v["regime"]): v
+            for v in run_grid(features, specs, SplitSpec()).to_dict()["variants"]
+        }
+        ols, ecm = entries["hlc", "ols", "full"], entries["hlc", "ecm", "truncated"]
+        for entry in (ols, ecm):
+            assert entry["coefficients"]
+            for coefficient in entry["coefficients"].values():
+                assert set(coefficient) == {"estimate", "stderr"}
+            assert set(entry["stats"]) == {"r2", "adj_r2", "resid_se", "f_stat", "n"}
+        assert ecm["gamma"] is not None and ecm["long_run_alphas"] is not None
+        failed = entries["broken", "ols", "full"]
+        assert failed["error"] is not None
+        assert failed["coefficients"] is None and failed["stats"] is None
+        for entry in (ols, failed):
+            assert entry["gamma"] is None and entry["long_run_alphas"] is None
 
     def test_indented_layout_is_one_reencode_away(self, features):
         # the indent=2 layout of earlier releases, from the same document

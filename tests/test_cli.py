@@ -48,6 +48,11 @@ class TestSynth:
         code, out, err = cli(["synth", "--out", str(tmp_path), "--quarters", "10"])
         assert code == 3
 
+    def test_rejects_negative_seed(self, cli, tmp_path):
+        code, out, err = cli(["synth", "--out", str(tmp_path), "--seed", "-1"])
+        assert code == 3
+        assert "seed must be >= 0, got -1" in err
+
 
 class TestPipeline:
     def test_full_chain(self, cli, tmp_path):

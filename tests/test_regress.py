@@ -178,14 +178,6 @@ class TestOlsFit:
             fit = ols_fit(design_from_arrays(y, x[:, 1:]))
             assert fit.adj_r_squared <= fit.r_squared + 1e-15
 
-    def test_to_dict_shape(self):
-        rng = np.random.default_rng(2)
-        y, x = random_system(rng, n=20, p=3)
-        doc = ols_fit(design_from_arrays(y, x[:, 1:])).to_dict()
-        assert set(doc) == {"coefficients", "r2", "adj_r2", "resid_se", "f_stat", "n"}
-        for entry in doc["coefficients"].values():
-            assert set(entry) == {"estimate", "stderr"}
-
 
 def svd_rule(d):
     """``RANK_RTOL`` applied to ``np.linalg.svd`` of the equilibrated design.

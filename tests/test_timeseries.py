@@ -65,7 +65,7 @@ class TestQuarter:
             parse_quarter("2008Q7")
 
     def test_str_roundtrip(self):
-        for q in [Quarter(1995, 1), Quarter(2008, 2), Quarter(2017, 4)]:
+        for q in [Quarter(1995, 1), Quarter(2008, 2), Quarter(2017, 4), Quarter(999, 4)]:
             assert parse_quarter(str(q)) == q
 
 
@@ -211,6 +211,17 @@ class TestCsv:
         assert back.name == "hp"
         assert back.start == s.start
         assert back.values == s.values
+
+    def test_roundtrip_before_year_1000(self, tmp_path):
+        # the year is written with four digits, as the reader requires
+        path = tmp_path / "s.csv"
+        path.write_text("quarter,value\n0999Q4,1.0\n1000Q1,2.0\n")
+        s = read_series_csv(path)
+        write_series_csv(s, path)
+        assert path.read_text().splitlines()[1] == "0999Q4,1.0"
+        back = read_series_csv(path)
+        assert back.start == Quarter(999, 4)
+        assert back.values == (1.0, 2.0)
 
     def test_roundtrip_random_values_bit_exact(self, tmp_path):
         rng = np.random.default_rng(3)
