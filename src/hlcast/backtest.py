@@ -46,7 +46,7 @@ from .spec import (
     LtiParams,
     SplitSpec,
 )
-from .timeseries import Frame, Quarter, QuarterlySeries, align, format_value, write_text
+from .timeseries import Frame, Quarter, QuarterlySeries, align, quarter_rows, write_csv
 
 REGIMES = ("full", "truncated")
 
@@ -107,6 +107,10 @@ class Metrics:
         }
 
 
+def _metrics_dict(m: Metrics | None) -> dict | None:
+    return m.to_dict() if m else None
+
+
 def _metrics(e: np.ndarray) -> Metrics:
     """RMSE and MAE of the error vector ``e``."""
     n = len(e)
@@ -119,13 +123,13 @@ def _metrics(e: np.ndarray) -> Metrics:
 
 
 def _errors(
-    observed: QuarterlySeries, predicted: QuarterlySeries, first: Quarter | None
+    observed: QuarterlySeries, predicted: QuarterlySeries, first: int | None
 ) -> tuple[np.ndarray, int]:
     """Errors over the quarters where both series are present, in quarter order.
 
-    Also returns how many of those quarters precede ``first``: the errors
-    from ``first`` on are the suffix after them. An empty overlap is an
-    error, not a zero.
+    Also returns how many of those quarters precede quarter index ``first``:
+    the errors from ``first`` on are the suffix after them. An empty overlap
+    is an error, not a zero.
     """
     o0, p0 = observed.start_index, predicted.start_index
     lo = max(o0, p0)
@@ -136,7 +140,7 @@ def _errors(
         raise DataError(
             f"no overlapping observations between {observed.name!r} and {predicted.name!r}"
         )
-    before = 0 if first is None else int(np.count_nonzero(both[: max(first.index - lo, 0)]))
+    before = 0 if first is None else int(np.count_nonzero(both[: max(first - lo, 0)]))
     return p[both] - v[both], before
 
 
@@ -150,7 +154,7 @@ def evaluate(
     Optionally restricted to quarters from ``first`` on. An empty overlap is
     an error, not a zero.
     """
-    e, before = _errors(observed, predicted, first)
+    e, before = _errors(observed, predicted, None if first is None else first.index)
     if before == len(e):
         raise DataError(
             f"no overlapping observations between {observed.name!r} and "
@@ -160,9 +164,9 @@ def evaluate(
 
 
 def _score(
-    observed: QuarterlySeries, predicted: QuarterlySeries, first: Quarter
+    observed: QuarterlySeries, predicted: QuarterlySeries, first: int
 ) -> tuple[Metrics, Metrics | None]:
-    """``evaluate`` over all quarters and from ``first`` on, in one pass.
+    """``evaluate`` over all quarters and from quarter index ``first`` on, in one pass.
 
     The second is ``None`` where nothing from ``first`` on overlaps.
     """
@@ -270,7 +274,9 @@ class VariantResult:
     fit: FitResult | EcmFit | None = None
     predicted: QuarterlySeries | None = None
     forecast_mode: str | None = None
-    alt_forecast: dict | None = None
+    alt_mode: str | None = None
+    alt_metrics_all: Metrics | None = None
+    alt_metrics_holdout: Metrics | None = None
     error: str | None = None
 
     def to_dict(self) -> dict:
@@ -280,8 +286,8 @@ class VariantResult:
             "name": self.name,
             "approach": self.approach,
             "regime": self.regime,
-            "metrics_all": self.metrics_all.to_dict() if self.metrics_all else None,
-            "metrics_holdout": self.metrics_holdout.to_dict() if self.metrics_holdout else None,
+            "metrics_all": _metrics_dict(self.metrics_all),
+            "metrics_holdout": _metrics_dict(self.metrics_holdout),
             "coefficients": {
                 name: {"estimate": finite_or_none(est), "stderr": finite_or_none(ols.stderrs[name])}
                 for name, est in ols.coefficients.items()
@@ -309,7 +315,13 @@ class VariantResult:
             if ols
             else {"n": 0, "start": None, "end": None},
             "forecast_mode": self.forecast_mode,
-            "alt_forecast": self.alt_forecast,
+            "alt_forecast": {
+                "mode": self.alt_mode,
+                "metrics_all": _metrics_dict(self.alt_metrics_all),
+                "metrics_holdout": _metrics_dict(self.alt_metrics_holdout),
+            }
+            if self.alt_mode
+            else None,
             "error": self.error,
         }
 
@@ -379,7 +391,7 @@ def _run_variant(
     forecast_mode: str,
 ) -> VariantResult:
     result = VariantResult(name=spec.name, approach=spec.approach, regime=regime)
-    first = split.cutoff + 1  # the first holdout quarter
+    first = split.cutoff.index + 1  # the first holdout quarter, which may be past 9999Q4
 
     if spec.approach == "ols":
         result.fit = ols_fit(design)
@@ -393,19 +405,15 @@ def _run_variant(
         result.predicted = static
         if regime == "truncated":
             dynamic = static.to_array()
-            dynamic[first.index - static.start_index :] = ecm_forecast(
-                ecm, frame, start=first, mode="dynamic"
-            ).array
+            if first < static.start_index + len(static):  # a holdout to forecast
+                dynamic[first - static.start_index :] = ecm_forecast(
+                    ecm, frame, start=Quarter.from_index(first), mode="dynamic"
+                ).array
             paths = {"static": static, "dynamic": static._with_array(dynamic)}
             other = "static" if forecast_mode == "dynamic" else "dynamic"
             result.predicted, alt = paths[forecast_mode], paths[other]
-            result.forecast_mode = forecast_mode
-            alt_all, alt_holdout = _score(observed, alt, first)
-            result.alt_forecast = {
-                "mode": other,
-                "metrics_all": alt_all.to_dict(),
-                "metrics_holdout": alt_holdout.to_dict() if alt_holdout else None,
-            }
+            result.forecast_mode, result.alt_mode = forecast_mode, other
+            result.alt_metrics_all, result.alt_metrics_holdout = _score(observed, alt, first)
 
     # metrics_holdout is None for a cutoff at the sample edge: no holdout
     result.metrics_all, result.metrics_holdout = _score(observed, result.predicted, first)
@@ -478,41 +486,25 @@ def emit_plot_data(report: BacktestReport, out_dir: str | Path) -> list[Path]:
     except OSError as exc:
         raise DataError(f"cannot create plot directory {out_dir}: {exc}") from exc
     written: list[Path] = []
-    observed = report.observed
+    observed = report.observed.rename("observed")
     for v in report.variants:
         path = out_dir / f"{v.name}_{v.approach}_{v.regime}.csv"
-        lines = ["quarter,observed,fitted_or_forecast,regime"]
+        rows = []
         if v.predicted is not None:
-            merged = align([observed.rename("observed"), v.predicted.rename("predicted")])
-            obs, pred = (merged.column(c).array.tolist() for c in ("observed", "predicted"))
-            for q, o, p in zip(merged.quarters(), obs, pred):
-                lines.append(f"{q},{format_value(o)},{format_value(p)},{v.regime}")
-        write_text(path, "\n".join(lines) + "\n")
+            merged = align([observed, v.predicted.rename("predicted")])
+            rows = (row + [v.regime] for row in quarter_rows(merged))
+        write_csv(path, ["quarter", "observed", "fitted_or_forecast", "regime"], rows)
         written.append(path)
 
+    def cells(m: Metrics | None) -> list:
+        return [repr(m.rmse), repr(m.mae), m.n_evaluated] if m else ["", "", ""]
+
     summary = out_dir / "summary.csv"
-    lines = [
-        "model,approach,regime,rmse_all_eur,mae_all_eur,n_all,"
-        "rmse_holdout_eur,mae_holdout_eur,n_holdout,error"
-    ]
-    for v in report.variants:
-        ma, mh = v.metrics_all, v.metrics_holdout
-        lines.append(
-            ",".join(
-                [
-                    v.name,
-                    v.approach,
-                    v.regime,
-                    repr(ma.rmse) if ma else "",
-                    repr(ma.mae) if ma else "",
-                    str(ma.n_evaluated) if ma else "",
-                    repr(mh.rmse) if mh else "",
-                    repr(mh.mae) if mh else "",
-                    str(mh.n_evaluated) if mh else "",
-                    v.error or "",
-                ]
-            )
-        )
-    write_text(summary, "\n".join(lines) + "\n")
-    written.append(summary)
-    return written
+    header = ["model", "approach", "regime", "rmse_all_eur", "mae_all_eur", "n_all",
+              "rmse_holdout_eur", "mae_holdout_eur", "n_holdout", "error"]
+    rows = (
+        [v.name, v.approach, v.regime, *cells(v.metrics_all), *cells(v.metrics_holdout), v.error]
+        for v in report.variants
+    )
+    write_csv(summary, header, rows)
+    return written + [summary]

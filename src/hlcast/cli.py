@@ -30,6 +30,7 @@ from .timeseries import (
     Frame,
     align,
     read_series_csv,
+    write_csv,
     write_frame_csv,
     write_series_csv,
     write_text,
@@ -104,8 +105,8 @@ def _summary_table(frame: Frame) -> list[str]:
     return lines
 
 
-def _stat_cell(x: float, width: int) -> str:
-    if not math.isfinite(x):
+def _stat_cell(x: float | None, width: int) -> str:
+    if x is None or not math.isfinite(x):
         return f"{'n/a':>{width}}"
     text = f"{x:,.3f}"
     # text that fills its field would run into the cell before it
@@ -190,14 +191,15 @@ def lagscan(cfg: RunConfig, run_dir: Path) -> None:
         frame.column(HLC),
         range(cfg.lag_min, cfg.lag_max + 1),
     )
-    lines = ["lag,r_squared,n_obs"]
+    rows = [
+        [e.lag, "" if e.r_squared is None else f"{e.r_squared:.6f}", e.n_obs]
+        for e in result.entries
+    ]
     print(f"{'lag':>4}{'R^2':>10}{'n':>6}")
-    for e in result.entries:
-        r2 = "" if e.r_squared is None else f"{e.r_squared:.6f}"
-        print(f"{e.lag:>4}{r2:>10}{e.n_obs:>6}")
-        lines.append(f"{e.lag},{r2},{e.n_obs}")
+    for lag, r2, n in rows:
+        print(f"{lag:>4}{r2:>10}{n:>6}")
     print(f"best lag: {result.best_lag}")
-    write_text(run_dir / "lag_scan.csv", "\n".join(lines) + "\n")
+    write_csv(run_dir / "lag_scan.csv", ["lag", "r_squared", "n_obs"], rows)
 
 
 def backtest(cfg: RunConfig, run_dir: Path) -> None:
@@ -254,9 +256,7 @@ def _report_tables(doc: dict, cfg: RunConfig) -> list[str]:
                 m = v.get(window)
                 # a window without metrics, or a null (non-finite) metric
                 values = (None, None) if m is None else (m["rmse"], m["mae"])
-                cells = "".join(
-                    f"{'n/a':>14}" if x is None else f"{x / 1000:>14,.3f}" for x in values
-                )
+                cells = "".join(_stat_cell(None if x is None else x / 1000, 14) for x in values)
                 lines.append(f"  {approach.upper():<6}{label:<22}{cells}")
     return lines + [
         "",

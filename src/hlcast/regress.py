@@ -397,7 +397,7 @@ def ecm_forecast(
     a = start.index - frame.start_index  # position of ``start`` in the frame
     if not 0 < a <= n or np.isnan(y[a - 1]):
         raise DataError(
-            f"no observed {fit.response_name!r} level at {start - 1} to anchor the forecast"
+            f"no observed {fit.response_name!r} level before {start} to anchor the forecast"
         )
     coeffs = fit.underlying.coefficients
 

@@ -18,8 +18,8 @@ and a ``nan`` or ``inf`` cell is a parse error. Writing an infinite value is
 an error too, so every file written here reads back.
 Frames export as ``quarter,<col1>,<col2>,...``. CSV is UTF-8 (a leading
 byte-order mark is accepted on read), comma delimited, ``.`` decimal
-separator. Every file is written through :func:`atomic_write`, so a reader
-never sees a partly written one.
+separator; :func:`write_csv` quotes a cell holding a comma, quote or newline.
+:func:`atomic_write` writes every file, so no reader sees a partial one.
 """
 
 from __future__ import annotations
@@ -47,6 +47,9 @@ class Quarter:
     quarter: int
 
     def __post_init__(self) -> None:
+        # four digits, so that parse_quarter reads every label back
+        if not 0 <= self.year <= 9999:
+            raise ValueError(f"year must be in 0..9999, got {self.year}")
         if not 1 <= self.quarter <= 4:
             raise ValueError(f"quarter must be in 1..4, got {self.quarter}")
 
@@ -263,10 +266,6 @@ class Frame:
     def end(self) -> Quarter:
         return Quarter.from_index(self.start_index + len(self) - 1)
 
-    def quarters(self) -> Iterator[Quarter]:
-        for i in range(len(self)):
-            yield Quarter.from_index(self.start_index + i)
-
     def names(self) -> list[str]:
         return list(self.columns)
 
@@ -418,24 +417,34 @@ def write_text(path: str | Path, text: str) -> None:
         fh.write(text)
 
 
-def _write_table(path: str | Path, header: list[str], start_index: int, columns) -> None:
+def write_csv(path: str | Path, header: list[str], rows: Iterable[list]) -> None:
+    """Write ``header`` and ``rows`` as CSV via :func:`atomic_write`: hlcast's one CSV writer."""
+    with atomic_write(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def quarter_rows(frame: Frame) -> Iterator[list[str]]:
+    """CSV rows of ``frame``: the quarter label, then each column's :func:`format_value`."""
+    for i, row in enumerate(zip(*(s.array.tolist() for s in frame.columns.values()))):
+        yield [str(Quarter.from_index(frame.start_index + i))] + [format_value(v) for v in row]
+
+
+def _write_table(path: str | Path, header: list[str], frame: Frame) -> None:
     """Write ``quarter,...`` rows; an infinite cell, which no reader accepts, is an error."""
+    columns = [s.array for s in frame.columns.values()]
     infinite = [
         (int(np.argmax(np.isinf(c))), j) for j, c in enumerate(columns) if np.isinf(c).any()
     ]
     if infinite:
         i, j = min(infinite)  # the first quarter, then the first column
-        q = Quarter.from_index(start_index + i)
+        q = Quarter.from_index(frame.start_index + i)
         raise DataError(
             f"cannot write {path}: column {header[j + 1]!r} at {q} is not a finite number: "
             f"{float(columns[j][i])!r}"
         )
-    with atomic_write(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i, row in enumerate(zip(*(c.tolist() for c in columns))):
-            q = Quarter.from_index(start_index + i)
-            writer.writerow([str(q)] + [format_value(v) for v in row])
+    write_csv(path, header, quarter_rows(frame))
 
 
 def read_series_csv(path: str | Path, name: str | None = None) -> QuarterlySeries:
@@ -450,7 +459,7 @@ def read_series_csv(path: str | Path, name: str | None = None) -> QuarterlySerie
 
 
 def write_series_csv(series: QuarterlySeries, path: str | Path) -> None:
-    _write_table(path, ["quarter", "value"], series.start_index, [series.array])
+    _write_table(path, ["quarter", "value"], Frame(series.start, {series.name: series}))
 
 
 def read_frame_csv(path: str | Path) -> Frame:
@@ -464,7 +473,4 @@ def read_frame_csv(path: str | Path) -> Frame:
 
 
 def write_frame_csv(frame: Frame, path: str | Path) -> None:
-    names = frame.names()
-    _write_table(
-        path, ["quarter"] + names, frame.start_index, [frame.columns[n].array for n in names]
-    )
+    _write_table(path, ["quarter"] + frame.names(), frame)

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import warnings
@@ -126,20 +127,20 @@ class TestOnePassScoring:
         want_all, want_from_first = self.evaluated(obs, pred, first)
         if want_all is None:
             with pytest.raises(DataError, match="no overlapping observations"):
-                _score(obs, pred, first)
+                _score(obs, pred, first.index)
             return
-        assert _score(obs, pred, first) == (want_all, want_from_first)
+        assert _score(obs, pred, first.index) == (want_all, want_from_first)
 
     def test_sample_edge_cutoff_has_no_holdout(self):
         obs, pred = series([1.0, 2.0, None]), series([1.5, 2.5, 3.5])
-        got_all, got_holdout = _score(obs, pred, START + 2)
+        got_all, got_holdout = _score(obs, pred, (START + 2).index)
         assert got_all == evaluate(obs, pred) and got_holdout is None
         with pytest.raises(DataError, match="from 2000Q3 on"):
             evaluate(obs, pred, first=START + 2)
 
     def test_infinite_predictions_give_null_metrics(self):
         obs, pred = series([1.0, 2.0, 3.0, 4.0]), series([1.0, math.inf, 3.0, 4.5])
-        got_all, got_holdout = _score(obs, pred, START + 2)
+        got_all, got_holdout = _score(obs, pred, (START + 2).index)
         assert (got_all, got_holdout) == (evaluate(obs, pred), evaluate(obs, pred, START + 2))
         assert got_all.to_dict() == {"rmse": None, "mae": None, "n": 4}
         assert got_holdout.to_dict() == {"rmse": math.sqrt(0.125), "mae": 0.25, "n": 2}
@@ -325,12 +326,25 @@ class TestRunGrid:
         with pytest.raises(DataError):
             run_grid(features, default_specs(), SplitSpec(cutoff=Quarter(2050, 1)))
 
+    def test_cutoff_at_the_last_labelled_quarter(self, features, tmp_path):
+        # a sample ending at 9999Q4 has no Quarter after its cutoff, and no holdout
+        last = Quarter(9999, 4)
+        i0 = last.index - len(features) + 1
+        frame = align(s._with_array(s.array, i0) for s in features.columns.values())
+        report = run_grid(frame, default_specs(), SplitSpec(cutoff=last))
+        assert all(v.error is None and v.metrics_holdout is None for v in report.variants)
+        ecm = report.variant("hlc", "ecm", "truncated")
+        assert ecm.alt_mode == "static" and ecm.alt_metrics_holdout is None
+        assert json.loads(report.to_json())["cutoff"] == "9999Q4"
+        emit_plot_data(report, tmp_path)
+        assert (tmp_path / "hlc_ecm_truncated.csv").read_text().splitlines()[-1].startswith("9999Q4,")
+
     def test_ecm_truncated_reports_both_modes(self, features):
         report = run_grid(features, default_specs(), SplitSpec(), forecast_mode="dynamic")
         v = report.variant("hlc", "ecm", "truncated")
         assert v.forecast_mode == "dynamic"
-        assert v.alt_forecast is not None and v.alt_forecast["mode"] == "static"
-        assert v.alt_forecast["metrics_all"]["rmse"] > 0.0
+        assert v.alt_mode == "static"
+        assert v.alt_metrics_all.rmse > 0.0
 
     def test_report_json_schema(self, features):
         doc = json.loads(run_grid(features, default_specs(), SplitSpec()).to_json())
@@ -588,6 +602,24 @@ class TestEmitPlotData:
         first = (tmp_path / "summary.csv").read_bytes()
         emit_plot_data(report, tmp_path)
         assert (tmp_path / "summary.csv").read_bytes() == first
+
+    def test_failed_variant_row_keeps_its_width(self, features, tmp_path):
+        # a debt ratio equal to loan-to-value fails the debt variants with an
+        # error naming both columns, comma separated
+        debt = features.column(LTV).rename("debt_to_gdp")
+        frame = align(list(features.columns.values()) + [debt])
+        report = run_grid(frame, default_specs(models=["benchmark", "benchmark_debt"]))
+        failed = [v for v in report.variants if v.error]
+        assert len(failed) == 4 and all(", " in v.error for v in failed)
+        written = emit_plot_data(report, tmp_path)
+        assert sorted(written) == sorted(tmp_path.iterdir())
+        for path in written:
+            with path.open(newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert all(len(row) == len(header) for row in rows), path.name
+        with (tmp_path / "summary.csv").open(newline="") as fh:
+            errors = [row["error"] for row in csv.DictReader(fh)]
+        assert errors == [v.error or "" for v in report.variants]
 
 
 class TestSpecValidation:

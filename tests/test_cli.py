@@ -53,6 +53,13 @@ class TestSynth:
         assert code == 3
         assert "seed must be >= 0, got -1" in err
 
+    def test_rejects_quarters_past_year_9999(self, cli, tmp_path):
+        # 32021 quarters from 1995Q1 end in 10000Q1, which no CSV file can hold
+        code, out, err = cli(["synth", "--out", str(tmp_path), "--quarters", "32021"])
+        assert code == 3
+        assert err == "error: year must be in 0..9999, got 10000\n"
+        assert not list(tmp_path.glob("*.csv"))
+
 
 class TestPipeline:
     def test_full_chain(self, cli, tmp_path):
@@ -562,6 +569,20 @@ class TestReportFile:
         out = run_ok(cli, ["report", "--config", str(config)])
         na = [line.split() for line in out.splitlines() if "n/a" in line]
         assert na == [[a, "up", "to", "2008Q2", "n/a", "n/a"] for a in ("OLS", "ECM")]
+
+    def test_metric_wider_than_its_cell_stays_a_separate_cell(self, cli, tmp_path):
+        # 520,000,000.000 is wider than its 14-character cell and ran into the next one
+        config = make_workspace(cli, tmp_path)
+        run_ok(cli, ["backtest", "--config", str(config)])
+        path = load_config(config).run_dir() / "report.json"
+        doc = json.loads(path.read_text())
+        for v in doc["variants"]:
+            if v["name"] == "hlc" and v["approach"] == "ols" and v["regime"] == "full":
+                v["metrics_all"].update(rmse=5.2e11, mae=3.1e11)
+        path.write_text(json.dumps(doc))
+        out = run_ok(cli, ["report", "--config", str(config)])
+        rows = [line for line in out.splitlines() if line.startswith("  OLS   all quarters")]
+        assert rows[1] == f"  {'OLS':<6}{'all quarters':<22}{'5.200e+08':>14}{'3.100e+08':>14}"
 
 
 class TestOverflowingPrice:

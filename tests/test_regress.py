@@ -451,6 +451,14 @@ class TestEcm:
         for i in range(20):
             assert forecast.get(start + i) == pytest.approx(y[120 + i], abs=1e-6)
 
+    def test_forecast_without_an_anchor_level_is_data_error(self):
+        # no quarter precedes 0000Q1, the first one a Quarter can hold
+        x, y = simulate_ecm(n=40)
+        ys, xs, fit = fit_simulated(x, y)
+        frame = align(s._with_array(s.array, 0) for s in ecm_frame(ys, xs).columns.values())
+        with pytest.raises(DataError, match="no observed 'y' level before 0000Q1"):
+            ecm_forecast(fit, frame, Quarter(0, 1))
+
     def test_zero_coefficients_give_flat_forecast(self):
         names = ["intercept", "d_x", "y_lag1", "x_lag1"]
         underlying = FitResult(

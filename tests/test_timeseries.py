@@ -68,6 +68,16 @@ class TestQuarter:
         for q in [Quarter(1995, 1), Quarter(2008, 2), Quarter(2017, 4), Quarter(999, 4)]:
             assert parse_quarter(str(q)) == q
 
+    def test_year_without_a_four_digit_label_rejected(self):
+        # 10000Q1 and -001Q4 are labels parse_quarter cannot read back
+        with pytest.raises(ValueError, match="year must be in 0..9999, got 10000"):
+            Quarter(10000, 1)
+        with pytest.raises(ValueError, match="got -1"):
+            Quarter.from_index(-1)
+        with pytest.raises(ValueError, match="got 10000"):
+            Quarter(9999, 4) + 1
+        assert parse_quarter(str(Quarter(0, 1))) == Quarter.from_index(0)
+
 
 class TestTrailingMean:
     def test_constant_series(self):
