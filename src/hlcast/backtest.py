@@ -59,33 +59,23 @@ ECM_LEVEL_LAG = 5
 
 
 @dataclass(frozen=True)
-class Regressor:
-    """One right-hand-side variable of a model variant.
-
-    ``lag`` applies in the level (OLS) form. In the error correction form
-    the variable enters twice: differenced at ``ecm_diff_lag`` and as a
-    level at ``ecm_level_lag``.
-    """
-
-    column: str
-    lag: int = 0
-    ecm_diff_lag: int = 0
-    ecm_level_lag: int = 1
-
-
-@dataclass(frozen=True)
 class ModelSpec:
-    """A named model variant: regressor set plus fitting approach."""
+    """One row of the experiment grid: a form of ``MODELS``, the fitting
+    approach, and the lag at which lending capacity enters the level form."""
 
     name: str
-    regressors: tuple[Regressor, ...]
     approach: str = "ols"
+    hlc_lag: int = HLC_LAG
 
     def __post_init__(self) -> None:
+        if self.name not in MODELS:
+            raise ValueError(f"unknown model {self.name!r} (known: {', '.join(MODELS)})")
         if self.approach not in ("ols", "ecm"):
             raise ValueError(f"approach must be 'ols' or 'ecm', got {self.approach!r}")
-        if not self.regressors:
-            raise ValueError(f"model {self.name!r} has no regressors")
+
+    @property
+    def columns(self) -> tuple[str, ...]:
+        return MODELS[self.name][1]
 
 
 def finite_or_none(v: float) -> float | None:
@@ -175,21 +165,8 @@ def _score(
 
 
 def default_specs(hlc_lag: int = HLC_LAG, models: Sequence[str] = PAPER_MODELS) -> list[ModelSpec]:
-    """The experiment grid of the forms named in ``models``, each as OLS and ECM.
-
-    The benchmark regresses prices on income, rates and loan-to-value; the
-    capacity model is univariate in lagged lending capacity; the combined
-    model adds the capacity-to-income ratio to the benchmark; the debt-ratio
-    variant adds a mortgage debt-to-GDP column to the benchmark.
-    """
-    capacity = {
-        c: Regressor(c, hlc_lag, ECM_DIFF_LAG, ECM_LEVEL_LAG) for c in (HLC, HLC_INCOME_RATIO)
-    }
-    specs = []
-    for name in models:
-        regressors = tuple([capacity.get(c) or Regressor(c) for c in MODELS[name][1]])
-        specs += [ModelSpec(name, regressors, approach) for approach in ("ols", "ecm")]
-    return specs
+    """The experiment grid of the forms named in ``models``, each as OLS and ECM."""
+    return [ModelSpec(name, approach, hlc_lag) for name in models for approach in ("ols", "ecm")]
 
 
 def _zero_from(series: QuarterlySeries, start: Quarter) -> QuarterlySeries:
@@ -358,27 +335,28 @@ class BacktestReport:
 
 
 def _spec_design(features: Frame, spec: ModelSpec, response: str) -> tuple[DesignMatrix, Frame]:
-    """The spec's design over the whole sample, and the frame its predictions read."""
+    """The spec's design over the whole sample, and the frame its predictions read.
+
+    Lending capacity and its ratio to income lead prices: they enter the
+    level form at ``spec.hlc_lag``, and the ECM differenced at
+    ``ECM_DIFF_LAG`` and as a level at ``ECM_LEVEL_LAG``. Every other column
+    enters unlagged, and in the ECM as a level at lag 1.
+    """
+    leads = [(c, c in (HLC, HLC_INCOME_RATIO)) for c in spec.columns]
     if spec.approach == "ols":
-        regressors = [(r.column, r.lag) for r in spec.regressors]
+        regressors = [(c, spec.hlc_lag if lead else 0) for c, lead in leads]
         return design_matrix(features, response, regressors), features
     # only the response and the variant's columns, with their first
     # differences: a passthrough feature column may already be named d_<column>
-    base = [features.column(response)] + [features.column(r.column) for r in spec.regressors]
+    base = [features.column(c) for c in (response, *spec.columns)]
     frame = align(base + [s.diff().rename(f"d_{s.name}") for s in base])
     design = ecm_design(
         frame,
         response,
-        [(f"d_{r.column}", r.ecm_diff_lag) for r in spec.regressors],
-        [(r.column, r.ecm_level_lag) for r in spec.regressors],
+        [(f"d_{c}", ECM_DIFF_LAG if lead else 0) for c, lead in leads],
+        [(c, ECM_LEVEL_LAG if lead else 1) for c, lead in leads],
     )
     return design, frame
-
-
-def _failed(spec: ModelSpec, regime: str, exc: HlcastError) -> VariantResult:
-    return VariantResult(
-        name=spec.name, approach=spec.approach, regime=regime, error=f"{type(exc).__name__}: {exc}"
-    )
 
 
 def _run_variant(
@@ -446,19 +424,14 @@ def run_grid(
         if key in seen:
             raise SchemaError(f"duplicate model spec {spec.name!r} ({spec.approach})")
         seen.add(key)
-        for r in spec.regressors:
-            features.require(r.column)
+        features.require(*spec.columns)
 
     variants: list[VariantResult] = []
     # a path whose squared errors overflow scores as infinite, which
     # Metrics.to_dict writes as null
     with np.errstate(over="ignore"):
         for spec in sorted(specs, key=lambda s: (s.name, s.approach)):
-            try:
-                design, frame = _spec_design(features, spec, HOUSE_PRICE)
-            except HlcastError as exc:
-                variants += [_failed(spec, regime, exc) for regime in REGIMES]
-                continue
+            design, frame = _spec_design(features, spec, HOUSE_PRICE)
             for regime in REGIMES:
                 # one design per spec: the truncated regime fits its row prefix
                 d = design if regime == "full" else design.until(split.cutoff)
@@ -467,7 +440,8 @@ def run_grid(
                         _run_variant(spec, d, frame, observed, split, regime, forecast_mode)
                     )
                 except HlcastError as exc:
-                    variants.append(_failed(spec, regime, exc))
+                    error = f"{type(exc).__name__}: {exc}"
+                    variants.append(VariantResult(spec.name, spec.approach, regime, error=error))
     return BacktestReport(
         variants=variants, split=split, observed=observed, forecast_mode=forecast_mode
     )
@@ -497,7 +471,8 @@ def emit_plot_data(report: BacktestReport, out_dir: str | Path) -> list[Path]:
         written.append(path)
 
     def cells(m: Metrics | None) -> list:
-        return [repr(m.rmse), repr(m.mae), m.n_evaluated] if m else ["", "", ""]
+        # report.json's values: a non-finite metric (null) is an empty cell
+        return list(m.to_dict().values()) if m else ["", "", ""]
 
     summary = out_dir / "summary.csv"
     header = ["model", "approach", "regime", "rmse_all_eur", "mae_all_eur", "n_all",

@@ -1,18 +1,20 @@
 """Batch command line: ingest -> features -> lagscan -> backtest -> report.
 
 Every pipeline command takes ``--config`` and writes to a run directory
-named by the hash of the effective configuration (file plus flag
-overrides), the bytes of every input file and the hlcast version, so
-outputs from different settings or data never collide and reruns rewrite
-identical bytes. Each stage computes its inputs from the source CSVs and
+named by the hash of the effective settings (file plus flag overrides),
+each input's unit and bytes and the hlcast version, so outputs from
+different settings or data never collide and reruns rewrite identical
+bytes. Each stage computes its inputs from the source CSVs and
 writes every artifact it computes; it never reads an upstream artifact
-back. Only ``report`` reuses the run's ``report.json``, and runs the
-backtest when there is none.
+back. Only ``report`` reuses the run's ``report.json``, and only when the
+run's ``manifest.json`` is the one the running code writes; otherwise it
+runs the backtest.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import sys
@@ -21,7 +23,14 @@ from typing import NoReturn
 
 from . import errors
 from ._numpy import np
-from .backtest import BacktestReport, build_features, default_specs, emit_plot_data, run_grid
+from .backtest import (
+    SCHEMA_VERSION,
+    BacktestReport,
+    build_features,
+    default_specs,
+    emit_plot_data,
+    run_grid,
+)
 from .config import DEFAULT_UNITS, RunConfig, SeriesSource, checked_settings, load_config
 from .errors import ConfigError, DataError, HlcastError, NumericalError
 from .regress import lag_scan
@@ -78,7 +87,21 @@ def _backtest(cfg: RunConfig, run_dir: Path) -> BacktestReport:
     report = run_grid(features, specs, cfg.split, forecast_mode=cfg.forecast_mode)
     write_text(run_dir / "report.json", report.to_json())
     emit_plot_data(report, run_dir / "plots")
+    write_text(run_dir / "manifest.json", _manifest())
     return report
+
+
+def _manifest() -> str:
+    """The manifest the running code writes after a backtest.
+
+    It holds the report schema and the sha256 of hlcast's module sources,
+    each fed as its file name, a NUL byte and its bytes, in name order.
+    """
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    manifest = {"schema_version": SCHEMA_VERSION, "code_sha256": digest.hexdigest()}
+    return json.dumps(manifest, indent=2) + "\n"
 
 
 def _summary_table(frame: Frame) -> list[str]:
@@ -138,12 +161,12 @@ def synth(out: str, seed: int, quarters: int, noise: float) -> None:
     # imported here, so that no pipeline stage loads the generator
     from .synthetic import ScenarioConfig, generate
 
-    out_dir = Path(out)
-    _make_dir(out_dir)
     try:
         data = generate(ScenarioConfig(seed=seed, n_quarters=quarters, noise_scale=noise))
     except ValueError as exc:
         raise DataError(str(exc)) from None
+    out_dir = Path(out)
+    _make_dir(out_dir)
     sources = {}
     for name in data.frame.names():
         write_series_csv(data.frame.column(name), out_dir / f"{name}.csv")
@@ -219,8 +242,13 @@ def backtest(cfg: RunConfig, run_dir: Path) -> None:
 
 def report(cfg: RunConfig, run_dir: Path) -> None:
     """Render the per-model RMSE/MAE tables from the saved report."""
-    path = run_dir / "report.json"
-    if not path.is_file():
+    path, manifest = run_dir / "report.json", run_dir / "manifest.json"
+    try:
+        # a report that other code wrote, or an older hlcast, is computed again
+        reusable = path.is_file() and manifest.read_bytes() == _manifest().encode()
+    except OSError:
+        reusable = False
+    if not reusable:
         _backtest(cfg, run_dir)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))

@@ -1,10 +1,12 @@
 """Run configuration: one YAML file captures every knob of a pipeline run.
 
 Command-line flags override file values. A run's outputs land in a
-directory named by the hash of the effective configuration, the bytes of
-every input file and the hlcast version, so runs of different settings or
-data never overwrite each other, and a run directory never holds results
-of data that has since changed.
+directory named by the hash of the effective settings, each input's unit
+and bytes and the hlcast version, so runs of different settings or data
+never overwrite each other, and a run directory never holds results of
+data that has since changed. File paths are not hashed: a workspace keeps
+its run directories wherever it lies and whichever directory the command
+runs from.
 """
 
 from __future__ import annotations
@@ -139,8 +141,10 @@ class RunConfig:
         return {"data": data, **copy.deepcopy(self.settings)}
 
     def run_hash(self) -> str:
-        """Hash of the canonical config, each input file's bytes and the hlcast version."""
-        h = hashlib.sha256(json.dumps(self.to_canonical(), sort_keys=True).encode("utf-8"))
+        """Hash of the config without its paths, each input's bytes and the hlcast version."""
+        settings = {k: v for k, v in self.settings.items() if k != "output_dir"}
+        units = {name: src.unit for name, src in self.data.items()}
+        h = hashlib.sha256(json.dumps({"data": units, **settings}, sort_keys=True).encode("utf-8"))
         for _, src in sorted(self.data.items()):
             try:
                 h.update(hashlib.sha256(src.path.read_bytes()).digest())

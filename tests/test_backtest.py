@@ -18,9 +18,9 @@ from hlcast.backtest import (
     INTEREST_ONLY_SHARE,
     INTEREST_RATE,
     LTV,
+    MODELS,
     BacktestReport,
     ModelSpec,
-    Regressor,
     SplitSpec,
     VariantResult,
     _score,
@@ -300,27 +300,20 @@ class TestRunGrid:
         assert a == b
 
     def test_failure_isolated(self, features):
-        specs = default_specs() + [
-            ModelSpec(name="broken", regressors=(Regressor(INCOME), Regressor(INCOME)))
-        ]
-        report = run_grid(features, specs, SplitSpec())
-        broken = [v for v in report.variants if v.name == "broken"]
-        assert len(broken) == 2
+        specs = default_specs(models=tuple(MODELS))
+        report = run_grid(with_collinear_debt(features), specs, SplitSpec())
+        broken = [v for v in report.variants if v.name == "benchmark_debt"]
+        assert len(broken) == 4
         assert all(v.error is not None for v in broken)
-        assert all(v.error is None for v in report.variants if v.name != "broken")
+        assert all(v.error is None for v in report.variants if v.name != "benchmark_debt")
 
     def test_unknown_regressor_column_rejected(self, features):
-        with pytest.raises(SchemaError, match="nonexistent"):
-            run_grid(
-                features,
-                [ModelSpec(name="x", regressors=(Regressor("nonexistent"),))],
-                SplitSpec(),
-            )
+        with pytest.raises(SchemaError, match="debt_to_gdp"):
+            run_grid(features, default_specs(models=["benchmark_debt"]), SplitSpec())
 
     def test_duplicate_spec_rejected(self, features):
-        spec = ModelSpec(name="dup", regressors=(Regressor(INCOME),))
-        with pytest.raises(SchemaError, match="dup"):
-            run_grid(features, [spec, spec], SplitSpec())
+        with pytest.raises(SchemaError, match="hlc"):
+            run_grid(features, [ModelSpec("hlc"), ModelSpec("hlc")], SplitSpec())
 
     def test_cutoff_outside_sample_rejected(self, features):
         with pytest.raises(DataError):
@@ -377,6 +370,12 @@ class TestRunGrid:
             terms=wide.terms[:3],
         )
         assert ols_fit(wide).r_squared >= ols_fit(narrow).r_squared - 1e-12
+
+
+def with_collinear_debt(features: Frame) -> Frame:
+    """``features`` plus a debt ratio equal to loan-to-value, which the debt variants
+    cannot fit: the error names both columns, comma separated."""
+    return align(list(features.columns.values()) + [features.column(LTV).rename("debt_to_gdp")])
 
 
 def cut_frame(frame: Frame, last: Quarter) -> Frame:
@@ -484,7 +483,7 @@ class TestFitWork:
             assert v.error.startswith("NumericalError: squares of "), v.error
             assert "house_price" in v.error and "overflow" in v.error, v.error
 
-    def test_overflowing_errors_score_as_null(self):
+    def test_overflowing_errors_score_as_null(self, tmp_path):
         # a 1e308 price after the cutoff: the truncated fits never see it, but
         # their squared errors on it overflow
         features = build_features(generate(ScenarioConfig(seed=0)).frame, LtiParams())
@@ -496,12 +495,22 @@ class TestFitWork:
             warnings.simplefilter("error")
             report = run_grid(align(columns.values()), default_specs(), SplitSpec())
             doc = json.loads(report.to_json(), parse_constant=pytest.fail)
+            emit_plot_data(report, tmp_path)
         truncated = [v for v in doc["variants"] if v["regime"] == "truncated"]
         assert len(truncated) == 6
         for v in truncated:
             assert v["error"] is None, v["error"]
             assert v["metrics_all"]["rmse"] is None
             assert v["metrics_holdout"]["rmse"] is None
+        # summary.csv writes a null metric as an empty cell, as the plot files
+        # write a missing value
+        with (tmp_path / "summary.csv").open(newline="") as fh:
+            rows = [row for row in csv.DictReader(fh) if row["regime"] == "truncated"]
+        assert len(rows) == 6
+        for row in rows:
+            assert row["rmse_all_eur"] == row["rmse_holdout_eur"] == "", row
+            for key in ("mae_all_eur", "n_all", "mae_holdout_eur", "n_holdout"):
+                assert math.isfinite(float(row[key])), (key, row)
 
 
 class TestReportJson:
@@ -517,13 +526,9 @@ class TestReportJson:
         assert variants == report.to_dict()["variants"]
 
     def test_variant_entry_shape(self, features):
-        specs = default_specs() + [
-            ModelSpec(name="broken", regressors=(Regressor(INCOME), Regressor(INCOME)))
-        ]
-        entries = {
-            (v["name"], v["approach"], v["regime"]): v
-            for v in run_grid(features, specs, SplitSpec()).to_dict()["variants"]
-        }
+        specs = default_specs(models=tuple(MODELS))
+        report = run_grid(with_collinear_debt(features), specs, SplitSpec())
+        entries = {(v["name"], v["approach"], v["regime"]): v for v in report.to_dict()["variants"]}
         ols, ecm = entries["hlc", "ols", "full"], entries["hlc", "ecm", "truncated"]
         for entry in (ols, ecm):
             assert entry["coefficients"]
@@ -531,7 +536,7 @@ class TestReportJson:
                 assert set(coefficient) == {"estimate", "stderr"}
             assert set(entry["stats"]) == {"r2", "adj_r2", "resid_se", "f_stat", "n"}
         assert ecm["gamma"] is not None and ecm["long_run_alphas"] is not None
-        failed = entries["broken", "ols", "full"]
+        failed = entries["benchmark_debt", "ols", "full"]
         assert failed["error"] is not None
         assert failed["coefficients"] is None and failed["stats"] is None
         for entry in (ols, failed):
@@ -625,11 +630,38 @@ class TestEmitPlotData:
 class TestSpecValidation:
     def test_bad_approach(self):
         with pytest.raises(ValueError):
-            ModelSpec(name="x", regressors=(Regressor(INCOME),), approach="bayes")
+            ModelSpec("hlc", "bayes")
 
-    def test_no_regressors(self):
-        with pytest.raises(ValueError):
-            ModelSpec(name="x", regressors=())
+    def test_unknown_model(self):
+        known = "known: benchmark, hlc, benchmark_hlc, benchmark_debt"
+        with pytest.raises(ValueError, match=f"'x' \\({known}\\)"):
+            ModelSpec("x")
+
+    def test_design_names_follow_the_lag_rule(self, features):
+        # capacity columns enter at the capacity lag (3 here) in levels and at
+        # lags 4 (differenced) and 5 (level) in the ECM; the others unlagged
+        # and as a level at lag 1
+        benchmark = ["income", "interest_rate", "ltv"]
+        benchmark_ecm = ["d_income", "d_interest_rate", "d_ltv", "house_price_lag1",
+                         "income_lag1", "interest_rate_lag1", "ltv_lag1"]
+        expected = {
+            ("benchmark", "ols"): benchmark,
+            ("benchmark", "ecm"): benchmark_ecm,
+            ("hlc", "ols"): ["hlc_lag3"],
+            ("hlc", "ecm"): ["d_hlc_lag4", "house_price_lag1", "hlc_lag5"],
+            ("benchmark_hlc", "ols"): benchmark + ["hlc_income_ratio_lag3"],
+            ("benchmark_hlc", "ecm"): benchmark_ecm[:3] + ["d_hlc_income_ratio_lag4"]
+            + benchmark_ecm[3:] + ["hlc_income_ratio_lag5"],
+            ("benchmark_debt", "ols"): benchmark + ["debt_to_gdp"],
+            ("benchmark_debt", "ecm"): benchmark_ecm[:3] + ["d_debt_to_gdp"]
+            + benchmark_ecm[3:] + ["debt_to_gdp_lag1"],
+        }
+        frame = with_collinear_debt(features)
+        names = {
+            (spec.name, spec.approach): _spec_design(frame, spec, HOUSE_PRICE)[0].names
+            for spec in default_specs(3, tuple(MODELS))
+        }
+        assert names == {key: ["intercept"] + terms for key, terms in expected.items()}
 
     def test_bad_evaluation_window(self):
         with pytest.raises(ValueError):

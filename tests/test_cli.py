@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -45,20 +46,22 @@ class TestSynth:
         assert cfg.hlc_lag == truth["hlc_lag"]
 
     def test_rejects_too_few_quarters(self, cli, tmp_path):
-        code, out, err = cli(["synth", "--out", str(tmp_path), "--quarters", "10"])
+        code, out, err = cli(["synth", "--out", str(tmp_path / "ws"), "--quarters", "10"])
         assert code == 3
+        assert not (tmp_path / "ws").exists()
 
     def test_rejects_negative_seed(self, cli, tmp_path):
-        code, out, err = cli(["synth", "--out", str(tmp_path), "--seed", "-1"])
+        code, out, err = cli(["synth", "--out", str(tmp_path / "ws"), "--seed", "-1"])
         assert code == 3
         assert "seed must be >= 0, got -1" in err
+        assert not (tmp_path / "ws").exists()
 
     def test_rejects_quarters_past_year_9999(self, cli, tmp_path):
         # 32021 quarters from 1995Q1 end in 10000Q1, which no CSV file can hold
-        code, out, err = cli(["synth", "--out", str(tmp_path), "--quarters", "32021"])
+        code, out, err = cli(["synth", "--out", str(tmp_path / "ws"), "--quarters", "32021"])
         assert code == 3
         assert err == "error: year must be in 0..9999, got 10000\n"
-        assert not list(tmp_path.glob("*.csv"))
+        assert not (tmp_path / "ws").exists()
 
 
 class TestPipeline:
@@ -121,6 +124,21 @@ class TestPipeline:
         doc = json.loads((moved_dir / "report.json").read_text())
         assert doc["cutoff"] == "2006Q4"
 
+    def test_run_dir_does_not_depend_on_the_config_path_spelling(
+        self, cli, tmp_path, monkeypatch
+    ):
+        config = make_workspace(cli, tmp_path)
+        monkeypatch.chdir(tmp_path)
+        relative = load_config("data/config.yaml").run_dir()
+        run_ok(cli, ["backtest", "--config", "data/config.yaml"])
+        run_ok(cli, ["backtest", "--config", str(config.resolve())])
+        monkeypatch.chdir(tmp_path / "data")
+        inside = load_config("config.yaml").run_dir()
+        run_ok(cli, ["backtest", "--config", "config.yaml"])
+        absolute = load_config(config.resolve()).run_dir()
+        assert relative.name == inside.name == absolute.name
+        assert [p.name for p in (tmp_path / "data" / "runs").iterdir()] == [relative.name]
+
     def test_lags_override(self, cli, tmp_path):
         config = make_workspace(cli, tmp_path)
         out = run_ok(cli, ["lagscan", "--config", str(config), "--lags", "0..8"])
@@ -137,7 +155,8 @@ class TestPipeline:
 
 
 class TestStaleArtifacts:
-    """A run directory never holds results of inputs that have since changed."""
+    """A run directory never holds results of inputs that have since changed,
+    and ``report`` never shows a report that other code wrote."""
 
     def test_edited_input_gets_new_run_dir_and_report(self, cli, tmp_path):
         config = make_workspace(cli, tmp_path)
@@ -170,6 +189,55 @@ class TestStaleArtifacts:
         write_frame_csv(align(zeroed), run_dir / "features.csv")
         run_ok(cli, ["backtest", "--config", str(config)])
         assert (run_dir / "report.json").read_bytes() == clean
+
+    @staticmethod
+    def edited_run(cli, tmp_path) -> tuple[Path, Path, str, bytes]:
+        """A backtested workspace whose report.json then had every RMSE set to 0.
+
+        Returns the config, the run directory, and the tables and report.json
+        of the clean run.
+        """
+        config = make_workspace(cli, tmp_path)
+        run_ok(cli, ["backtest", "--config", str(config)])
+        tables = run_ok(cli, ["report", "--config", str(config)])
+        run_dir = load_config(config).run_dir()
+        clean = (run_dir / "report.json").read_bytes()
+        doc = json.loads(clean)
+        for v in doc["variants"]:
+            v["metrics_all"]["rmse"] = 0.0
+        (run_dir / "report.json").write_text(json.dumps(doc))
+        assert run_ok(cli, ["report", "--config", str(config)]) != tables
+        return config, run_dir, tables, clean
+
+    def test_report_under_another_code_digest_is_recomputed(self, cli, tmp_path):
+        config, run_dir, tables, clean = self.edited_run(cli, tmp_path)
+        manifest = run_dir / "manifest.json"
+        written = manifest.read_bytes()
+        doc = json.loads(written)
+        doc["code_sha256"] = "0" * 64
+        manifest.write_text(json.dumps(doc, indent=2) + "\n")
+        assert run_ok(cli, ["report", "--config", str(config)]) == tables
+        assert (run_dir / "report.json").read_bytes() == clean
+        assert manifest.read_bytes() == written
+
+    def test_report_without_a_manifest_is_recomputed(self, cli, tmp_path):
+        # a run directory that an older hlcast wrote
+        config, run_dir, tables, clean = self.edited_run(cli, tmp_path)
+        (run_dir / "manifest.json").unlink()
+        assert run_ok(cli, ["report", "--config", str(config)]) == tables
+        assert (run_dir / "report.json").read_bytes() == clean
+        assert (run_dir / "manifest.json").is_file()
+
+    def test_backtest_writes_the_code_digest(self, cli, tmp_path):
+        config = make_workspace(cli, tmp_path)
+        run_ok(cli, ["backtest", "--config", str(config)])
+        digest = hashlib.sha256()
+        for path in sorted(Path(hlcast.__file__).parent.glob("*.py")):
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        manifest = load_config(config).run_dir() / "manifest.json"
+        assert json.loads(manifest.read_text()) == {
+            "schema_version": 1, "code_sha256": digest.hexdigest()
+        }
 
     def test_version_is_part_of_the_run_hash(self, cli, tmp_path, monkeypatch):
         cfg = load_config(make_workspace(cli, tmp_path))
