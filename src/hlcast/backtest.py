@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -46,7 +45,7 @@ from .spec import (
     LtiParams,
     SplitSpec,
 )
-from .timeseries import Frame, Quarter, QuarterlySeries, align, quarter_rows, write_csv
+from .timeseries import Frame, Quarter, QuarterlySeries, Record, align, quarter_rows, write_csv
 
 REGIMES = ("full", "truncated")
 
@@ -58,20 +57,20 @@ ECM_DIFF_LAG = 4
 ECM_LEVEL_LAG = 5
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(Record):
     """One row of the experiment grid: a form of ``MODELS``, the fitting
     approach, and the lag at which lending capacity enters the level form."""
 
-    name: str
-    approach: str = "ols"
-    hlc_lag: int = HLC_LAG
+    __slots__ = ("name", "approach", "hlc_lag")
 
-    def __post_init__(self) -> None:
-        if self.name not in MODELS:
-            raise ValueError(f"unknown model {self.name!r} (known: {', '.join(MODELS)})")
-        if self.approach not in ("ols", "ecm"):
-            raise ValueError(f"approach must be 'ols' or 'ecm', got {self.approach!r}")
+    def __init__(self, name: str, approach: str = "ols", hlc_lag: int = HLC_LAG) -> None:
+        if name not in MODELS:
+            raise ValueError(f"unknown model {name!r} (known: {', '.join(MODELS)})")
+        if approach not in ("ols", "ecm"):
+            raise ValueError(f"approach must be 'ols' or 'ecm', got {approach!r}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "approach", approach)
+        object.__setattr__(self, "hlc_lag", hlc_lag)
 
     @property
     def columns(self) -> tuple[str, ...]:
@@ -83,11 +82,13 @@ def finite_or_none(v: float) -> float | None:
     return float(v) if math.isfinite(v) else None
 
 
-@dataclass(frozen=True)
-class Metrics:
-    rmse: float
-    mae: float
-    n_evaluated: int
+class Metrics(Record):
+    __slots__ = ("rmse", "mae", "n_evaluated")
+
+    def __init__(self, rmse: float, mae: float, n_evaluated: int) -> None:
+        object.__setattr__(self, "rmse", rmse)
+        object.__setattr__(self, "mae", mae)
+        object.__setattr__(self, "n_evaluated", n_evaluated)
 
     def to_dict(self) -> dict:
         return {
@@ -235,7 +236,6 @@ def build_features(
     return align(list(base.columns.values()) + extra)
 
 
-@dataclass
 class VariantResult:
     """Outcome of one (model, regime) cell of the experiment grid.
 
@@ -243,18 +243,31 @@ class VariantResult:
     :meth:`to_dict` writes the variant's report entry from it.
     """
 
-    name: str
-    approach: str
-    regime: str
-    metrics_all: Metrics | None = None
-    metrics_holdout: Metrics | None = None
-    fit: FitResult | EcmFit | None = None
-    predicted: QuarterlySeries | None = None
-    forecast_mode: str | None = None
-    alt_mode: str | None = None
-    alt_metrics_all: Metrics | None = None
-    alt_metrics_holdout: Metrics | None = None
-    error: str | None = None
+    __slots__ = (
+        "name", "approach", "regime", "metrics_all", "metrics_holdout", "fit", "predicted",
+        "forecast_mode", "alt_mode", "alt_metrics_all", "alt_metrics_holdout", "error",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        approach: str,
+        regime: str,
+        metrics_all: Metrics | None = None,
+        metrics_holdout: Metrics | None = None,
+        fit: FitResult | EcmFit | None = None,
+        predicted: QuarterlySeries | None = None,
+        forecast_mode: str | None = None,
+        alt_mode: str | None = None,
+        alt_metrics_all: Metrics | None = None,
+        alt_metrics_holdout: Metrics | None = None,
+        error: str | None = None,
+    ) -> None:
+        self.name, self.approach, self.regime = name, approach, regime
+        self.metrics_all, self.metrics_holdout, self.fit = metrics_all, metrics_holdout, fit
+        self.predicted, self.forecast_mode, self.alt_mode = predicted, forecast_mode, alt_mode
+        self.alt_metrics_all, self.alt_metrics_holdout = alt_metrics_all, alt_metrics_holdout
+        self.error = error
 
     def to_dict(self) -> dict:
         ecm = self.fit if isinstance(self.fit, EcmFit) else None
@@ -303,14 +316,20 @@ class VariantResult:
         }
 
 
-@dataclass
 class BacktestReport:
     """All variant results plus the observed response they are scored against."""
 
-    variants: list[VariantResult]
-    split: SplitSpec
-    observed: QuarterlySeries
-    forecast_mode: str = "dynamic"
+    __slots__ = ("variants", "split", "observed", "forecast_mode")
+
+    def __init__(
+        self,
+        variants: list[VariantResult],
+        split: SplitSpec,
+        observed: QuarterlySeries,
+        forecast_mode: str = "dynamic",
+    ) -> None:
+        self.variants, self.split, self.observed = variants, split, observed
+        self.forecast_mode = forecast_mode
 
     def variant(self, name: str, approach: str, regime: str) -> VariantResult:
         for v in self.variants:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
@@ -36,7 +35,7 @@ from .spec import (
     LtiParams,
     SplitSpec,
 )
-from .timeseries import Quarter, parse_quarter, write_text
+from .timeseries import Quarter, Record, parse_quarter, write_text
 
 REQUIRED_SERIES = (HOUSE_PRICE, INCOME, INTEREST_RATE, LTV)
 
@@ -69,23 +68,24 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 # statement of the defaults. The type of a default picks its key's check
 # (``_checked``); ``None`` marks an optional quarter.
 DEFAULTS = {
-    "lti": dict(vars(LtiParams())),
+    "lti": dict(zip(LtiParams.__slots__, LtiParams()._values())),
     "features": {
         "smoothing_window": SMOOTHING_WINDOW, "hlc_lag": HLC_LAG, "interest_only_zero_from": None
     },
-    "split": dict(vars(SplitSpec())),
+    "split": dict(zip(SplitSpec.__slots__, SplitSpec()._values())),
     "lag_scan": {"min": 0, "max": 6},
     "backtest": {"forecast_mode": "dynamic", "models": list(PAPER_MODELS)},
     "output_dir": "runs",
 }
 
 
-@dataclass(frozen=True)
-class SeriesSource:
+class SeriesSource(Record):
     """Where one input series lives and how its values are scaled."""
 
-    path: Path
-    unit: str
+    __slots__ = ("path", "unit")
+
+    def __init__(self, path: Path, unit: str) -> None:
+        self._set(path, unit)
 
     @property
     def factor(self) -> float:
@@ -96,13 +96,14 @@ def _setting(section: str, key: str) -> property:
     return property(lambda self: self.settings[section][key])
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """The input series plus ``settings``: every key of ``DEFAULTS`` in the
     canonical form ``checked_settings`` gives, read through typed attributes."""
 
-    data: dict[str, SeriesSource]
-    settings: dict
+    __slots__ = ("data", "settings")
+
+    def __init__(self, data: dict[str, SeriesSource], settings: dict) -> None:
+        self._set(data, settings)
 
     smoothing_window = _setting("features", "smoothing_window")
     hlc_lag = _setting("features", "hlc_lag")

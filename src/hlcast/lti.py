@@ -19,32 +19,29 @@ share of interest-only products among new mortgages.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 
 from ._numpy import np
 from .errors import DataError, DomainError, InconsistencyError
 from .spec import HLC, INCOME, INTEREST_ONLY_SHARE, INTEREST_RATE, LtiParams
-from .timeseries import Frame, Quarter, QuarterlySeries, align
+from .timeseries import Frame, Quarter, QuarterlySeries, Record, align
 
 
-@dataclass(frozen=True)
-class HouseholdInputs:
+class HouseholdInputs(Record):
     """Per-quarter inputs: quarterly income (euros), annual nominal interest
     rate (fraction), and the interest-only market share among new mortgages."""
 
-    quarterly_income: float
-    interest_rate: float
-    interest_only_share: float
+    __slots__ = ("quarterly_income", "interest_rate", "interest_only_share")
 
-    def __post_init__(self) -> None:
-        if self.quarterly_income <= 0:
-            raise ValueError(f"quarterly_income must be positive, got {self.quarterly_income}")
-        if self.interest_rate < 0:
-            raise ValueError(f"interest_rate must be >= 0, got {self.interest_rate}")
-        if not 0.0 <= self.interest_only_share <= 1.0:
-            raise ValueError(
-                f"interest_only_share must be in [0, 1], got {self.interest_only_share}"
-            )
+    def __init__(
+        self, quarterly_income: float, interest_rate: float, interest_only_share: float
+    ) -> None:
+        if quarterly_income <= 0:
+            raise ValueError(f"quarterly_income must be positive, got {quarterly_income}")
+        if interest_rate < 0:
+            raise ValueError(f"interest_rate must be >= 0, got {interest_rate}")
+        if not 0.0 <= interest_only_share <= 1.0:
+            raise ValueError(f"interest_only_share must be in [0, 1], got {interest_only_share}")
+        self._set(quarterly_income, interest_rate, interest_only_share)
 
 
 def annuity_factor(x: float, term_months: int = 360) -> float:
@@ -165,7 +162,7 @@ def _raise_scalar_error(frame: Frame, k: int, params: LtiParams) -> None:
     except ValueError as exc:
         # the message starts with the rejected field; fields follow the columns
         field = str(exc).split()[0]
-        column = dict(zip((f.name for f in fields(HouseholdInputs)), _INPUT_COLUMNS))[field]
+        column = dict(zip(HouseholdInputs.__slots__, _INPUT_COLUMNS))[field]
         raise DataError(f"column {column!r} at {q}: {exc}") from None
     except DomainError as exc:
         # valid inputs fail only at a carrying-cost rate of zero

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ._numpy import np
@@ -24,7 +23,7 @@ from .errors import (
     SchemaError,
     SingularDesignError,
 )
-from .timeseries import Frame, Quarter, QuarterlySeries, align, shift
+from .timeseries import Frame, Quarter, QuarterlySeries, Record, align, shift
 
 # Relative singular-value threshold below which a design counts as rank
 # deficient.
@@ -36,16 +35,17 @@ NULL_LOADING_TOL = 1e-6
 INTERCEPT = "intercept"
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(Record):
     """One regressor: a frame column taken at a given lag."""
 
-    name: str
-    column: str
-    lag: int = 0
+    __slots__ = ("name", "column", "lag")
+
+    def __init__(self, name: str, column: str, lag: int = 0) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "column", column)
+        object.__setattr__(self, "lag", lag)
 
 
-@dataclass
 class DesignMatrix:
     """Dense regression inputs after listwise deletion.
 
@@ -55,24 +55,28 @@ class DesignMatrix:
     predictions can be rebuilt on any compatible frame.
     """
 
-    response: np.ndarray
-    matrix: np.ndarray
-    names: list[str]
-    rows: np.ndarray
-    response_name: str
-    terms: tuple[Term, ...]
+    __slots__ = ("response", "matrix", "names", "rows", "response_name", "terms")
 
-    def __post_init__(self) -> None:
-        self.response = np.asarray(self.response, dtype=float)
-        self.matrix = np.asarray(self.matrix, dtype=float)
-        self.rows = np.asarray(self.rows, dtype=np.int64)
+    def __init__(
+        self,
+        response: np.ndarray,
+        matrix: np.ndarray,
+        names: list[str],
+        rows: np.ndarray,
+        response_name: str,
+        terms: tuple[Term, ...],
+    ) -> None:
+        self.response = np.asarray(response, dtype=float)
+        self.matrix = np.asarray(matrix, dtype=float)
+        self.rows = np.asarray(rows, dtype=np.int64)
+        self.names, self.response_name, self.terms = names, response_name, terms
         if self.matrix.ndim != 2 or self.response.ndim != 1:
             raise ValueError("response must be a vector and matrix two-dimensional")
         n, p = self.matrix.shape
-        if len(self.response) != n or len(self.rows) != n or len(self.names) != p:
+        if len(self.response) != n or len(self.rows) != n or len(names) != p:
             raise ValueError("design matrix dimensions are inconsistent")
-        if len(set(self.names)) != p:
-            raise SchemaError(f"duplicate regressor names: {self.names}")
+        if len(set(names)) != p:
+            raise SchemaError(f"duplicate regressor names: {names}")
 
     def until(self, last: Quarter) -> DesignMatrix:
         """The rows up to and including quarter ``last``, as views of this design.
@@ -129,7 +133,6 @@ def design_matrix(
     )
 
 
-@dataclass
 class FitResult:
     """Estimated coefficients with classical linear-model inference.
 
@@ -137,18 +140,32 @@ class FitResult:
     ``fitted_array`` and ``residual_array`` hold one value per row.
     """
 
-    coefficients: dict[str, float]
-    stderrs: dict[str, float]
-    r_squared: float
-    adj_r_squared: float
-    residual_stderr: float
-    f_statistic: float
-    n_obs: int
-    rows: np.ndarray
-    fitted_array: np.ndarray
-    residual_array: np.ndarray
-    response_name: str
-    terms: tuple[Term, ...] = ()
+    __slots__ = (
+        "coefficients", "stderrs", "r_squared", "adj_r_squared", "residual_stderr",
+        "f_statistic", "n_obs", "rows", "fitted_array", "residual_array", "response_name",
+        "terms",
+    )
+
+    def __init__(
+        self,
+        coefficients: dict[str, float],
+        stderrs: dict[str, float],
+        r_squared: float,
+        adj_r_squared: float,
+        residual_stderr: float,
+        f_statistic: float,
+        n_obs: int,
+        rows: np.ndarray,
+        fitted_array: np.ndarray,
+        residual_array: np.ndarray,
+        response_name: str,
+        terms: tuple[Term, ...] = (),
+    ) -> None:
+        self.coefficients, self.stderrs, self.r_squared = coefficients, stderrs, r_squared
+        self.adj_r_squared, self.residual_stderr = adj_r_squared, residual_stderr
+        self.f_statistic, self.n_obs, self.rows = f_statistic, n_obs, rows
+        self.fitted_array, self.residual_array = fitted_array, residual_array
+        self.response_name, self.terms = response_name, terms
 
     @property
     def fitted(self) -> QuarterlySeries:
@@ -292,7 +309,6 @@ def predict(fit: FitResult, frame: Frame) -> QuarterlySeries:
     return QuarterlySeries._from_array(f"{fit.response_name}_pred", frame.start_index, acc)
 
 
-@dataclass
 class EcmFit:
     """Error correction model recovered from its unrestricted linear fit.
 
@@ -302,11 +318,18 @@ class EcmFit:
     forecast is rebuilt from, live on ``underlying``.
     """
 
-    underlying: FitResult
-    response_name: str
-    short_run: dict[str, float]
-    gamma: float
-    long_run_alphas: dict[str, float]
+    __slots__ = ("underlying", "response_name", "short_run", "gamma", "long_run_alphas")
+
+    def __init__(
+        self,
+        underlying: FitResult,
+        response_name: str,
+        short_run: dict[str, float],
+        gamma: float,
+        long_run_alphas: dict[str, float],
+    ) -> None:
+        self.underlying, self.response_name, self.short_run = underlying, response_name, short_run
+        self.gamma, self.long_run_alphas = gamma, long_run_alphas
 
     @property
     def intercept(self) -> float:
@@ -431,18 +454,20 @@ def ecm_forecast(
     )
 
 
-@dataclass(frozen=True)
-class LagScanEntry:
-    lag: int
-    r_squared: float | None
-    n_obs: int
+class LagScanEntry(Record):
+    __slots__ = ("lag", "r_squared", "n_obs")
+
+    def __init__(self, lag: int, r_squared: float | None, n_obs: int) -> None:
+        self._set(lag, r_squared, n_obs)
 
 
-@dataclass
 class LagScanResult:
     """R-squared of a univariate regression per candidate lag."""
 
-    entries: list[LagScanEntry]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: list[LagScanEntry]) -> None:
+        self.entries = entries
 
     @property
     def best_lag(self) -> int | None:

@@ -3,16 +3,14 @@
 Column names of the feature frame, the grid's model forms, the paper's
 feature settings, and the parameter records of the lending-capacity engine
 and the out-of-sample split. This module sits below every layer: it imports
-nothing from hlcast but :class:`~hlcast.timeseries.Quarter`, so ``config``
-and ``synthetic`` read these names without loading the backtest or
-regression code.
+nothing from hlcast but :class:`~hlcast.timeseries.Quarter` and its
+``Record`` base, so ``config`` and ``synthetic`` read these names without
+loading the backtest or regression code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .timeseries import Quarter
+from .timeseries import Quarter, Record
 
 # Canonical column names for the feature frame.
 HOUSE_PRICE = "house_price"
@@ -47,8 +45,7 @@ MODELS = {
 PAPER_MODELS = tuple(MODELS)[:3]
 
 
-@dataclass(frozen=True)
-class LtiParams:
+class LtiParams(Record):
     """Constants governing the lending-capacity computation.
 
     Defaults: 30% of income available for housing (middle of the regulated
@@ -56,32 +53,37 @@ class LtiParams:
     2.5% of home value, and a 30-year (360-month) term.
     """
 
-    woonquote: float = 0.30
-    deduction_rate: float = 0.40
-    cost_rate: float = 0.025
-    term_months: int = 360
+    __slots__ = ("woonquote", "deduction_rate", "cost_rate", "term_months")
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.woonquote < 1.0:
-            raise ValueError(f"woonquote must be in (0, 1), got {self.woonquote}")
-        if not 0.0 <= self.deduction_rate < 1.0:
-            raise ValueError(f"deduction_rate must be in [0, 1), got {self.deduction_rate}")
-        if not 0.0 <= self.cost_rate < 1.0:
-            raise ValueError(f"cost_rate must be in [0, 1), got {self.cost_rate}")
-        if self.term_months <= 0:
-            raise ValueError(f"term_months must be positive, got {self.term_months}")
+    def __init__(
+        self,
+        woonquote: float = 0.30,
+        deduction_rate: float = 0.40,
+        cost_rate: float = 0.025,
+        term_months: int = 360,
+    ) -> None:
+        if not 0.0 < woonquote < 1.0:
+            raise ValueError(f"woonquote must be in (0, 1), got {woonquote}")
+        if not 0.0 <= deduction_rate < 1.0:
+            raise ValueError(f"deduction_rate must be in [0, 1), got {deduction_rate}")
+        if not 0.0 <= cost_rate < 1.0:
+            raise ValueError(f"cost_rate must be in [0, 1), got {cost_rate}")
+        if term_months <= 0:
+            raise ValueError(f"term_months must be positive, got {term_months}")
+        self._set(woonquote, deduction_rate, cost_rate, term_months)
 
 
-@dataclass(frozen=True)
-class SplitSpec:
+class SplitSpec(Record):
     """Out-of-sample split: truncated fits use quarters up to ``cutoff``."""
 
-    cutoff: Quarter = Quarter(2008, 2)
-    evaluation_window: str = "all_quarters"
+    __slots__ = ("cutoff", "evaluation_window")
 
-    def __post_init__(self) -> None:
-        if self.evaluation_window not in ("all_quarters", "holdout_only"):
+    def __init__(
+        self, cutoff: Quarter = Quarter(2008, 2), evaluation_window: str = "all_quarters"
+    ) -> None:
+        if evaluation_window not in ("all_quarters", "holdout_only"):
             raise ValueError(
                 f"evaluation_window must be 'all_quarters' or 'holdout_only', "
-                f"got {self.evaluation_window!r}"
+                f"got {evaluation_window!r}"
             )
+        self._set(cutoff, evaluation_window)

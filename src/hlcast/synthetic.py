@@ -11,8 +11,6 @@ not economic claims.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ._numpy import np
 from .lti import hlc_series
 from .spec import (
@@ -25,7 +23,7 @@ from .spec import (
     SMOOTHING_WINDOW,
     LtiParams,
 )
-from .timeseries import Frame, Quarter, QuarterlySeries, align
+from .timeseries import Frame, Quarter, QuarterlySeries, Record, align
 
 # Affine map from lagged lending capacity to the generated price level.
 PRICE_INTERCEPT = 15_000.0
@@ -37,8 +35,7 @@ START = Quarter(1995, 1)
 REGIME_CHANGE = Quarter(2011, 1)
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(Record):
     """Knobs of the generated scenario.
 
     ``n_quarters`` defaults to the real sample length; ``noise_scale`` is
@@ -46,31 +43,30 @@ class ScenarioConfig:
     price level.
     """
 
-    seed: int = 0
-    n_quarters: int = 92
-    noise_scale: float = 0.01
+    __slots__ = ("seed", "n_quarters", "noise_scale")
 
-    def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.n_quarters < 40:
+    def __init__(self, seed: int = 0, n_quarters: int = 92, noise_scale: float = 0.01) -> None:
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        if n_quarters < 40:
             raise ValueError(
-                f"n_quarters must be >= 40 to span the lags and both regimes, "
-                f"got {self.n_quarters}"
+                f"n_quarters must be >= 40 to span the lags and both regimes, got {n_quarters}"
             )
-        if not 0.0 <= self.noise_scale <= 0.2:
-            raise ValueError(f"noise_scale must be in [0, 0.2], got {self.noise_scale}")
+        if not 0.0 <= noise_scale <= 0.2:
+            raise ValueError(f"noise_scale must be in [0, 0.2], got {noise_scale}")
+        self._set(seed, n_quarters, noise_scale)
 
 
-@dataclass(frozen=True)
-class GeneratedData:
+class GeneratedData(Record):
     """A generated frame plus the coefficients that produced its prices."""
 
-    frame: Frame
-    price_intercept: float
-    price_slope: float
-    hlc_lag: int
-    params: LtiParams
+    __slots__ = ("frame", "price_intercept", "price_slope", "hlc_lag", "params")
+
+    def __init__(
+        self, frame: Frame, price_intercept: float, price_slope: float, hlc_lag: int,
+        params: LtiParams,
+    ) -> None:
+        self._set(frame, price_intercept, price_slope, hlc_lag, params)
 
     def truth(self) -> dict:
         return {

@@ -27,9 +27,9 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
+import operator
 import os
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
@@ -39,19 +39,75 @@ from .errors import DataError, ParseError, SchemaError
 _QUARTER_RE = re.compile(r"^(\d{4})-?Q(\d)$")
 
 
-@dataclass(frozen=True, order=True)
-class Quarter:
+class Record:
+    """Base of hlcast's immutable records.
+
+    A subclass lists its fields in ``__slots__`` and sets each once in
+    ``__init__``, with :meth:`_set`, or field by field with
+    ``object.__setattr__`` where the record is built per fit or per quarter;
+    afterwards every field is read-only. Records compare equal field by field when of
+    the same class, hash alike when equal, and print as
+    ``Name(field=value, ...)``. Written out, not generated at import:
+    generating each record's methods cost every command ~15 ms of start-up.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        """Set the fields, in ``__slots__`` order, to ``values``."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int``, or a ``TypeError`` naming field ``name``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+class Quarter(Record):
     """A calendar quarter, ordered chronologically."""
 
-    year: int
-    quarter: int
+    __slots__ = ("year", "quarter")
 
-    def __post_init__(self) -> None:
+    def __init__(self, year: int, quarter: int) -> None:
+        if type(year) is not int or type(quarter) is not int:
+            year, quarter = _integer("year", year), _integer("quarter", quarter)
         # four digits, so that parse_quarter reads every label back
-        if not 0 <= self.year <= 9999:
-            raise ValueError(f"year must be in 0..9999, got {self.year}")
-        if not 1 <= self.quarter <= 4:
-            raise ValueError(f"quarter must be in 1..4, got {self.quarter}")
+        if not 0 <= year <= 9999:
+            raise ValueError(f"year must be in 0..9999, got {year}")
+        if not 1 <= quarter <= 4:
+            raise ValueError(f"quarter must be in 1..4, got {quarter}")
+        object.__setattr__(self, "year", year)
+        object.__setattr__(self, "quarter", quarter)
 
     @classmethod
     def from_index(cls, index: int) -> Quarter:
@@ -62,6 +118,21 @@ class Quarter:
     @property
     def index(self) -> int:
         return self.year * 4 + self.quarter - 1
+
+    def __eq__(self, other):
+        if other.__class__ is Quarter:
+            return self.year == other.year and self.quarter == other.quarter
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.year, self.quarter))
+
+    # a > b and a >= b fall back to the reflected b < a and b <= a
+    def __lt__(self, other):
+        return self.index < other.index if other.__class__ is Quarter else NotImplemented
+
+    def __le__(self, other):
+        return self.index <= other.index if other.__class__ is Quarter else NotImplemented
 
     def __add__(self, n: int) -> Quarter:
         return Quarter.from_index(self.index + n)

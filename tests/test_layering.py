@@ -2,8 +2,9 @@
 
 ``import hlcast`` loads no submodule, the configuration loads none of the
 model stack, and a ``report`` on an existing run never loads the synthetic
-data generator. Each check runs in a fresh interpreter, since this test
-process has already imported every module.
+data generator. None of them loads ``dataclasses`` or ``inspect``: hlcast's
+records are written out, not generated at import. Each check runs in a fresh
+interpreter, since this test process has already imported every module.
 """
 
 import os
@@ -15,14 +16,22 @@ import hlcast
 
 ENV = {**os.environ, "PYTHONPATH": str(Path(hlcast.__file__).parents[1])}
 
-# Printed last by every probe: the hlcast submodules loaded so far.
-LOADED = '\nprint(*sorted(m for m in sys.modules if m.startswith("hlcast.")))\n'
+# Modules whose import time goes to generating code, which hlcast never needs.
+CODE_GENERATION = {"dataclasses", "inspect"}
+
+# Printed last by every probe: the hlcast submodules and code-generation
+# modules loaded so far.
+LOADED = (
+    "\nprint(*sorted(m for m in sys.modules"
+    f' if m.startswith("hlcast.") or m in {sorted(CODE_GENERATION)}))\n'
+)
 
 MODEL_STACK = {"hlcast.backtest", "hlcast.regress", "hlcast.lti", "hlcast.synthetic"}
 
 
 def loaded_by(code: str, *args: str) -> tuple[set[str], str]:
-    """The hlcast submodules that ``code`` loads, and what it printed before them."""
+    """The hlcast submodules and code-generation modules that ``code`` loads,
+    and what it printed before them."""
     done = subprocess.run(
         [sys.executable, "-c", "import sys\n" + code + LOADED, *args],
         env=ENV,
@@ -42,6 +51,13 @@ def test_import_hlcast_loads_no_submodule():
 def test_config_loads_none_of_the_model_stack():
     loaded, _ = loaded_by("import hlcast.config")
     assert not loaded & MODEL_STACK, loaded
+    assert not loaded & CODE_GENERATION, loaded
+
+
+def test_cli_loads_no_code_generation():
+    loaded, _ = loaded_by("import hlcast.cli")
+    assert "hlcast.cli" in loaded
+    assert not loaded & CODE_GENERATION, loaded
 
 
 def test_report_on_an_existing_run_never_loads_the_generator(cli, tmp_path):
@@ -60,3 +76,4 @@ except SystemExit as exc:
     loaded, out = loaded_by(report, "report", "--config", config)
     assert "evaluation window: all_quarters" in out
     assert "hlcast.synthetic" not in loaded, loaded
+    assert not loaded & CODE_GENERATION, loaded

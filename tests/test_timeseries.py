@@ -78,6 +78,27 @@ class TestQuarter:
             Quarter(9999, 4) + 1
         assert parse_quarter(str(Quarter(0, 1))) == Quarter.from_index(0)
 
+    @pytest.mark.parametrize(
+        "year,quarter,field",
+        [
+            (2008, 2.0, "quarter"),
+            (2008, True, "quarter"),
+            (2008, "2", "quarter"),
+            (2008.5, 2, "year"),
+            (False, 1, "year"),
+            (np.float64(2008), 2, "year"),
+        ],
+    )
+    def test_non_integer_field_rejected(self, year, quarter, field):
+        # 2008Q2.0 and 2008QTrue would be labels parse_quarter cannot read back
+        with pytest.raises(TypeError, match=f"^{field} must be an integer, got "):
+            Quarter(year, quarter)
+
+    def test_numpy_integers_stored_as_int(self):
+        q = Quarter(np.int64(2008), np.int32(2))
+        assert (type(q.year), type(q.quarter)) == (int, int)
+        assert q == Quarter(2008, 2) and str(q) == "2008Q2"
+
 
 class TestTrailingMean:
     def test_constant_series(self):
