@@ -45,7 +45,9 @@ from .spec import (
     LtiParams,
     SplitSpec,
 )
-from .timeseries import Frame, Quarter, QuarterlySeries, Record, align, quarter_rows, write_csv
+from .timeseries import (
+    Frame, Quarter, QuarterlySeries, Record, _integer, align, quarter_rows, write_csv
+)
 
 REGIMES = ("full", "truncated")
 
@@ -68,6 +70,9 @@ class ModelSpec(Record):
             raise ValueError(f"unknown model {name!r} (known: {', '.join(MODELS)})")
         if approach not in ("ols", "ecm"):
             raise ValueError(f"approach must be 'ols' or 'ecm', got {approach!r}")
+        hlc_lag = _integer("hlc_lag", hlc_lag)
+        if hlc_lag < 0:
+            raise ValueError(f"hlc_lag must be >= 0, got {hlc_lag}")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "approach", approach)
         object.__setattr__(self, "hlc_lag", hlc_lag)
@@ -289,7 +294,7 @@ class VariantResult:
                 "adj_r2": finite_or_none(ols.adj_r_squared),
                 "resid_se": finite_or_none(ols.residual_stderr),
                 "f_stat": finite_or_none(ols.f_statistic),
-                "n": ols.n_obs,
+                "n": len(ols.design.rows),
             }
             if ols
             else None,
@@ -298,9 +303,9 @@ class VariantResult:
             if ecm
             else None,
             "train": {
-                "n": ols.n_obs,
-                "start": str(Quarter.from_index(ols.rows[0])),
-                "end": str(Quarter.from_index(ols.rows[-1])),
+                "n": len(ols.design.rows),
+                "start": str(Quarter.from_index(ols.design.rows[0])),
+                "end": str(Quarter.from_index(ols.design.rows[-1])),
             }
             if ols
             else {"n": 0, "start": None, "end": None},
@@ -397,7 +402,7 @@ def _run_variant(
         ecm = result.fit = ecm_fit(design)
         # A static step uses only the observed previous level, so the path from
         # the first fitted quarter is also the static out-of-sample forecast.
-        start = Quarter.from_index(ecm.underlying.rows[0])
+        start = Quarter.from_index(design.rows[0])
         static = ecm_forecast(ecm, frame, start=start, mode="static")
         result.predicted = static
         if regime == "truncated":

@@ -55,13 +55,12 @@ class DesignMatrix:
     predictions can be rebuilt on any compatible frame.
     """
 
-    __slots__ = ("response", "matrix", "names", "rows", "response_name", "terms")
+    __slots__ = ("response", "matrix", "rows", "response_name", "terms")
 
     def __init__(
         self,
         response: np.ndarray,
         matrix: np.ndarray,
-        names: list[str],
         rows: np.ndarray,
         response_name: str,
         terms: tuple[Term, ...],
@@ -69,14 +68,20 @@ class DesignMatrix:
         self.response = np.asarray(response, dtype=float)
         self.matrix = np.asarray(matrix, dtype=float)
         self.rows = np.asarray(rows, dtype=np.int64)
-        self.names, self.response_name, self.terms = names, response_name, terms
+        self.response_name, self.terms = response_name, terms
         if self.matrix.ndim != 2 or self.response.ndim != 1:
             raise ValueError("response must be a vector and matrix two-dimensional")
         n, p = self.matrix.shape
+        names = self.names
         if len(self.response) != n or len(self.rows) != n or len(names) != p:
             raise ValueError("design matrix dimensions are inconsistent")
         if len(set(names)) != p:
             raise SchemaError(f"duplicate regressor names: {names}")
+
+    @property
+    def names(self) -> list[str]:
+        """The column names: the intercept, then each term's name."""
+        return [INTERCEPT] + [t.name for t in self.terms]
 
     def until(self, last: Quarter) -> DesignMatrix:
         """The rows up to and including quarter ``last``, as views of this design.
@@ -89,7 +94,6 @@ class DesignMatrix:
         return DesignMatrix(
             response=self.response[:k],
             matrix=self.matrix[:k],
-            names=self.names,
             rows=self.rows[:k],
             response_name=self.response_name,
             terms=self.terms,
@@ -126,7 +130,6 @@ def design_matrix(
     return DesignMatrix(
         response=data[:, 0].copy(),
         matrix=data[:, 1:].copy(),
-        names=[INTERCEPT] + [t.name for t in terms],
         rows=frame.start_index + np.flatnonzero(keep),
         response_name=response,
         terms=tuple(terms),
@@ -136,14 +139,13 @@ def design_matrix(
 class FitResult:
     """Estimated coefficients with classical linear-model inference.
 
-    ``rows`` holds the quarter number of each fitted observation, ascending;
-    ``fitted_array`` and ``residual_array`` hold one value per row.
+    ``design`` is the design the fit was estimated on; ``residual_array``
+    holds one value per row of it.
     """
 
     __slots__ = (
         "coefficients", "stderrs", "r_squared", "adj_r_squared", "residual_stderr",
-        "f_statistic", "n_obs", "rows", "fitted_array", "residual_array", "response_name",
-        "terms",
+        "f_statistic", "residual_array", "design",
     )
 
     def __init__(
@@ -154,26 +156,22 @@ class FitResult:
         adj_r_squared: float,
         residual_stderr: float,
         f_statistic: float,
-        n_obs: int,
-        rows: np.ndarray,
-        fitted_array: np.ndarray,
         residual_array: np.ndarray,
-        response_name: str,
-        terms: tuple[Term, ...] = (),
+        design: DesignMatrix,
     ) -> None:
         self.coefficients, self.stderrs, self.r_squared = coefficients, stderrs, r_squared
         self.adj_r_squared, self.residual_stderr = adj_r_squared, residual_stderr
-        self.f_statistic, self.n_obs, self.rows = f_statistic, n_obs, rows
-        self.fitted_array, self.residual_array = fitted_array, residual_array
-        self.response_name, self.terms = response_name, terms
+        self.f_statistic, self.residual_array, self.design = f_statistic, residual_array, design
 
     @property
     def fitted(self) -> QuarterlySeries:
-        """Fitted values over the span of ``rows``, missing between rows."""
-        start = int(self.rows[0])
-        out = np.full(int(self.rows[-1]) - start + 1, np.nan)
-        out[self.rows - start] = self.fitted_array
-        return QuarterlySeries._from_array(f"{self.response_name}_fitted", start, out)
+        """Fitted values over the span of the design's rows, missing between rows."""
+        d = self.design
+        beta = np.array([self.coefficients[name] for name in d.names])
+        start = int(d.rows[0])
+        out = np.full(int(d.rows[-1]) - start + 1, np.nan)
+        out[d.rows - start] = d.matrix @ beta
+        return QuarterlySeries._from_array(f"{d.response_name}_fitted", start, out)
 
 
 def _require_full_rank(xs: np.ndarray, r_mat: np.ndarray, names: list[str]) -> None:
@@ -287,12 +285,8 @@ def ols_fit(d: DesignMatrix) -> FitResult:
         adj_r_squared=adj,
         residual_stderr=float(np.sqrt(sigma2)),
         f_statistic=float(f_stat),
-        n_obs=n,
-        rows=d.rows,
-        fitted_array=fitted,
         residual_array=resid,
-        response_name=d.response_name,
-        terms=d.terms,
+        design=d,
     )
 
 
@@ -304,9 +298,9 @@ def predict(fit: FitResult, frame: Frame) -> QuarterlySeries:
     input is missing.
     """
     acc = np.full(len(frame), fit.coefficients[INTERCEPT])
-    for t in fit.terms:
+    for t in fit.design.terms:
         acc = acc + fit.coefficients[t.name] * shift(frame.column(t.column).array, t.lag)
-    return QuarterlySeries._from_array(f"{fit.response_name}_pred", frame.start_index, acc)
+    return QuarterlySeries._from_array(f"{fit.design.response_name}_pred", frame.start_index, acc)
 
 
 class EcmFit:
@@ -413,7 +407,7 @@ def ecm_forecast(
     """
     if mode not in ("static", "dynamic"):
         raise ValueError(f"mode must be 'static' or 'dynamic', got {mode!r}")
-    terms = [t for t in fit.underlying.terms if (t.column, t.lag) != (fit.response_name, 1)]
+    terms = [t for t in fit.underlying.design.terms if (t.column, t.lag) != (fit.response_name, 1)]
     frame.require(fit.response_name, *(t.column for t in terms))
     observed = frame.column(fit.response_name)
     y, n = observed.array, len(frame)

@@ -68,8 +68,8 @@ class LtiParams(Record):
             raise ValueError(f"deduction_rate must be in [0, 1), got {deduction_rate}")
         if not 0.0 <= cost_rate < 1.0:
             raise ValueError(f"cost_rate must be in [0, 1), got {cost_rate}")
-        if term_months <= 0:
-            raise ValueError(f"term_months must be positive, got {term_months}")
+        if not 0 < term_months <= 1200:  # at most a 100-year term
+            raise ValueError(f"term_months must be in 1..1200, got {term_months}")
         self._set(woonquote, deduction_rate, cost_rate, term_months)
 
 

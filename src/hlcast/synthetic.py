@@ -12,16 +12,9 @@ not economic claims.
 from __future__ import annotations
 
 from ._numpy import np
-from .lti import hlc_series
+from .backtest import build_features
 from .spec import (
-    HLC_LAG,
-    HOUSE_PRICE,
-    INCOME,
-    INTEREST_ONLY_SHARE,
-    INTEREST_RATE,
-    LTV,
-    SMOOTHING_WINDOW,
-    LtiParams,
+    HLC, HLC_LAG, HOUSE_PRICE, INCOME, INTEREST_ONLY_SHARE, INTEREST_RATE, LTV, LtiParams
 )
 from .timeseries import Frame, Quarter, QuarterlySeries, Record, align
 
@@ -54,6 +47,7 @@ class ScenarioConfig(Record):
             )
         if not 0.0 <= noise_scale <= 0.2:
             raise ValueError(f"noise_scale must be in [0, 0.2], got {noise_scale}")
+        START + (n_quarters - 1)  # the last quarter must exist: 9999Q4 at the latest
         self._set(seed, n_quarters, noise_scale)
 
 
@@ -80,9 +74,8 @@ def generate(config: ScenarioConfig = ScenarioConfig()) -> GeneratedData:
     """Build the scenario frame for a seed; same seed, same bytes.
 
     The price at t is ``intercept + slope * hlc[t - HLC_LAG]`` where capacity
-    is computed from income and rate smoothed over ``SMOOTHING_WINDOW``
-    quarters exactly as the feature pipeline computes it, so a noiseless run
-    is identified exactly.
+    is the one :func:`~hlcast.backtest.build_features` derives from the
+    generated inputs, so a noiseless run is identified exactly.
     Quarters whose lagged capacity is not yet defined get a flat lead-in
     price instead.
     """
@@ -97,10 +90,9 @@ def generate(config: ScenarioConfig = ScenarioConfig()) -> GeneratedData:
 
     t = np.arange(n)
     u = t / (n - 1)
-    quarters = [START + int(i) for i in t]
     rc = REGIME_CHANGE - START
 
-    season = np.array([1.04 if q.quarter == 4 else (2.96 / 3.0) for q in quarters])
+    season = np.where((START.index + t) % 4 == 3, 1.04, 2.96 / 3.0)
     income = 11_200.0 * 1.0088**t * season * (1.0 + 0.004 * eps_income)
 
     rate = 0.03 + 0.052 * (1.0 - u) ** 1.3 + 0.0018 * np.sin(t / 3.0) + 0.0012 * eps_rate
@@ -128,10 +120,10 @@ def generate(config: ScenarioConfig = ScenarioConfig()) -> GeneratedData:
     ltv_s = series(LTV, ltv, "fraction")
 
     params = LtiParams()
-    smoothed = align(
-        [income_s.trailing_mean(SMOOTHING_WINDOW), rate_s.trailing_mean(SMOOTHING_WINDOW), share_s]
-    )
-    lagged_cap = hlc_series(smoothed, params).lag(HLC_LAG)
+    # capacity never reads the price, which is not generated yet
+    missing = series(HOUSE_PRICE, np.full(n, np.nan), "eur")
+    inputs = align([missing, income_s, rate_s, ltv_s, share_s])
+    lagged_cap = build_features(inputs, params).column(HLC).lag(HLC_LAG)
 
     deterministic = PRICE_INTERCEPT + PRICE_SLOPE * lagged_cap.array
     first = int(np.flatnonzero(~np.isnan(deterministic))[0])

@@ -7,7 +7,7 @@ import pytest
 from hlcast.backtest import build_features
 from hlcast.cli import main
 from hlcast.lti import LtiParams
-from hlcast.regress import INTERCEPT, DesignMatrix, Term
+from hlcast.regress import DesignMatrix, Term
 from hlcast.synthetic import ScenarioConfig, generate
 from hlcast.timeseries import Quarter
 
@@ -70,7 +70,6 @@ def design_from_arrays(y, x, names=None) -> DesignMatrix:
     return DesignMatrix(
         response=np.asarray(y, dtype=float),
         matrix=np.column_stack([np.ones(x.shape[0]), x]),
-        names=[INTERCEPT] + names,
         rows=Quarter(2000, 1).index + np.arange(x.shape[0]),
         response_name="y",
         terms=tuple(Term(n, n) for n in names),

@@ -277,7 +277,7 @@ class TestRunGrid:
         report = run_grid(features, default_specs(), split)
         for v in report.variants:
             fit = v.fit.underlying if v.approach == "ecm" else v.fit
-            train_end = Quarter.from_index(fit.rows[-1])
+            train_end = Quarter.from_index(fit.design.rows[-1])
             if v.regime == "truncated":
                 assert train_end <= split.cutoff
             else:
@@ -364,7 +364,6 @@ class TestRunGrid:
         narrow = DesignMatrix(
             response=wide.response,
             matrix=wide.matrix[:, :4],
-            names=wide.names[:4],
             rows=wide.rows,
             response_name=wide.response_name,
             terms=wide.terms[:3],
@@ -636,6 +635,19 @@ class TestSpecValidation:
         known = "known: benchmark, hlc, benchmark_hlc, benchmark_debt"
         with pytest.raises(ValueError, match=f"'x' \\({known}\\)"):
             ModelSpec("x")
+
+    @pytest.mark.parametrize("lag", [True, 2.0, "6", None], ids=repr)
+    def test_non_integer_hlc_lag(self, lag):
+        with pytest.raises(TypeError, match=f"^hlc_lag must be an integer, got {lag!r}$"):
+            ModelSpec("hlc", hlc_lag=lag)
+
+    def test_negative_hlc_lag(self):
+        with pytest.raises(ValueError, match="^hlc_lag must be >= 0, got -1$"):
+            ModelSpec("hlc", hlc_lag=-1)
+
+    def test_numpy_integer_hlc_lag_stored_as_int(self):
+        spec = ModelSpec("hlc", hlc_lag=np.int64(3))
+        assert type(spec.hlc_lag) is int and spec == ModelSpec("hlc", hlc_lag=3)
 
     def test_design_names_follow_the_lag_rule(self, features):
         # capacity columns enter at the capacity lag (3 here) in levels and at

@@ -57,11 +57,14 @@ class TestSynth:
         assert not (tmp_path / "ws").exists()
 
     def test_rejects_quarters_past_year_9999(self, cli, tmp_path):
-        # 32021 quarters from 1995Q1 end in 10000Q1, which no CSV file can hold
-        code, out, err = cli(["synth", "--out", str(tmp_path / "ws"), "--quarters", "32021"])
-        assert code == 3
-        assert err == "error: year must be in 0..9999, got 10000\n"
-        assert not (tmp_path / "ws").exists()
+        # 32021 quarters from 1995Q1 end in 10000Q1, which no CSV file can hold;
+        # 10**12 is rejected before the generator allocates for it
+        for quarters, year in [(32021, 10000), (10**12, (1995 * 4 + 10**12 - 1) // 4)]:
+            args = ["synth", "--out", str(tmp_path / "ws"), "--quarters", str(quarters)]
+            code, out, err = cli(args)
+            assert code == 3
+            assert err == f"error: year must be in 0..9999, got {year}\n"
+            assert not (tmp_path / "ws").exists()
 
 
 class TestPipeline:
@@ -446,6 +449,11 @@ class TestErrors:
                 "invalid lti parameters: woonquote must be in (0, 1), got 1.5",
             ),
             (
+                lambda doc: doc["lti"].update(term_months=10**400),
+                [],
+                f"invalid lti parameters: term_months must be in 1..1200, got {10**400}",
+            ),
+            (
                 lambda doc: doc["features"].update(smoothing_window=0),
                 [],
                 "smoothing_window must be >= 1 and hlc_lag >= 0",
@@ -504,6 +512,7 @@ class TestErrors:
         ids=[
             "lti-not-a-mapping",
             "woonquote-above-one",
+            "term_months-past-100-years",
             "smoothing_window-zero",
             "evaluation_window",
             "forecast_mode",

@@ -145,7 +145,7 @@ def reference_lag_scan(response, candidate, lags):
     for k in lags:
         try:
             fit = ols_fit(design_matrix(merged, response.name, [(candidate.name, k)]))
-            out.append((k, fit.r_squared, fit.n_obs))
+            out.append((k, fit.r_squared, len(fit.design.rows)))
         except (InsufficientDataError, SingularDesignError):
             y = merged.column(response.name).array
             x = shift(merged.column(candidate.name).array, k)

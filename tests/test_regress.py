@@ -18,6 +18,7 @@ from hlcast.errors import (
 from hlcast.regress import (
     NULL_LOADING_TOL,
     RANK_RTOL,
+    DesignMatrix,
     EcmFit,
     FitResult,
     Term,
@@ -468,12 +469,14 @@ class TestEcm:
             adj_r_squared=0.0,
             residual_stderr=0.0,
             f_statistic=0.0,
-            n_obs=10,
-            rows=np.array([START.index]),
-            fitted_array=np.array([0.0]),
             residual_array=np.array([0.0]),
-            response_name="d_y",
-            terms=(Term("d_x", "d_x"), Term("y_lag1", "y", 1), Term("x_lag1", "x", 1)),
+            design=DesignMatrix(
+                response=np.array([0.0]),
+                matrix=np.zeros((1, len(names))),
+                rows=np.array([START.index]),
+                response_name="d_y",
+                terms=(Term("d_x", "d_x"), Term("y_lag1", "y", 1), Term("x_lag1", "x", 1)),
+            ),
         )
         fit = EcmFit(
             underlying=underlying,
