@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 from typing import NoReturn
 
@@ -295,6 +296,11 @@ def _report_tables(doc: dict, cfg: RunConfig) -> list[str]:
 STAGES = {stage.__name__: stage for stage in (ingest, features, lagscan, backtest, report)}
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Print a warning a command raises as one ``warning:`` line on stderr."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(args: list[str] | None = None, prog_name: str | None = None) -> NoReturn:
     """Run one command of ``args`` (default ``sys.argv[1:]``) and exit with its code.
 
@@ -320,14 +326,17 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> NoRetur
         cmd.add_argument("--lags", help="Override the lag-scan range, e.g. 0..8.")
     opts = parser.parse_args(args)
     try:
-        if opts.command == "synth":
-            synth(opts.out, opts.seed, opts.quarters, opts.noise)
-        else:
-            # a module-global lookup at call time, so a wrapper installed on
-            # cli.load_config (the benchmark's layer tracer) still sees the call
-            cfg = load_config(opts.config, out=opts.out, cutoff=opts.cutoff, lags=opts.lags)
-            # run_dir() hashes every input file, so compute it once
-            STAGES[opts.command](cfg, cfg.run_dir())
+        # the warning filters stay as they are: only the display changes
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            if opts.command == "synth":
+                synth(opts.out, opts.seed, opts.quarters, opts.noise)
+            else:
+                # a module-global lookup at call time, so a wrapper installed on
+                # cli.load_config (the benchmark's layer tracer) still sees the call
+                cfg = load_config(opts.config, out=opts.out, cutoff=opts.cutoff, lags=opts.lags)
+                # run_dir() hashes every input file, so compute it once
+                STAGES[opts.command](cfg, cfg.run_dir())
     except HlcastError as exc:
         sys.stdout.flush()  # a merged log keeps the tables before the error
         print(f"error: {exc}", file=sys.stderr)

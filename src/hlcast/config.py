@@ -63,6 +63,11 @@ UNIT_FACTORS = {
 
 # libyaml's parser when PyYAML was built with it: ~8x faster on a run config
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# The deepest collection a config may nest: a valid one nests 3 deep (the
+# items of backtest.models). Composing a document recurses once per level:
+# PyYAML's Python composer meets the recursion limit near 1,000 levels, and
+# libyaml's overflows the C stack (a segfault) near 20,000.
+MAX_DEPTH = 32
 
 # Every config key outside ``data``, by section, with its default: the one
 # statement of the defaults. The type of a default picks its key's check
@@ -311,6 +316,20 @@ def parse_lag_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _parse_yaml(text: str, path: Path):
+    """The document in ``text``, after a walk over its parse events has found
+    no collection nested deeper than ``MAX_DEPTH``."""
+    depth = 0
+    for event in yaml.parse(text, Loader=_YAML_LOADER):
+        if isinstance(event, yaml.CollectionStartEvent):
+            depth += 1
+            if depth > MAX_DEPTH:
+                raise ConfigError(f"config {path} nests deeper than {MAX_DEPTH} levels")
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1
+    return yaml.load(text, Loader=_YAML_LOADER)
+
+
 def load_config(
     path: str | Path,
     out: str | None = None,
@@ -326,11 +345,13 @@ def load_config(
     """
     path = Path(path)
     try:
-        raw = yaml.load(path.read_text(encoding="utf-8"), Loader=_YAML_LOADER)
-    except OSError as exc:
+        raw = _parse_yaml(path.read_text(encoding="utf-8"), path)
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from None
+    except ValueError as exc:  # a scalar PyYAML cannot construct: a huge int, a bad date
+        raise ConfigError(f"config {path} holds a value that cannot be read: {exc}") from None
     raw = _require_mapping(raw, str(path))
     _reject_unknown(raw, {"data", *DEFAULTS}, str(path))
     sources = _sources(raw.get("data"), path.parent)

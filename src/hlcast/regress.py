@@ -298,9 +298,19 @@ def predict(fit: FitResult, frame: Frame) -> QuarterlySeries:
     input is missing.
     """
     acc = np.full(len(frame), fit.coefficients[INTERCEPT])
-    for t in fit.design.terms:
-        acc = acc + fit.coefficients[t.name] * shift(frame.column(t.column).array, t.lag)
+    for p in _term_products(fit.coefficients, fit.design.terms, frame, 0):
+        acc = acc + p
     return QuarterlySeries._from_array(f"{fit.design.response_name}_pred", frame.start_index, acc)
+
+
+def _term_products(coefficients: dict, terms: Sequence[Term], frame: Frame, a: int) -> list:
+    """Each term's coefficient times its column at its lag, over frame positions
+    ``a..n-1``; NaN where the lagged column has no value."""
+    n, columns = len(frame), [frame.column(t.column).array for t in terms]
+    return [
+        coefficients[t.name] * (x[a - t.lag : n - t.lag] if a >= t.lag else shift(x, t.lag)[a:])
+        for t, x in zip(terms, columns)
+    ]
 
 
 class EcmFit:
@@ -309,20 +319,20 @@ class EcmFit:
     The unrestricted regression is ``d(y) = b0 + sum(b * short_run) +
     gamma * y[t-1] + sum(theta * level)``; the long-run coefficients are
     ``alpha = -theta / gamma``. All fit statistics, and the terms every
-    forecast is rebuilt from, live on ``underlying``.
+    forecast is rebuilt from, live on ``underlying``; ``level`` is the
+    position of ``y[t-1]`` among its design's terms.
     """
 
-    __slots__ = ("underlying", "response_name", "short_run", "gamma", "long_run_alphas")
+    __slots__ = ("underlying", "level", "gamma", "long_run_alphas")
 
     def __init__(
         self,
         underlying: FitResult,
-        response_name: str,
-        short_run: dict[str, float],
+        level: int,
         gamma: float,
         long_run_alphas: dict[str, float],
     ) -> None:
-        self.underlying, self.response_name, self.short_run = underlying, response_name, short_run
+        self.underlying, self.level = underlying, level
         self.gamma, self.long_run_alphas = gamma, long_run_alphas
 
     @property
@@ -379,8 +389,7 @@ def ecm_fit(d: DesignMatrix) -> EcmFit:
         )
     return EcmFit(
         underlying=fit,
-        response_name=response,
-        short_run={t.name: fit.coefficients[t.name] for t in d.terms[:k]},
+        level=k,
         gamma=gamma,
         long_run_alphas={t.name: -fit.coefficients[t.name] / gamma for t in d.terms[k + 1 :]},
     )
@@ -407,26 +416,18 @@ def ecm_forecast(
     """
     if mode not in ("static", "dynamic"):
         raise ValueError(f"mode must be 'static' or 'dynamic', got {mode!r}")
-    terms = [t for t in fit.underlying.design.terms if (t.column, t.lag) != (fit.response_name, 1)]
-    frame.require(fit.response_name, *(t.column for t in terms))
-    observed = frame.column(fit.response_name)
+    terms, k = fit.underlying.design.terms, fit.level
+    response, terms = terms[k].column, terms[:k] + terms[k + 1 :]
+    frame.require(response, *(t.column for t in terms))
+    observed = frame.column(response)
     y, n = observed.array, len(frame)
     a = start.index - frame.start_index  # position of ``start`` in the frame
     if not 0 < a <= n or np.isnan(y[a - 1]):
-        raise DataError(
-            f"no observed {fit.response_name!r} level before {start} to anchor the forecast"
-        )
-    coeffs = fit.underlying.coefficients
-
-    def lagged(t: Term) -> np.ndarray:
-        """Column ``t`` at its lag over positions ``a..n-1``, NaN before its start."""
-        x = frame.column(t.column).array
-        return x[a - t.lag : n - t.lag] if a >= t.lag else shift(x, t.lag)[a:]
-
+        raise DataError(f"no observed {response!r} level before {start} to anchor the forecast")
     # change = intercept + gamma * previous level + terms in fit order; NaN
     # marks missing, and an infinite input gives inf - inf = NaN
     with np.errstate(invalid="ignore"):
-        products = [coeffs[t.name] * lagged(t) for t in terms]
+        products = _term_products(fit.underlying.coefficients, terms, frame, a)
         if mode == "static":
             prev = y[a - 1 : n - 1]
             delta = fit.intercept + fit.gamma * prev
@@ -443,9 +444,7 @@ def ecm_forecast(
                 level = level + delta
                 out.append(level)
             levels = np.array(out, dtype=float)
-    return QuarterlySeries._from_array(
-        f"{fit.response_name}_forecast", start.index, levels, observed.unit
-    )
+    return QuarterlySeries._from_array(f"{response}_forecast", start.index, levels, observed.unit)
 
 
 class LagScanEntry(Record):

@@ -115,7 +115,7 @@ def test_criterion_03_ecm_reparametrization_identity():
                 continue
             restricted = (
                 fit.intercept
-                + fit.short_run["d_x"] * xs.diff().get(q)
+                + fit.underlying.coefficients["d_x"] * xs.diff().get(q)
                 + fit.gamma * (ys.lag(1).get(q) - fit.long_run_alphas["x_lag1"] * xs.lag(1).get(q))
             )
             worst = max(worst, abs(restricted - want) / scale)
@@ -137,7 +137,7 @@ def test_criterion_04_ecm_identification_and_dynamic_forecast():
     params_ok = (
         abs(fit.gamma - (-0.3)) < 1e-8
         and abs(fit.long_run_alphas["x_lag1"] - 1.0) < 1e-8
-        and abs(fit.short_run["d_x"] - 0.8) < 1e-8
+        and abs(fit.underlying.coefficients["d_x"] - 0.8) < 1e-8
         and abs(fit.intercept - 0.5) < 1e-8
     )
     frame = align([QuarterlySeries("y", Quarter(2000, 1), tuple(y)), xs, xs.diff().rename("d_x")])

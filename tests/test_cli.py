@@ -795,6 +795,90 @@ class TestConfigRoundTrip:
         assert value < 0.001  # the synthetic fractions divided by 100
 
 
+class TestConfigText:
+    """Config text that YAML itself cannot turn into values exits 2 with one
+    ``error:`` line naming the file, whichever YAML loader is in use."""
+
+    def test_deep_nesting_exits_2(self, tmp_path):
+        # a subprocess: libyaml's composer overflows the C stack on this
+        # document and would take the test process down with it
+        config = tmp_path / "deep.yaml"
+        config.write_text("[" * 50_000 + "]" * 50_000 + "\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(hlcast.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "hlcast.cli", "ingest", "--config", str(config)],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 2, done.stderr[-500:]
+        assert done.stderr == f"error: config {config} nests deeper than 32 levels\n"
+
+    @pytest.mark.parametrize("loader", ["default", "pure_python"])
+    def test_depth_bound(self, cli, tmp_path, monkeypatch, loader):
+        if loader == "pure_python":
+            monkeypatch.setattr(hlcast.config, "_YAML_LOADER", yaml.SafeLoader)
+        config = make_workspace(cli, tmp_path)
+        text = config.read_text()
+        assert text.endswith("\noutput_dir: runs\n")
+        depth = hlcast.config.MAX_DEPTH
+        # output_dir's list sits one level below the document's mapping
+        for levels, want in ((depth - 1, "output_dir must be a string"),
+                             (depth, "nests deeper than")):
+            config.write_text(text.replace("runs", "[" * levels + "]" * levels))
+            code, out, err = cli(["ingest", "--config", str(config)])
+            assert code == 2 and want in err and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize(
+        "value,message",
+        [
+            ("1" + "0" * 5000, "Exceeds the limit (4300 digits)"),
+            ("2020-13-45", "month must be in 1..12"),
+        ],
+        ids=["5001_digits", "month_13"],
+    )
+    def test_value_yaml_cannot_construct_exits_2(self, cli, tmp_path, value, message):
+        config = make_workspace(cli, tmp_path)
+        text = config.read_text()
+        assert "  term_months: 360\n" in text
+        config.write_text(text.replace("  term_months: 360\n", f"  term_months: {value}\n"))
+        code, out, err = cli(["ingest", "--config", str(config)])
+        assert code == 2, err
+        assert err.startswith(f"error: config {config} holds a value that cannot be read: ")
+        assert message in err and err.count("\n") == 1
+
+    def test_text_that_is_not_utf8_exits_2(self, cli, tmp_path):
+        config = tmp_path / "latin1.yaml"
+        config.write_bytes("output_dir: caf\u00e9\n".encode("latin-1"))
+        code, out, err = cli(["ingest", "--config", str(config)])
+        assert code == 2
+        assert err.startswith(f"error: cannot read config {config}: ") and err.count("\n") == 1
+
+
+class TestWarnings:
+    @pytest.fixture()
+    def config(self, cli, tmp_path):
+        """A workspace whose 2017Q4 price of 0 fits an ECM with gamma >= 0."""
+        config = make_workspace(cli, tmp_path)
+        path = tmp_path / "data" / "house_price.csv"
+        lines = path.read_text().splitlines()
+        (i,) = [i for i, line in enumerate(lines) if line.startswith("2017Q4,")]
+        lines[i] = "2017Q4,0"
+        path.write_text("\n".join(lines) + "\n")
+        return config
+
+    def test_a_warning_is_one_line(self, cli, config):
+        code, out, err = cli(["backtest", "--config", str(config)])
+        assert code == 0, err
+        lines = err.splitlines()
+        assert lines and all(line.startswith("warning: ") for line in lines), err
+        assert any(line.startswith("warning: adjustment coefficient") for line in lines)
+        assert "UserWarning" not in err and ".py:" not in err
+
+    @pytest.mark.filterwarnings("error::UserWarning")
+    def test_the_warning_filters_still_apply(self, cli, config):
+        with pytest.raises(UserWarning, match="adjustment coefficient"):
+            cli(["backtest", "--config", str(config)])
+
+
 def test_import_leaves_scipy_out():
     # of third-party packages, importing the CLI loads only the runtime
     # dependencies, plus the Cython runtime of PyYAML's compiled loader

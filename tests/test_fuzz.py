@@ -1,14 +1,16 @@
-"""Fuzz the configuration boundary: a hostile value in any config key ends
-every pipeline stage in a documented exit code, never in a traceback or a
-warning.
+"""Fuzz the input boundary: a hostile value in any config key or in any cell
+of an input CSV ends every pipeline stage in a documented exit code, never in
+a traceback or a raw Python warning.
 
-Each example sets one key of ``config.DEFAULTS`` in a synth workspace to one
-hostile value and runs the five stages in-process through ``main``.
+Each example sets one key of ``config.DEFAULTS``, or one cell of one input
+CSV, in a synth workspace to one hostile value and runs the five stages
+in-process through ``main``.
 """
 
 import contextlib
 import io
 import math
+import shutil
 import warnings
 
 import pytest
@@ -74,3 +76,41 @@ def test_hostile_config_value_exits_cleanly(workspace, key, value):
             assert err.startswith("error: ") and err.count("\n") == 1, (stage, err)
         else:
             assert err == "", (stage, err)
+
+
+INPUTS = ["house_price", "income", "interest_rate", "ltv", "interest_only_share"]
+# None appends an extra field to the row
+CELLS = ["x", "inf", "nan", "1e308", "", None]
+
+
+@pytest.fixture(scope="module")
+def cells_workspace(workspace):
+    """A copy of the workspace whose CSVs the cell examples edit one at a time."""
+    ws = workspace.parent / "cells"
+    shutil.copytree(workspace, ws)
+    return ws
+
+
+# 60 of the 5 x 92 x 6 edits; the examples pin an ECM that warns (gamma >= 0)
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.sampled_from(INPUTS), st.integers(1, 92), st.sampled_from(CELLS))
+@example("interest_rate", 37, "1e308")
+@example("income", 1, None)
+def test_hostile_csv_cell_exits_cleanly(cells_workspace, name, row, cell):
+    path = cells_workspace / f"{name}.csv"
+    text = path.read_text()
+    lines = text.splitlines()
+    quarter, value = lines[row].split(",")
+    lines[row] = f"{quarter},{value},{value}" if cell is None else f"{quarter},{cell}"
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        for stage in STAGES:
+            code, err = run([stage, "--config", str(cells_workspace / "config.yaml")])
+            assert code in (0, 2, 3, 4), (stage, code, err)
+            assert "Traceback" not in err and "Warning" not in err, (stage, err)
+            body = err.splitlines()
+            if code:
+                assert body and body.pop().startswith("error: "), (stage, err)
+            assert all(line.startswith("warning: ") for line in body), (stage, err)
+    finally:
+        path.write_text(text)

@@ -365,8 +365,18 @@ class TestEcm:
         _, _, fit = fit_simulated(x, y)
         assert fit.gamma == pytest.approx(-0.3, abs=1e-8)
         assert fit.long_run_alphas["x_lag1"] == pytest.approx(1.0, abs=1e-8)
-        assert fit.short_run["d_x"] == pytest.approx(0.8, abs=1e-8)
+        assert fit.underlying.coefficients["d_x"] == pytest.approx(0.8, abs=1e-8)
         assert fit.intercept == pytest.approx(0.5, abs=1e-8)
+
+    def test_level_is_the_lagged_response_term(self):
+        # the short-run terms come first, so the level's position moves with them
+        ys, xs = series([1.0, 3.0, 2.0] * 10, name="y"), series([2.0, 1.0, 5.0, 4.0] * 8, name="x")
+        frame = ecm_frame(ys, xs)
+        for short_run in ([], ["d_x"], ["d_x", ("d_x", 1)]):
+            fit = ecm_fit(ecm_design(frame, "y", short_run, [("x", 1)]))
+            assert fit.level == len(short_run)
+            assert fit.underlying.design.terms[fit.level] == Term("y_lag1", "y", 1)
+        assert EcmFit.__slots__ == ("underlying", "level", "gamma", "long_run_alphas")
 
     def test_reparametrization_identity(self):
         rng = np.random.default_rng(99)
@@ -387,7 +397,7 @@ class TestEcm:
                     continue
                 restricted = (
                     fit.intercept
-                    + fit.short_run["d_x1"] * x1s.diff().get(q)
+                    + fit.underlying.coefficients["d_x1"] * x1s.diff().get(q)
                     + fit.gamma
                     * (
                         ys.lag(1).get(q)
@@ -480,8 +490,7 @@ class TestEcm:
         )
         fit = EcmFit(
             underlying=underlying,
-            response_name="y",
-            short_run={"d_x": 0.0},
+            level=1,
             gamma=0.0,
             long_run_alphas={"x_lag1": 0.0},
         )
