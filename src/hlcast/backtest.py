@@ -46,7 +46,8 @@ from .spec import (
     SplitSpec,
 )
 from .timeseries import (
-    Frame, Quarter, QuarterlySeries, Record, _integer, align, quarter_rows, write_csv
+    Frame, Quarter, QuarterlySeries, Record, _integer, align, quarter_label, quarter_rows,
+    write_csv,
 )
 
 REGIMES = ("full", "truncated")
@@ -143,18 +144,18 @@ def _errors(
 def evaluate(
     observed: QuarterlySeries,
     predicted: QuarterlySeries,
-    first: Quarter | None = None,
+    first: int | None = None,
 ) -> Metrics:
     """RMSE and MAE over quarters where both series are present.
 
-    Optionally restricted to quarters from ``first`` on. An empty overlap is
-    an error, not a zero.
+    Optionally restricted to quarters from quarter number ``first`` on. An
+    empty overlap is an error, not a zero.
     """
-    e, before = _errors(observed, predicted, None if first is None else first.index)
+    e, before = _errors(observed, predicted, first)
     if before == len(e):
         raise DataError(
             f"no overlapping observations between {observed.name!r} and "
-            f"{predicted.name!r} from {first} on"
+            f"{predicted.name!r} from {quarter_label(first)} on"
         )
     return _metrics(e[before:])
 
@@ -175,18 +176,12 @@ def default_specs(hlc_lag: int = HLC_LAG, models: Sequence[str] = PAPER_MODELS) 
     return [ModelSpec(name, approach, hlc_lag) for name in models for approach in ("ols", "ecm")]
 
 
-def _zero_from(series: QuarterlySeries, start: Quarter) -> QuarterlySeries:
-    out = series.to_array()
-    out[max(start.index - series.start_index, 0) :] = 0.0
-    return series._with_array(out)
-
-
 def build_features(
     raw: Frame,
     params: LtiParams,
     smoothing_window: int = SMOOTHING_WINDOW,
     hlc_lag: int = HLC_LAG,
-    interest_only_zero_from: Quarter | None = None,
+    interest_only_zero_from: int | None = None,
 ) -> Frame:
     """Derive the model-ready frame from ingested raw series.
 
@@ -204,7 +199,9 @@ def build_features(
     if INTEREST_ONLY_SHARE in raw:
         share = raw.column(INTEREST_ONLY_SHARE)
         if interest_only_zero_from is not None:
-            share = _zero_from(share, interest_only_zero_from)
+            zeroed = share.to_array()
+            zeroed[max(interest_only_zero_from - share.start_index, 0) :] = 0.0
+            share = share._with_array(zeroed)
     elif all(c in raw for c in SHARE_INPUTS):
         share = derive_interest_only_share(
             raw.column(SHARE_INPUTS[0]),
@@ -388,12 +385,11 @@ def _run_variant(
     design: DesignMatrix,
     frame: Frame,
     observed: QuarterlySeries,
-    split: SplitSpec,
+    first: int,
     regime: str,
     forecast_mode: str,
 ) -> VariantResult:
     result = VariantResult(name=spec.name, approach=spec.approach, regime=regime)
-    first = split.cutoff.index + 1  # the first holdout quarter, which may be past 9999Q4
 
     if spec.approach == "ols":
         result.fit = ols_fit(design)
@@ -402,15 +398,12 @@ def _run_variant(
         ecm = result.fit = ecm_fit(design)
         # A static step uses only the observed previous level, so the path from
         # the first fitted quarter is also the static out-of-sample forecast.
-        start = Quarter.from_index(design.rows[0])
-        static = ecm_forecast(ecm, frame, start=start, mode="static")
+        static = ecm_forecast(ecm, frame, start=int(design.rows[0]), mode="static")
         result.predicted = static
         if regime == "truncated":
             dynamic = static.to_array()
             if first < static.start_index + len(static):  # a holdout to forecast
-                dynamic[first - static.start_index :] = ecm_forecast(
-                    ecm, frame, start=Quarter.from_index(first), mode="dynamic"
-                ).array
+                dynamic[first - static.start_index :] = ecm_forecast(ecm, frame, first).array
             paths = {"static": static, "dynamic": static._with_array(dynamic)}
             other = "static" if forecast_mode == "dynamic" else "dynamic"
             result.predicted, alt = paths[forecast_mode], paths[other]
@@ -438,7 +431,8 @@ def run_grid(
         raise ValueError(f"forecast_mode must be 'static' or 'dynamic', got {forecast_mode!r}")
     features.require(HOUSE_PRICE)
     observed = features.column(HOUSE_PRICE)
-    if observed.get(split.cutoff) is None:
+    cutoff, i0 = split.cutoff.index, observed.start_index
+    if not i0 <= cutoff < i0 + len(observed) or np.isnan(observed.array[cutoff - i0]):
         # The cutoff must fall inside the observed sample for the split to
         # mean anything.
         raise DataError(f"cutoff {split.cutoff} lies outside the observed {HOUSE_PRICE!r} sample")
@@ -458,10 +452,10 @@ def run_grid(
             design, frame = _spec_design(features, spec, HOUSE_PRICE)
             for regime in REGIMES:
                 # one design per spec: the truncated regime fits its row prefix
-                d = design if regime == "full" else design.until(split.cutoff)
+                d = design if regime == "full" else design.until(cutoff)
                 try:
                     variants.append(
-                        _run_variant(spec, d, frame, observed, split, regime, forecast_mode)
+                        _run_variant(spec, d, frame, observed, cutoff + 1, regime, forecast_mode)
                     )
                 except HlcastError as exc:
                     error = f"{type(exc).__name__}: {exc}"

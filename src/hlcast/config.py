@@ -14,6 +14,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import reprlib
 from pathlib import Path
 
 import yaml
@@ -69,6 +70,10 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 # libyaml's overflows the C stack (a segfault) near 20,000.
 MAX_DEPTH = 32
 
+# Errors quote config values bounded: YAML aliases can make a full repr gigabytes long.
+_QUOTE = reprlib.Repr()
+_QUOTE.maxlevel, _QUOTE.maxstring = 2, 60
+
 # Every config key outside ``data``, by section, with its default: the one
 # statement of the defaults. The type of a default picks its key's check
 # (``_checked``); ``None`` marks an optional quarter.
@@ -121,9 +126,9 @@ class RunConfig(Record):
         return LtiParams(**self.settings["lti"])
 
     @property
-    def interest_only_zero_from(self) -> Quarter | None:
+    def interest_only_zero_from(self) -> int | None:
         zero_from = self.settings["features"]["interest_only_zero_from"]
-        return None if zero_from is None else parse_quarter(zero_from)
+        return None if zero_from is None else parse_quarter(zero_from).index
 
     @property
     def split(self) -> SplitSpec:
@@ -175,7 +180,7 @@ def _require_mapping(node, where: str) -> dict:
 
 
 def _reject_unknown(node: dict, allowed, where: str) -> None:
-    unknown = sorted(set(node) - set(allowed))
+    unknown = sorted(str(k) for k in node if k not in allowed)  # a YAML key need not be a str
     if unknown:
         raise ConfigError(f"unknown key(s) under {where}: {', '.join(unknown)}")
 
@@ -183,7 +188,7 @@ def _reject_unknown(node: dict, allowed, where: str) -> None:
 def _string(value, key: str) -> str:
     """``value`` if it is a string; a ConfigError naming ``key`` otherwise."""
     if not isinstance(value, str):
-        raise ConfigError(f"{key} must be a string, got {value!r}")
+        raise ConfigError(f"{key} must be a string, got {_QUOTE.repr(value)}")
     return value
 
 
@@ -200,8 +205,9 @@ def _checked(where: str, value):
     if default is None or isinstance(default, Quarter):
         if value is None and default is None:
             return None
-        try:
-            return str(parse_quarter(str(value)))
+        try:  # a default is a Quarter; any other kind fails to parse, quoted bounded
+            text = str(value) if isinstance(value, (str, Quarter)) else _QUOTE.repr(value)
+            return str(parse_quarter(text))
         except ParseError as exc:
             raise ConfigError(f"{where}: {exc}") from None
     if isinstance(default, (int, float)):
@@ -213,10 +219,10 @@ def _checked(where: str, value):
             return cast(value)
         except (TypeError, ValueError, OverflowError):
             kind = "an integer" if cast is int else "a number"
-            raise ConfigError(f"{where} must be {kind}, got {value!r}") from None
+            raise ConfigError(f"{where} must be {kind}, got {_QUOTE.repr(value)}") from None
     if isinstance(default, list):
         if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-            raise ConfigError(f"{where} must be a list of strings, got {value!r}")
+            raise ConfigError(f"{where} must be a list of strings, got {_QUOTE.repr(value)}")
         return list(value)
     return _string(value, where)
 
@@ -253,7 +259,9 @@ def _check_values(settings: dict, sources: dict[str, SeriesSource]) -> None:
         raise ConfigError("lag_scan must satisfy 0 <= min <= max")
     mode, models = settings["backtest"]["forecast_mode"], settings["backtest"]["models"]
     if mode not in ("dynamic", "static"):
-        raise ConfigError(f"backtest.forecast_mode must be 'dynamic' or 'static', got {mode!r}")
+        raise ConfigError(
+            f"backtest.forecast_mode must be 'dynamic' or 'static', got {_QUOTE.repr(mode)}"
+        )
     bad = sorted(set(models) - set(MODELS))
     if bad:
         raise ConfigError(
@@ -286,7 +294,7 @@ def _sources(node, base: Path) -> dict[str, SeriesSource]:
         unit = _string(entry.get("unit", DEFAULT_UNITS.get(name, "")), f"data.{name}.unit")
         if unit not in UNIT_FACTORS:
             raise ConfigError(
-                f"data.{name}: unknown unit {unit!r} "
+                f"data.{name}: unknown unit {_QUOTE.repr(unit)} "
                 f"(expected one of {', '.join(sorted(UNIT_FACTORS))})"
             )
         sources[name] = SeriesSource(base / _string(entry["path"], f"data.{name}.path"), unit)

@@ -23,7 +23,7 @@ import math
 from ._numpy import np
 from .errors import DataError, DomainError, InconsistencyError
 from .spec import HLC, INCOME, INTEREST_ONLY_SHARE, INTEREST_RATE, LtiParams
-from .timeseries import Frame, Quarter, QuarterlySeries, Record, align
+from .timeseries import Frame, QuarterlySeries, Record, align, quarter_label
 
 
 class HouseholdInputs(Record):
@@ -156,7 +156,7 @@ def _raise_scalar_error(frame: Frame, k: int, params: LtiParams) -> None:
     """Raise what the scalar path raises at position ``k``, named by the
     column and quarter at fault."""
     inputs = [float(frame.column(c).array[k]) for c in _INPUT_COLUMNS]
-    q = Quarter.from_index(frame.start_index + k)
+    q = quarter_label(frame.start_index + k)
     try:
         hlc(HouseholdInputs(*inputs), params)
     except ValueError as exc:
@@ -199,7 +199,7 @@ def derive_interest_only_share(
     stock_share: QuarterlySeries,
     transactions: QuarterlySeries,
     households: QuarterlySeries,
-    zero_from: Quarter | None = None,
+    zero_from: int | None = None,
 ) -> QuarterlySeries:
     """Share of NEW mortgages that are interest-only, from stock data.
 
@@ -211,8 +211,8 @@ def derive_interest_only_share(
     share``. The new-mortgage share is the sum of both groups (see
     :func:`new_mortgage_share` for a worked example).
 
-    ``zero_from`` forces the share to 0 from that quarter on, for regimes
-    where regulation removed the product's capacity advantage.
+    ``zero_from`` forces the share to 0 from that quarter number on, for
+    regimes where regulation removed the product's capacity advantage.
 
     Raises:
         InconsistencyError: if the stock share moves in a period with no movers.
@@ -222,7 +222,7 @@ def derive_interest_only_share(
     )
     stock, trans, hh = (frame.column(c).array.tolist() for c in ("stock", "trans", "hh"))
     n, i0 = len(frame), frame.start_index
-    cut = n if zero_from is None else min(max(zero_from.index - i0, 0), n)
+    cut = n if zero_from is None else min(max(zero_from - i0, 0), n)
     out = np.zeros(n)
     out[:cut] = np.nan
     for k in range(1, cut):
@@ -232,14 +232,14 @@ def derive_interest_only_share(
         # the previous share too: the first quarter's and a skipped quarter's are read only here
         for j, s in ((k - 1, s_prev), (k, s_now)):
             if not 0.0 <= s <= 1.0:
-                raise DataError(f"stock share out of [0, 1] at {Quarter.from_index(i0 + j)}: {s}")
+                raise DataError(f"stock share out of [0, 1] at {quarter_label(i0 + j)}: {s}")
         if h <= 0 or t < 0 or t > h:
             raise DataError(
                 "transactions must satisfy 0 <= transactions <= households"
-                f" at {Quarter.from_index(i0 + k)}"
+                f" at {quarter_label(i0 + k)}"
             )
         try:
             out[k] = new_mortgage_share(t / h, s_now - s_prev, s_prev)
         except InconsistencyError as exc:
-            raise InconsistencyError(f"{exc} (at {Quarter.from_index(i0 + k)})") from None
+            raise InconsistencyError(f"{exc} (at {quarter_label(i0 + k)})") from None
     return QuarterlySeries._from_array(INTEREST_ONLY_SHARE, i0, out, "fraction")

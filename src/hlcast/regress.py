@@ -23,7 +23,7 @@ from .errors import (
     SchemaError,
     SingularDesignError,
 )
-from .timeseries import Frame, Quarter, QuarterlySeries, Record, align, shift
+from .timeseries import Frame, QuarterlySeries, Record, align, quarter_label, shift
 
 # Relative singular-value threshold below which a design counts as rank
 # deficient.
@@ -83,14 +83,14 @@ class DesignMatrix:
         """The column names: the intercept, then each term's name."""
         return [INTERCEPT] + [t.name for t in self.terms]
 
-    def until(self, last: Quarter) -> DesignMatrix:
-        """The rows up to and including quarter ``last``, as views of this design.
+    def until(self, last: int) -> DesignMatrix:
+        """The rows up to and including quarter number ``last``, as views of this design.
 
         Rows ascend by quarter and every row is built from its own quarter's
         lagged inputs, so this prefix is the design of the frame cut at
         ``last``.
         """
-        k = int(np.searchsorted(self.rows, last.index, side="right"))
+        k = int(np.searchsorted(self.rows, last, side="right"))
         return DesignMatrix(
             response=self.response[:k],
             matrix=self.matrix[:k],
@@ -162,16 +162,6 @@ class FitResult:
         self.coefficients, self.stderrs, self.r_squared = coefficients, stderrs, r_squared
         self.adj_r_squared, self.residual_stderr = adj_r_squared, residual_stderr
         self.f_statistic, self.residual_array, self.design = f_statistic, residual_array, design
-
-    @property
-    def fitted(self) -> QuarterlySeries:
-        """Fitted values over the span of the design's rows, missing between rows."""
-        d = self.design
-        beta = np.array([self.coefficients[name] for name in d.names])
-        start = int(d.rows[0])
-        out = np.full(int(d.rows[-1]) - start + 1, np.nan)
-        out[d.rows - start] = d.matrix @ beta
-        return QuarterlySeries._from_array(f"{d.response_name}_fitted", start, out)
 
 
 def _require_full_rank(xs: np.ndarray, r_mat: np.ndarray, names: list[str]) -> None:
@@ -398,10 +388,10 @@ def ecm_fit(d: DesignMatrix) -> EcmFit:
 def ecm_forecast(
     fit: EcmFit,
     frame: Frame,
-    start: Quarter,
+    start: int,
     mode: str = "dynamic",
 ) -> QuarterlySeries:
-    """Forecast response levels from ``start`` to the end of ``frame``.
+    """Forecast response levels from quarter number ``start`` to the end of ``frame``.
 
     Static mode predicts each change from the observed previous level (one
     step ahead everywhere); dynamic mode feeds its own predicted level back
@@ -421,9 +411,10 @@ def ecm_forecast(
     frame.require(response, *(t.column for t in terms))
     observed = frame.column(response)
     y, n = observed.array, len(frame)
-    a = start.index - frame.start_index  # position of ``start`` in the frame
+    a = start - frame.start_index  # position of ``start`` in the frame
     if not 0 < a <= n or np.isnan(y[a - 1]):
-        raise DataError(f"no observed {response!r} level before {start} to anchor the forecast")
+        q = quarter_label(start)
+        raise DataError(f"no observed {response!r} level before {q} to anchor the forecast")
     # change = intercept + gamma * previous level + terms in fit order; NaN
     # marks missing, and an infinite input gives inf - inf = NaN
     with np.errstate(invalid="ignore"):
@@ -444,7 +435,7 @@ def ecm_forecast(
                 level = level + delta
                 out.append(level)
             levels = np.array(out, dtype=float)
-    return QuarterlySeries._from_array(f"{response}_forecast", start.index, levels, observed.unit)
+    return QuarterlySeries._from_array(f"{response}_forecast", start, levels, observed.unit)
 
 
 class LagScanEntry(Record):

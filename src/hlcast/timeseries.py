@@ -146,6 +146,11 @@ class Quarter(Record):
         return f"{self.year:04d}Q{self.quarter}"
 
 
+def quarter_label(index: int) -> str:
+    """``YYYYQn`` of quarter number ``index`` for a message; never raises, as ``Quarter`` can."""
+    return str(Quarter.from_index(index)) if 0 <= index // 4 <= 9999 else f"quarter number {index}"
+
+
 def parse_quarter(text: str) -> Quarter:
     """Parse ``YYYYQn`` or ``YYYY-Qn`` into a :class:`Quarter`.
 
@@ -235,10 +240,6 @@ class QuarterlySeries:
     def end(self) -> Quarter:
         return Quarter.from_index(self.start_index + len(self) - 1)
 
-    def quarters(self) -> Iterator[Quarter]:
-        for i in range(len(self)):
-            yield Quarter.from_index(self.start_index + i)
-
     def get(self, q: Quarter) -> float | None:
         """Value at quarter ``q``; None when missing or out of range."""
         i = q.index - self.start_index
@@ -246,7 +247,7 @@ class QuarterlySeries:
         return None if v != v else v
 
     def items(self) -> Iterator[tuple[Quarter, float | None]]:
-        return zip(self.quarters(), self.values)
+        return ((Quarter.from_index(self.start_index + i), v) for i, v in enumerate(self.values))
 
     def to_array(self) -> np.ndarray:
         """Values as a new float array with NaN for missing."""
@@ -431,25 +432,30 @@ def _read_table(path: Path, expected: str, names_of) -> tuple[list[str], Quarter
     """
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        names = None if header is None else names_of([h.strip() for h in header])
-        if names is None:
-            raise ParseError(f"{path}:1: expected header {expected!r}, got {header!r}")
-        quarters: list[Quarter] = []
-        data: list[list[float | None]] = [[] for _ in names]
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(c.strip() == "" for c in row):
-                continue
-            if len(row) != len(names) + 1:
-                raise ParseError(
-                    f"{path}:{lineno}: expected {len(names) + 1} fields, got {len(row)}"
-                )
-            try:
-                quarters.append(parse_quarter(row[0]))
-            except ParseError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
-            for column, cell in zip(data, row[1:]):
-                column.append(_parse_value(cell, path, lineno))
+        try:
+            header = next(reader, None)
+            names = None if header is None else names_of([h.strip() for h in header])
+            if names is None:
+                raise ParseError(f"{path}:1: expected header {expected!r}, got {header!r}")
+            quarters: list[Quarter] = []
+            data: list[list[float | None]] = [[] for _ in names]
+            for lineno, row in enumerate(reader, start=2):
+                if not row or all(c.strip() == "" for c in row):
+                    continue
+                if len(row) != len(names) + 1:
+                    raise ParseError(
+                        f"{path}:{lineno}: expected {len(names) + 1} fields, got {len(row)}"
+                    )
+                try:
+                    quarters.append(parse_quarter(row[0]))
+                except ParseError as exc:
+                    raise ParseError(f"{path}:{lineno}: {exc}") from None
+                for column, cell in zip(data, row[1:]):
+                    column.append(_parse_value(cell, path, lineno))
+        except UnicodeDecodeError as exc:  # decoded a block at a time: no line to name
+            raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
+        except csv.Error as exc:  # a cell over the field limit (process-wide, so not raised)
+            raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
     if not quarters:
         raise DataError(f"{path}: no data rows")
     for prev, cur in zip(quarters, quarters[1:]):

@@ -57,6 +57,13 @@ def real_data_dir() -> Path | None:
     return None
 
 
+def fitted_by_quarter(fit) -> dict:
+    """An OLS fit's fitted values, ``design.matrix @ beta``, by each design row's quarter."""
+    d = fit.design
+    beta = np.array([fit.coefficients[name] for name in d.names])
+    return {Quarter.from_index(r): v for r, v in zip(d.rows.tolist(), (d.matrix @ beta).tolist())}
+
+
 def design_from_arrays(y, x, names=None) -> DesignMatrix:
     """Wrap raw arrays as a design, prepending the all-ones intercept column.
 

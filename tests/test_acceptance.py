@@ -6,14 +6,22 @@ reported as SKIPPED when those are absent.
 """
 
 import json
+import os
+import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import REAL_DATA_ENV, REAL_SERIES, design_from_arrays, real_data_dir
+from conftest import (
+    REAL_DATA_ENV, REAL_SERIES, design_from_arrays, fitted_by_quarter, real_data_dir
+)
 from test_regress import normal_equations_fit, random_system, simulate_ecm
 
+import hlcast
 from hlcast.backtest import (
     HLC,
     HOUSE_PRICE,
@@ -108,11 +116,9 @@ def test_criterion_03_ecm_reparametrization_identity():
             warnings.simplefilter("ignore", UserWarning)
             frame = align([ys, xs, ys.diff().rename("d_y"), xs.diff().rename("d_x")])
             fit = ecm_fit(ecm_design(frame, "y", ["d_x"], [("x", 1)]))
-        fitted = fit.underlying.fitted
-        scale = max(abs(v) for v in fitted.values if v is not None)
+        fitted = fitted_by_quarter(fit.underlying)
+        scale = max(abs(v) for v in fitted.values())
         for q, want in fitted.items():
-            if want is None:
-                continue
             restricted = (
                 fit.intercept
                 + fit.underlying.coefficients["d_x"] * xs.diff().get(q)
@@ -142,7 +148,7 @@ def test_criterion_04_ecm_identification_and_dynamic_forecast():
     )
     frame = align([QuarterlySeries("y", Quarter(2000, 1), tuple(y)), xs, xs.diff().rename("d_x")])
     start = Quarter(2000, 1) + 120
-    forecast = ecm_forecast(fit, frame, start, mode="dynamic")
+    forecast = ecm_forecast(fit, frame, start.index, mode="dynamic")
     err = max(abs(forecast.get(start + i) - y[120 + i]) for i in range(20))
     verdict(
         4,
@@ -309,3 +315,32 @@ def test_criterion_13_capacity_coefficient(real_report):
         ok,
         f"coefficient {coeff:.3f}, R^2 {fit.r_squared:.3f}",
     )
+
+
+def test_real_data_criteria_reach_their_verdicts(tmp_path, cli):
+    # Criteria 10-13 on a synthetic workspace, which no CI run has real data
+    # for: each must reach its verdict line, and no failure may be other than
+    # a verdict's own assertion. Their bounds are not checked here.
+    workspace = tmp_path / "ws"
+    code, out, err = cli(["synth", "--out", str(workspace), "--seed", "0"])
+    assert code == 0, out + err
+    env = {
+        **os.environ,
+        REAL_DATA_ENV: str(workspace),
+        "PYTHONPATH": str(Path(hlcast.__file__).parents[1]),
+    }
+    criteria = " or ".join(f"criterion_{n}" for n in range(10, 14))
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", __file__, "-k", criteria, "-s", "-q", "--tb=line",
+         "-p", "no:cacheprovider"],
+        env=env, capture_output=True, text=True, cwd=Path(__file__).parents[1],
+    )
+    # -q prints a test's progress mark just before the next test's output
+    verdicts = re.findall(r"ACCEPTANCE (1[0-3]) [^:\n]+: (\w+)", done.stdout)
+    assert [n for n, _ in verdicts] == ["10", "11", "12", "13"], done.stdout
+    assert {state for _, state in verdicts} <= {"PASS", "FAIL"}, done.stdout
+    # --tb=line: one "<file>:<line>: <exception>" line per failure
+    failed = re.findall(r"^\S+\.py:\d+: (.*)$", done.stdout, re.M)
+    assert len(failed) == sum(state == "FAIL" for _, state in verdicts), done.stdout
+    assert all(re.match(r"AssertionError: criterion 1[0-3] \(", f) for f in failed), failed
+    assert done.returncode in (0, 1) and " error" not in done.stdout.splitlines()[-1], done.stdout

@@ -84,12 +84,17 @@ class TestEvaluate:
     def test_window_restriction(self):
         obs = series([1.0, 1.0, 1.0, 1.0])
         pred = series([2.0, 1.0, 1.0, 5.0])
-        m = evaluate(obs, pred, first=START + 1)
+        m = evaluate(obs, pred, first=(START + 1).index)
         assert m.rmse == pytest.approx(math.sqrt(16 / 3)) and m.n_evaluated == 3
 
     def test_empty_overlap_is_error(self):
         with pytest.raises(DataError):
             evaluate(series([1.0, None]), series([None, 1.0]))
+
+    def test_first_past_every_label_is_data_error(self):
+        # quarter number 40000 is 10000Q1, which no Quarter can label
+        with pytest.raises(DataError, match="from quarter number 40000 on"):
+            evaluate(series([1.0]), series([1.0]), first=4 * 10_000)
 
     def test_missing_pairs_skipped(self):
         m = evaluate(series([1.0, None, 3.0]), series([1.5, 2.0, None]))
@@ -123,25 +128,26 @@ class TestOnePassScoring:
         pred_values = np.where(rng.random(m) < 0.2, np.nan, pred_values)
         obs = series(obs_values, name="observed")
         pred = series(pred_values, start=START + int(rng.integers(-3, 4)), name="predicted")
-        first = START + int(rng.integers(-2, n + 3))
+        first = START.index + int(rng.integers(-2, n + 3))
         want_all, want_from_first = self.evaluated(obs, pred, first)
         if want_all is None:
             with pytest.raises(DataError, match="no overlapping observations"):
-                _score(obs, pred, first.index)
+                _score(obs, pred, first)
             return
-        assert _score(obs, pred, first.index) == (want_all, want_from_first)
+        assert _score(obs, pred, first) == (want_all, want_from_first)
 
     def test_sample_edge_cutoff_has_no_holdout(self):
         obs, pred = series([1.0, 2.0, None]), series([1.5, 2.5, 3.5])
         got_all, got_holdout = _score(obs, pred, (START + 2).index)
         assert got_all == evaluate(obs, pred) and got_holdout is None
         with pytest.raises(DataError, match="from 2000Q3 on"):
-            evaluate(obs, pred, first=START + 2)
+            evaluate(obs, pred, first=(START + 2).index)
 
     def test_infinite_predictions_give_null_metrics(self):
         obs, pred = series([1.0, 2.0, 3.0, 4.0]), series([1.0, math.inf, 3.0, 4.5])
-        got_all, got_holdout = _score(obs, pred, (START + 2).index)
-        assert (got_all, got_holdout) == (evaluate(obs, pred), evaluate(obs, pred, START + 2))
+        first = (START + 2).index
+        got_all, got_holdout = _score(obs, pred, first)
+        assert (got_all, got_holdout) == (evaluate(obs, pred), evaluate(obs, pred, first))
         assert got_all.to_dict() == {"rmse": None, "mae": None, "n": 4}
         assert got_holdout.to_dict() == {"rmse": math.sqrt(0.125), "mae": 0.25, "n": 2}
 
@@ -196,9 +202,9 @@ class TestBuildFeatures:
     def test_interest_only_zero_from(self):
         raw = make_raw()
         cut = raw.start + 30
-        feats = build_features(raw, LtiParams(), interest_only_zero_from=cut)
+        feats = build_features(raw, LtiParams(), interest_only_zero_from=cut.index)
         share = feats.column(INTEREST_ONLY_SHARE)
-        assert all(share.get(q) == 0.0 for q in share.quarters() if q >= cut)
+        assert all(v == 0.0 for q, v in share.items() if q >= cut)
         assert share.get(cut - 1) != 0.0
 
     def test_share_derived_from_stock_inputs(self):
@@ -404,7 +410,7 @@ class TestOneDesignPerSpec:
     def test_prefix_equals_design_of_cut_frame(self, features, gappy, cutoff, gaps):
         frame = gappy if gaps else features
         for spec in default_specs():
-            prefix = _spec_design(frame, spec, HOUSE_PRICE)[0].until(cutoff)
+            prefix = _spec_design(frame, spec, HOUSE_PRICE)[0].until(cutoff.index)
             cut = _spec_design(cut_frame(frame, cutoff), spec, HOUSE_PRICE)[0]
             assert (prefix.names, prefix.terms) == (cut.names, cut.terms)
             assert prefix.rows[-1] <= cutoff.index and len(prefix.rows) > len(prefix.names)

@@ -443,6 +443,7 @@ class TestErrors:
         "edit,args,message",
         [
             (lambda doc: doc.update(lti=5), [], "lti must be a mapping, got int"),
+            (lambda doc: doc["lti"].update({1: 2}), [], "unknown key(s) under lti: 1"),
             (
                 lambda doc: doc["lti"].update(woonquote=1.5),
                 [],
@@ -511,6 +512,7 @@ class TestErrors:
         ],
         ids=[
             "lti-not-a-mapping",
+            "key-not-a-string",
             "woonquote-above-one",
             "term_months-past-100-years",
             "smoothing_window-zero",
@@ -844,6 +846,23 @@ class TestConfigText:
         assert code == 2, err
         assert err.startswith(f"error: config {config} holds a value that cannot be read: ")
         assert message in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "key", ["output_dir", "split.cutoff", "lti.term_months", "backtest.forecast_mode"]
+    )
+    def test_alias_fan_out_is_quoted_bounded(self, cli, tmp_path, key):
+        # three levels of aliases, each ten times the last: the full repr of
+        # the value is ~5.8 kB, and grows tenfold per level
+        levels = ", ".join(f"&a{i} [{', '.join([f'*a{i - 1}'] * 10)}]" for i in range(1, 4))
+        config = make_workspace(cli, tmp_path)
+        doc = yaml.safe_load(config.read_text())
+        section, _, name = key.partition(".")
+        node = doc[section] if name else doc
+        node[name or section] = "FAN"
+        config.write_text(yaml.safe_dump(doc).replace("FAN", f"[&a0 x, {levels}]"))
+        code, out, err = cli(["ingest", "--config", str(config)])
+        assert code == 2 and err.startswith(f"error: {key}") and err.count("\n") == 1, err
+        assert len(err.encode()) <= 300, err
 
     def test_text_that_is_not_utf8_exits_2(self, cli, tmp_path):
         config = tmp_path / "latin1.yaml"

@@ -79,8 +79,9 @@ def test_hostile_config_value_exits_cleanly(workspace, key, value):
 
 
 INPUTS = ["house_price", "income", "interest_rate", "ltv", "interest_only_share"]
-# None appends an extra field to the row
-CELLS = ["x", "inf", "nan", "1e308", "", None]
+# None appends an extra field to the row; b"\xe9" is not UTF-8, and the long
+# cell exceeds the csv module's 131,072-character field limit
+CELLS = [b"x", b"inf", b"nan", b"1e308", b"", None, b"\xe9", b"1" * 140_000]
 
 
 @pytest.fixture(scope="module")
@@ -94,15 +95,17 @@ def cells_workspace(workspace):
 # 60 of the 5 x 92 x 6 edits; the examples pin an ECM that warns (gamma >= 0)
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(st.sampled_from(INPUTS), st.integers(1, 92), st.sampled_from(CELLS))
-@example("interest_rate", 37, "1e308")
+@example("interest_rate", 37, b"1e308")
 @example("income", 1, None)
+@example("ltv", 1, b"\xe9")
+@example("ltv", 1, b"1" * 140_000)
 def test_hostile_csv_cell_exits_cleanly(cells_workspace, name, row, cell):
     path = cells_workspace / f"{name}.csv"
-    text = path.read_text()
+    text = path.read_bytes()
     lines = text.splitlines()
-    quarter, value = lines[row].split(",")
-    lines[row] = f"{quarter},{value},{value}" if cell is None else f"{quarter},{cell}"
-    path.write_text("\n".join(lines) + "\n")
+    quarter, value = lines[row].split(b",")
+    lines[row] = b",".join([quarter, value, value] if cell is None else [quarter, cell])
+    path.write_bytes(b"\n".join(lines) + b"\n")
     try:
         for stage in STAGES:
             code, err = run([stage, "--config", str(cells_workspace / "config.yaml")])
@@ -113,4 +116,4 @@ def test_hostile_csv_cell_exits_cleanly(cells_workspace, name, row, cell):
                 assert body and body.pop().startswith("error: "), (stage, err)
             assert all(line.startswith("warning: ") for line in body), (stage, err)
     finally:
-        path.write_text(text)
+        path.write_bytes(text)

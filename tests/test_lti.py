@@ -325,7 +325,7 @@ class TestDeriveInterestOnlyShare:
             series([0.3, 0.35, 0.4, 0.4], name="stock"),
             series([5.0] * 4, name="transactions"),
             series([100.0] * 4, name="households"),
-            zero_from=Quarter(2000, 3),
+            zero_from=Quarter(2000, 3).index,
         )
         assert out.values[2] == 0.0 and out.values[3] == 0.0
         assert out.values[1] is not None and out.values[1] > 0.0
@@ -366,7 +366,7 @@ class TestDeriveInterestOnlyShare:
             series([0.1, 0.1, 1.5], name="stock"),
             series([1.0, 1.0, 500.0], name="transactions"),
             series([100.0] * 3, name="households"),
-            zero_from=Quarter(2000, 3),
+            zero_from=Quarter(2000, 3).index,
         )
         assert out.values == (None, 0.1, 0.0)
 

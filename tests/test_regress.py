@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.stats
-from conftest import design_from_arrays
+from conftest import design_from_arrays, fitted_by_quarter
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -294,7 +294,7 @@ class TestDesignAndPredict:
     def test_training_window(self):
         f = align([series([float(i) for i in range(8)], name="y"),
                    series([float(i) for i in range(8)], name="x")])
-        d = design_matrix(f, "y", ["x"]).until(START + 3)
+        d = design_matrix(f, "y", ["x"]).until((START + 3).index)
         assert d.rows[-1] == (START + 3).index and len(d.rows) == 4
 
     def test_predict_reproduces_fitted(self):
@@ -304,9 +304,8 @@ class TestDesignAndPredict:
         f = align([series(list(y_vals), name="y"), series(list(x_vals), name="x")])
         fit = ols_fit(design_matrix(f, "y", ["x"]))
         pred = predict(fit, f)
-        for q, v in fit.fitted.items():
-            if v is not None:
-                assert pred.get(q) == pytest.approx(v, rel=1e-12)
+        for q, v in fitted_by_quarter(fit).items():
+            assert pred.get(q) == pytest.approx(v, rel=1e-12)
 
     def test_predict_missing_propagates(self):
         f = align([series([1.0, 2.0, 3.0], name="y"), series([1.0, None, 3.0], name="x")])
@@ -390,11 +389,9 @@ class TestEcm:
             design = ecm_design(ecm_frame(ys, x1s, x2s), "y", ["d_x1"], [("x1", 1), ("x2", 1)])
             fit = ecm_fit(design)
             # Restricted form: b0 + b*d_x1 + gamma*(y[t-1] - sum(alpha * level)).
-            fitted = fit.underlying.fitted
-            scale = max(abs(v) for v in fitted.values if v is not None)
+            fitted = fitted_by_quarter(fit.underlying)
+            scale = max(abs(v) for v in fitted.values())
             for q, want in fitted.items():
-                if want is None:
-                    continue
                 restricted = (
                     fit.intercept
                     + fit.underlying.coefficients["d_x1"] * x1s.diff().get(q)
@@ -435,8 +432,8 @@ class TestEcm:
         ys, xs, fit = fit_simulated(x, y)
         frame = ecm_frame(ys, xs)
         start = START + 100
-        static = ecm_forecast(fit, frame, start, mode="static")
-        dynamic = ecm_forecast(fit, frame, start, mode="dynamic")
+        static = ecm_forecast(fit, frame, start.index, mode="static")
+        dynamic = ecm_forecast(fit, frame, start.index, mode="dynamic")
         assert static.values[0] == pytest.approx(dynamic.values[0], rel=1e-14)
 
     def test_static_forecast_does_not_depend_on_start(self):
@@ -445,10 +442,11 @@ class TestEcm:
         x, y = simulate_ecm(noise=0.3, seed=5)
         ys, xs = series(list(y), name="y"), series(list(x), name="x")
         frame = ecm_frame(ys, xs)
-        fit = ecm_fit(ecm_design(frame, "y", [("d_x", 2)], [("x", 3)]).until(START + 90))
-        early = ecm_forecast(fit, frame, START + 4, mode="static")
+        design = ecm_design(frame, "y", [("d_x", 2)], [("x", 3)])
+        fit = ecm_fit(design.until((START + 90).index))
+        early = ecm_forecast(fit, frame, (START + 4).index, mode="static")
         for k in (5, 91, 139):
-            late = ecm_forecast(fit, frame, START + k, mode="static")
+            late = ecm_forecast(fit, frame, (START + k).index, mode="static")
             assert np.array_equal(late.array, early.array[k - 4 :])
 
     def test_dynamic_forecast_tracks_noiseless_path(self):
@@ -458,7 +456,7 @@ class TestEcm:
         fit = ecm_fit(ecm_design(ecm_frame(train_ys, xs), "y", ["d_x"], [("x", 1)]))
         frame = ecm_frame(series(list(y), name="y"), xs)
         start = START + 120
-        forecast = ecm_forecast(fit, frame, start, mode="dynamic")
+        forecast = ecm_forecast(fit, frame, start.index, mode="dynamic")
         for i in range(20):
             assert forecast.get(start + i) == pytest.approx(y[120 + i], abs=1e-6)
 
@@ -468,7 +466,10 @@ class TestEcm:
         ys, xs, fit = fit_simulated(x, y)
         frame = align(s._with_array(s.array, 0) for s in ecm_frame(ys, xs).columns.values())
         with pytest.raises(DataError, match="no observed 'y' level before 0000Q1"):
-            ecm_forecast(fit, frame, Quarter(0, 1))
+            ecm_forecast(fit, frame, Quarter(0, 1).index)
+        # a quarter number with no label is named by its number
+        with pytest.raises(DataError, match="no observed 'y' level before quarter number -1"):
+            ecm_forecast(fit, frame, -1)
 
     def test_zero_coefficients_give_flat_forecast(self):
         names = ["intercept", "d_x", "y_lag1", "x_lag1"]
@@ -501,7 +502,7 @@ class TestEcm:
                 series([2.0] * 10, name="x"),
             ]
         )
-        out = ecm_forecast(fit, frame, START + 1, mode="dynamic")
+        out = ecm_forecast(fit, frame, (START + 1).index, mode="dynamic")
         assert all(v == 5.0 for v in out.values)
 
     def test_missing_initial_level(self):
@@ -509,14 +510,14 @@ class TestEcm:
         ys, xs, fit = fit_simulated(x, y)
         frame = ecm_frame(ys, xs)
         with pytest.raises(DataError, match="anchor"):
-            ecm_forecast(fit, frame, frame.start, mode="dynamic")
+            ecm_forecast(fit, frame, frame.start_index, mode="dynamic")
 
     def test_bad_mode(self):
         x, y = simulate_ecm(n=60)
         ys, xs, fit = fit_simulated(x, y)
         frame = ecm_frame(ys, xs)
         with pytest.raises(ValueError):
-            ecm_forecast(fit, frame, START + 10, mode="oracle")
+            ecm_forecast(fit, frame, (START + 10).index, mode="oracle")
 
     def test_dynamic_ignores_observed_levels(self):
         # Corrupting post-start observations must not change a dynamic
@@ -529,11 +530,11 @@ class TestEcm:
             corrupted[i] += 500.0
         frame_ok = ecm_frame(ys, xs)
         frame_bad = ecm_frame(series(corrupted, name="y"), xs)
-        dyn_ok = ecm_forecast(fit, frame_ok, start, mode="dynamic")
-        dyn_bad = ecm_forecast(fit, frame_bad, start, mode="dynamic")
+        dyn_ok = ecm_forecast(fit, frame_ok, start.index, mode="dynamic")
+        dyn_bad = ecm_forecast(fit, frame_bad, start.index, mode="dynamic")
         assert dyn_ok.values == dyn_bad.values
-        static_ok = ecm_forecast(fit, frame_ok, start, mode="static")
-        static_bad = ecm_forecast(fit, frame_bad, start, mode="static")
+        static_ok = ecm_forecast(fit, frame_ok, start.index, mode="static")
+        static_bad = ecm_forecast(fit, frame_bad, start.index, mode="static")
         assert static_ok.values != static_bad.values
 
 
@@ -567,9 +568,9 @@ class TestLagScan:
         for e in result.entries:
             shifted = cand.lag(e.lag)
             pairs = [
-                (resp.get(q), shifted.get(q))
-                for q in resp.quarters()
-                if resp.get(q) is not None and shifted.get(q) is not None
+                (v, shifted.get(q))
+                for q, v in resp.items()
+                if v is not None and shifted.get(q) is not None
             ]
             a = np.array([p[0] for p in pairs])
             b = np.array([p[1] for p in pairs])

@@ -176,7 +176,7 @@ class TestLagDiff:
         rng = np.random.default_rng(1)
         s = series([float(v) for v in rng.normal(size=25)])
         d, l1 = s.diff(), s.lag(1)
-        for q in s.quarters():
+        for q, _ in s.items():
             dv, lv = d.get(q), l1.get(q)
             if dv is not None and lv is not None:
                 assert dv + lv == pytest.approx(s.get(q), rel=1e-12)
