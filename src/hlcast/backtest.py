@@ -21,7 +21,6 @@ from .lti import derive_interest_only_share, hlc_series
 from .regress import (
     DesignMatrix,
     EcmFit,
-    FitResult,
     design_matrix,
     ecm_design,
     ecm_fit,
@@ -74,9 +73,7 @@ class ModelSpec(Record):
         hlc_lag = _integer("hlc_lag", hlc_lag)
         if hlc_lag < 0:
             raise ValueError(f"hlc_lag must be >= 0, got {hlc_lag}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "approach", approach)
-        object.__setattr__(self, "hlc_lag", hlc_lag)
+        self._set(name, approach, hlc_lag)
 
     @property
     def columns(self) -> tuple[str, ...]:
@@ -250,26 +247,10 @@ class VariantResult:
         "forecast_mode", "alt_mode", "alt_metrics_all", "alt_metrics_holdout", "error",
     )
 
-    def __init__(
-        self,
-        name: str,
-        approach: str,
-        regime: str,
-        metrics_all: Metrics | None = None,
-        metrics_holdout: Metrics | None = None,
-        fit: FitResult | EcmFit | None = None,
-        predicted: QuarterlySeries | None = None,
-        forecast_mode: str | None = None,
-        alt_mode: str | None = None,
-        alt_metrics_all: Metrics | None = None,
-        alt_metrics_holdout: Metrics | None = None,
-        error: str | None = None,
-    ) -> None:
-        self.name, self.approach, self.regime = name, approach, regime
-        self.metrics_all, self.metrics_holdout, self.fit = metrics_all, metrics_holdout, fit
-        self.predicted, self.forecast_mode, self.alt_mode = predicted, forecast_mode, alt_mode
-        self.alt_metrics_all, self.alt_metrics_holdout = alt_metrics_all, alt_metrics_holdout
-        self.error = error
+    def __init__(self, name: str, approach: str, regime: str, error: str | None = None) -> None:
+        self.name, self.approach, self.regime, self.error = name, approach, regime, error
+        self.metrics_all = self.metrics_holdout = self.fit = self.predicted = None
+        self.forecast_mode = self.alt_mode = self.alt_metrics_all = self.alt_metrics_holdout = None
 
     def to_dict(self) -> dict:
         ecm = self.fit if isinstance(self.fit, EcmFit) else None

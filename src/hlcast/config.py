@@ -14,13 +14,12 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-import reprlib
 from pathlib import Path
 
 import yaml
 
 from . import __version__
-from .errors import ConfigError, DataError, ParseError
+from .errors import ConfigError, DataError, ParseError, quote
 from .spec import (
     DEBT_TO_GDP,
     HLC_LAG,
@@ -69,10 +68,6 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 # PyYAML's Python composer meets the recursion limit near 1,000 levels, and
 # libyaml's overflows the C stack (a segfault) near 20,000.
 MAX_DEPTH = 32
-
-# Errors quote config values bounded: YAML aliases can make a full repr gigabytes long.
-_QUOTE = reprlib.Repr()
-_QUOTE.maxlevel, _QUOTE.maxstring = 2, 60
 
 # Every config key outside ``data``, by section, with its default: the one
 # statement of the defaults. The type of a default picks its key's check
@@ -188,7 +183,7 @@ def _reject_unknown(node: dict, allowed, where: str) -> None:
 def _string(value, key: str) -> str:
     """``value`` if it is a string; a ConfigError naming ``key`` otherwise."""
     if not isinstance(value, str):
-        raise ConfigError(f"{key} must be a string, got {_QUOTE.repr(value)}")
+        raise ConfigError(f"{key} must be a string, got {quote(value)}")
     return value
 
 
@@ -206,7 +201,7 @@ def _checked(where: str, value):
         if value is None and default is None:
             return None
         try:  # a default is a Quarter; any other kind fails to parse, quoted bounded
-            text = str(value) if isinstance(value, (str, Quarter)) else _QUOTE.repr(value)
+            text = str(value) if isinstance(value, (str, Quarter)) else quote(value)
             return str(parse_quarter(text))
         except ParseError as exc:
             raise ConfigError(f"{where}: {exc}") from None
@@ -219,10 +214,10 @@ def _checked(where: str, value):
             return cast(value)
         except (TypeError, ValueError, OverflowError):
             kind = "an integer" if cast is int else "a number"
-            raise ConfigError(f"{where} must be {kind}, got {_QUOTE.repr(value)}") from None
+            raise ConfigError(f"{where} must be {kind}, got {quote(value)}") from None
     if isinstance(default, list):
         if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-            raise ConfigError(f"{where} must be a list of strings, got {_QUOTE.repr(value)}")
+            raise ConfigError(f"{where} must be a list of strings, got {quote(value)}")
         return list(value)
     return _string(value, where)
 
@@ -260,7 +255,7 @@ def _check_values(settings: dict, sources: dict[str, SeriesSource]) -> None:
     mode, models = settings["backtest"]["forecast_mode"], settings["backtest"]["models"]
     if mode not in ("dynamic", "static"):
         raise ConfigError(
-            f"backtest.forecast_mode must be 'dynamic' or 'static', got {_QUOTE.repr(mode)}"
+            f"backtest.forecast_mode must be 'dynamic' or 'static', got {quote(mode)}"
         )
     bad = sorted(set(models) - set(MODELS))
     if bad:
@@ -294,7 +289,7 @@ def _sources(node, base: Path) -> dict[str, SeriesSource]:
         unit = _string(entry.get("unit", DEFAULT_UNITS.get(name, "")), f"data.{name}.unit")
         if unit not in UNIT_FACTORS:
             raise ConfigError(
-                f"data.{name}: unknown unit {_QUOTE.repr(unit)} "
+                f"data.{name}: unknown unit {quote(unit)} "
                 f"(expected one of {', '.join(sorted(UNIT_FACTORS))})"
             )
         sources[name] = SeriesSource(base / _string(entry["path"], f"data.{name}.path"), unit)
@@ -306,9 +301,15 @@ def _sources(node, base: Path) -> dict[str, SeriesSource]:
             f"config must provide data.{INTEREST_ONLY_SHARE} or all of "
             f"{', '.join(SHARE_INPUTS)}"
         )
-    absent = sorted(str(s.path) for s in sources.values() if not s.path.is_file())
+    absent = []
+    for name, src in sources.items():
+        try:
+            if not src.path.is_file():
+                absent.append(str(src.path))
+        except OSError as exc:  # a path the system cannot look up, such as one too long
+            raise ConfigError(f"data.{name}: cannot read its file: {exc.strerror}") from None
     if absent:
-        raise ConfigError(f"data file(s) not found: {', '.join(absent)}")
+        raise ConfigError(f"data file(s) not found: {', '.join(sorted(absent))}")
     return sources
 
 
@@ -318,9 +319,9 @@ def parse_lag_range(text: str) -> tuple[int, int]:
     try:
         lo, hi = (int(p) for p in parts)
     except ValueError:
-        raise ConfigError(f"lag range must look like '0..6', got {text!r}") from None
+        raise ConfigError(f"lag range must look like '0..6', got {quote(text)}") from None
     if lo < 0 or hi < lo:
-        raise ConfigError(f"lag range must satisfy 0 <= min <= max, got {text!r}")
+        raise ConfigError(f"lag range must satisfy 0 <= min <= max, got {quote(text)}")
     return lo, hi
 
 

@@ -5,6 +5,20 @@ callers can tell configuration mistakes from bad data from numerical
 failures.
 """
 
+import reprlib
+
+# An error quotes outside text bounded: a CSV cell may hold 131,072
+# characters, and YAML aliases can make a config value's full repr gigabytes.
+_QUOTE = reprlib.Repr()
+_QUOTE.maxlevel, _QUOTE.maxstring = 2, 60
+
+
+def quote(value) -> str:
+    """``repr(value)`` for an error message, bounded: a string's repr over 60
+    characters keeps its two ends around ``...``, and a collection shows its
+    first few items, two levels deep."""
+    return _QUOTE.repr(value)
+
 
 class HlcastError(Exception):
     """Base class for all package-specific errors."""

@@ -139,13 +139,12 @@ def design_matrix(
 class FitResult:
     """Estimated coefficients with classical linear-model inference.
 
-    ``design`` is the design the fit was estimated on; ``residual_array``
-    holds one value per row of it.
+    ``design`` is the design the fit was estimated on.
     """
 
     __slots__ = (
         "coefficients", "stderrs", "r_squared", "adj_r_squared", "residual_stderr",
-        "f_statistic", "residual_array", "design",
+        "f_statistic", "design",
     )
 
     def __init__(
@@ -156,12 +155,11 @@ class FitResult:
         adj_r_squared: float,
         residual_stderr: float,
         f_statistic: float,
-        residual_array: np.ndarray,
         design: DesignMatrix,
     ) -> None:
         self.coefficients, self.stderrs, self.r_squared = coefficients, stderrs, r_squared
         self.adj_r_squared, self.residual_stderr = adj_r_squared, residual_stderr
-        self.f_statistic, self.residual_array, self.design = f_statistic, residual_array, design
+        self.f_statistic, self.design = f_statistic, design
 
 
 def _require_full_rank(xs: np.ndarray, r_mat: np.ndarray, names: list[str]) -> None:
@@ -275,7 +273,6 @@ def ols_fit(d: DesignMatrix) -> FitResult:
         adj_r_squared=adj,
         residual_stderr=float(np.sqrt(sigma2)),
         f_statistic=float(f_stat),
-        residual_array=resid,
         design=d,
     )
 

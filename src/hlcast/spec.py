@@ -3,13 +3,14 @@
 Column names of the feature frame, the grid's model forms, the paper's
 feature settings, and the parameter records of the lending-capacity engine
 and the out-of-sample split. This module sits below every layer: it imports
-nothing from hlcast but :class:`~hlcast.timeseries.Quarter` and its
-``Record`` base, so ``config`` and ``synthetic`` read these names without
-loading the backtest or regression code.
+nothing from hlcast but :class:`~hlcast.timeseries.Quarter`, its ``Record``
+base and :func:`~hlcast.errors.quote`, so ``config`` and ``synthetic`` read
+these names without loading the backtest or regression code.
 """
 
 from __future__ import annotations
 
+from .errors import quote
 from .timeseries import Quarter, Record
 
 # Canonical column names for the feature frame.
@@ -84,6 +85,6 @@ class SplitSpec(Record):
         if evaluation_window not in ("all_quarters", "holdout_only"):
             raise ValueError(
                 f"evaluation_window must be 'all_quarters' or 'holdout_only', "
-                f"got {evaluation_window!r}"
+                f"got {quote(evaluation_window)}"
             )
         self._set(cutoff, evaluation_window)

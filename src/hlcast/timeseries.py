@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
 from ._numpy import np
-from .errors import DataError, ParseError, SchemaError
+from .errors import DataError, ParseError, SchemaError, quote
 
 _QUARTER_RE = re.compile(r"^(\d{4})-?Q(\d)$")
 
@@ -119,14 +119,6 @@ class Quarter(Record):
     def index(self) -> int:
         return self.year * 4 + self.quarter - 1
 
-    def __eq__(self, other):
-        if other.__class__ is Quarter:
-            return self.year == other.year and self.quarter == other.quarter
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.year, self.quarter))
-
     # a > b and a >= b fall back to the reflected b < a and b <= a
     def __lt__(self, other):
         return self.index < other.index if other.__class__ is Quarter else NotImplemented
@@ -159,10 +151,10 @@ def parse_quarter(text: str) -> Quarter:
     """
     m = _QUARTER_RE.match(text.strip())
     if m is None:
-        raise ParseError(f"not a quarter label: {text!r} (expected YYYYQn or YYYY-Qn)")
+        raise ParseError(f"not a quarter label: {quote(text)} (expected YYYYQn or YYYY-Qn)")
     year, q = int(m.group(1)), int(m.group(2))
     if not 1 <= q <= 4:
-        raise ParseError(f"quarter out of range in {text!r}: Q{q}")
+        raise ParseError(f"quarter out of range in {quote(text)}: Q{q}")
     return Quarter(year, q)
 
 
@@ -311,8 +303,8 @@ class Frame:
 
     __slots__ = ("start_index", "columns")
 
-    def __init__(self, start: Quarter, columns: dict[str, QuarterlySeries] | None = None) -> None:
-        self.start_index = start.index
+    def __init__(self, start_index: int, columns: dict[str, QuarterlySeries] | None = None) -> None:
+        self.start_index = start_index
         self.columns = {} if columns is None else columns
         n = len(self)
         for name, s in self.columns.items():
@@ -399,7 +391,7 @@ def align(columns: Iterable[QuarterlySeries]) -> Frame:
             offset = s.start_index - i0
             out[offset : offset + len(s)] = s.array
             aligned[s.name] = s._with_array(out, i0)
-    return Frame(Quarter.from_index(i0), aligned)
+    return Frame(i0, aligned)
 
 
 # -- CSV input/output -------------------------------------------------------
@@ -417,10 +409,10 @@ def _parse_value(text: str, path: Path, line: int) -> float | None:
     try:
         value = float(text)
     except ValueError:
-        raise ParseError(f"{path}:{line}: not a number: {text!r}") from None
+        raise ParseError(f"{path}:{line}: not a number: {quote(text)}") from None
     if not math.isfinite(value):
         # only an empty field is missing; nan and inf are not observations
-        raise ParseError(f"{path}:{line}: not a finite number: {text!r}")
+        raise ParseError(f"{path}:{line}: not a finite number: {quote(text)}")
     return value
 
 
@@ -436,7 +428,7 @@ def _read_table(path: Path, expected: str, names_of) -> tuple[list[str], Quarter
             header = next(reader, None)
             names = None if header is None else names_of([h.strip() for h in header])
             if names is None:
-                raise ParseError(f"{path}:1: expected header {expected!r}, got {header!r}")
+                raise ParseError(f"{path}:1: expected header {expected!r}, got {quote(header)}")
             quarters: list[Quarter] = []
             data: list[list[float | None]] = [[] for _ in names]
             for lineno, row in enumerate(reader, start=2):
@@ -536,7 +528,7 @@ def read_series_csv(path: str | Path, name: str | None = None) -> QuarterlySerie
 
 
 def write_series_csv(series: QuarterlySeries, path: str | Path) -> None:
-    _write_table(path, ["quarter", "value"], Frame(series.start, {series.name: series}))
+    _write_table(path, ["quarter", "value"], Frame(series.start_index, {series.name: series}))
 
 
 def read_frame_csv(path: str | Path) -> Frame:

@@ -57,11 +57,20 @@ def real_data_dir() -> Path | None:
     return None
 
 
+def _beta(fit) -> np.ndarray:
+    return np.array([fit.coefficients[name] for name in fit.design.names])
+
+
 def fitted_by_quarter(fit) -> dict:
     """An OLS fit's fitted values, ``design.matrix @ beta``, by each design row's quarter."""
     d = fit.design
-    beta = np.array([fit.coefficients[name] for name in d.names])
-    return {Quarter.from_index(r): v for r, v in zip(d.rows.tolist(), (d.matrix @ beta).tolist())}
+    fitted = (d.matrix @ _beta(fit)).tolist()
+    return {Quarter.from_index(r): v for r, v in zip(d.rows.tolist(), fitted)}
+
+
+def residuals(fit) -> np.ndarray:
+    """An OLS fit's residuals, ``design.response - design.matrix @ beta``, one per design row."""
+    return fit.design.response - fit.design.matrix @ _beta(fit)
 
 
 def design_from_arrays(y, x, names=None) -> DesignMatrix:

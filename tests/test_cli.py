@@ -505,6 +505,11 @@ class TestErrors:
                 "data file(s) not found: {ws}/nope.csv",
             ),
             (
+                lambda doc: doc["data"]["ltv"].update(path="a" * 300),
+                [],
+                "data.ltv: cannot read its file: File name too long",
+            ),
+            (
                 lambda doc: None,
                 ["--lags", "5..3"],
                 "lag range must satisfy 0 <= min <= max, got '5..3'",
@@ -526,6 +531,7 @@ class TestErrors:
             "unknown-unit",
             "no-interest-only-share",
             "missing-data-file",
+            "data-path-too-long",
             "lags-flag-min-above-max",
         ],
     )
@@ -863,6 +869,41 @@ class TestConfigText:
         code, out, err = cli(["ingest", "--config", str(config)])
         assert code == 2 and err.startswith(f"error: {key}") and err.count("\n") == 1, err
         assert len(err.encode()) <= 300, err
+
+    @pytest.mark.parametrize(
+        "where,code",
+        [
+            ("header", 3),
+            ("quarter-cell", 3),
+            ("value-cell", 3),
+            ("split.cutoff", 2),
+            ("split.evaluation_window", 2),
+            ("--cutoff", 2),
+            ("--lags", 2),
+        ],
+    )
+    def test_long_outside_text_is_quoted_bounded(self, cli, tmp_path, where, code):
+        config = make_workspace(cli, tmp_path)
+        ltv = config.parent / "ltv.csv"
+        rows, long, args = ltv.read_text().splitlines(), "7" * 200_000, []
+        if where == "header":
+            rows[0] = ",".join(["h" * 100_000] * 20)
+        elif where == "quarter-cell":
+            rows[1] = f"{long[:131_000]},0.5"
+        elif where == "value-cell":
+            rows[1] = f"1995Q1,{long[:131_000]}"
+        elif where.startswith("--"):
+            args = [where, long]
+        else:
+            doc = yaml.safe_load(config.read_text())
+            section, key = where.split(".")
+            doc[section][key] = long
+            config.write_text(yaml.safe_dump(doc))
+        ltv.write_text("\n".join(rows) + "\n")
+        got, out, err = cli(["ingest", "--config", str(config), *args])
+        assert got == code and err.startswith("error: ") and err.count("\n") == 1, err[:500]
+        assert len(err.encode()) <= 512, err[:500]
+        assert "..." in err
 
     def test_text_that_is_not_utf8_exits_2(self, cli, tmp_path):
         config = tmp_path / "latin1.yaml"

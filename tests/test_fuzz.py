@@ -1,10 +1,10 @@
-"""Fuzz the input boundary: a hostile value in any config key or in any cell
-of an input CSV ends every pipeline stage in a documented exit code, never in
-a traceback or a raw Python warning.
+"""Fuzz the input boundary: a hostile value in any config key, in any field of
+a ``data`` entry or in any cell of an input CSV ends every pipeline stage in a
+documented exit code, never in a traceback or a raw Python warning.
 
-Each example sets one key of ``config.DEFAULTS``, or one cell of one input
-CSV, in a synth workspace to one hostile value and runs the five stages
-in-process through ``main``.
+Each example sets one key of ``config.DEFAULTS``, one field of one ``data``
+entry, or one cell of one input CSV, in a synth workspace to one hostile value
+and runs the five stages in-process through ``main``.
 """
 
 import contextlib
@@ -78,10 +78,30 @@ def test_hostile_config_value_exits_cleanly(workspace, key, value):
             assert err == "", (stage, err)
 
 
+def assert_stages_exit_cleanly(config) -> list[str]:
+    """Run every stage on ``config``: each ends in a documented exit code, its
+    stderr holds only ``warning:`` lines and, on failure, one last ``error:``
+    line. Returns each stage's stderr."""
+    errs = []
+    for stage in STAGES:
+        code, err = run([stage, "--config", str(config)])
+        assert code in (0, 2, 3, 4), (stage, code, err)
+        assert "Traceback" not in err and "Warning" not in err, (stage, err)
+        body = err.splitlines()
+        if code:
+            assert body and body.pop().startswith("error: "), (stage, err)
+        assert all(line.startswith("warning: ") for line in body), (stage, err)
+        errs.append(err)
+    return errs
+
+
 INPUTS = ["house_price", "income", "interest_rate", "ltv", "interest_only_share"]
-# None appends an extra field to the row; b"\xe9" is not UTF-8, and the long
-# cell exceeds the csv module's 131,072-character field limit
-CELLS = [b"x", b"inf", b"nan", b"1e308", b"", None, b"\xe9", b"1" * 140_000]
+# None appends an extra field to the row; b"\xe9" is not UTF-8; the 131,000
+# digits are a cell just under the csv module's 131,072-character field limit,
+# and the 140,000 a cell over it; a stray quote quotes the rest of the file
+CELLS = [
+    b"x", b"inf", b"nan", b"1e308", b"", None, b"\xe9", b"1" * 131_000, b"1" * 140_000, b'"1'
+]
 
 
 @pytest.fixture(scope="module")
@@ -92,13 +112,15 @@ def cells_workspace(workspace):
     return ws
 
 
-# 60 of the 5 x 92 x 6 edits; the examples pin an ECM that warns (gamma >= 0)
+# 60 of the 5 x 92 x 10 edits; the examples pin an ECM that warns (gamma >= 0)
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(st.sampled_from(INPUTS), st.integers(1, 92), st.sampled_from(CELLS))
 @example("interest_rate", 37, b"1e308")
 @example("income", 1, None)
 @example("ltv", 1, b"\xe9")
+@example("ltv", 1, b"1" * 131_000)
 @example("ltv", 1, b"1" * 140_000)
+@example("ltv", 1, b'"1')
 def test_hostile_csv_cell_exits_cleanly(cells_workspace, name, row, cell):
     path = cells_workspace / f"{name}.csv"
     text = path.read_bytes()
@@ -107,13 +129,54 @@ def test_hostile_csv_cell_exits_cleanly(cells_workspace, name, row, cell):
     lines[row] = b",".join([quarter, value, value] if cell is None else [quarter, cell])
     path.write_bytes(b"\n".join(lines) + b"\n")
     try:
-        for stage in STAGES:
-            code, err = run([stage, "--config", str(cells_workspace / "config.yaml")])
-            assert code in (0, 2, 3, 4), (stage, code, err)
-            assert "Traceback" not in err and "Warning" not in err, (stage, err)
-            body = err.splitlines()
-            if code:
-                assert body and body.pop().startswith("error: "), (stage, err)
-            assert all(line.startswith("warning: ") for line in body), (stage, err)
+        for err in assert_stages_exit_cleanly(cells_workspace / "config.yaml"):
+            # an error quotes a cell bounded
+            assert all(len(line.encode()) <= 512 for line in err.splitlines()), err[:600]
     finally:
         path.write_bytes(text)
+
+
+# Input files a data entry may name: not UTF-8, empty, a header only, a stray
+# quote, a gap between quarters
+BAD_FILES = {
+    "latin1.csv": b"quarter,value\n1995Q1,\xe9\n",
+    "empty.csv": b"",
+    "header.csv": b"quarter,value\n",
+    "quote.csv": b'quarter,value\n1995Q1,"1\n',
+    "gap.csv": b"quarter,value\n1995Q1,1\n1995Q3,2\n",
+}
+# a path too long to look up, the workspace itself, files that are not series
+PATHS = ["a" * 300, "", ".", "nope.csv", "config.yaml", "truth.json", *BAD_FILES, None, 5, []]
+UNITS = [None, True, 5, "", "x", "percent", "a" * 300, [], {}]
+# a whole entry: not a mapping, a path too long, an unknown key
+ENTRIES = [None, True, 5, "a" * 300, [], {"path": "ltv.csv", "colour": "red"}]
+# (field, value) of a data entry, field None for the whole entry
+EDITS = [("path", p) for p in PATHS] + [("unit", u) for u in UNITS] + [(None, e) for e in ENTRIES]
+
+
+@pytest.fixture(scope="module")
+def data_workspace(workspace):
+    """A copy of the workspace that also holds the bad input files."""
+    ws = workspace.parent / "data"
+    shutil.copytree(workspace, ws)
+    for name, content in BAD_FILES.items():
+        (ws / name).write_bytes(content)
+    return ws
+
+
+# 200 covers all 6 x 29 (series, edit) pairs; "extra" is a series no stage
+# knows, read from a file with a stray quote unless the edit replaces its path
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.sampled_from(INPUTS + ["extra"]), st.sampled_from(EDITS))
+@example("ltv", ("path", "a" * 300))
+@example("extra", ("unit", "percent"))
+def test_hostile_data_entry_exits_cleanly(data_workspace, name, edit):
+    doc = yaml.safe_load((data_workspace / "config.yaml").read_text())
+    field, value = edit
+    if field is None:
+        doc["data"][name] = value
+    else:
+        doc["data"].setdefault(name, {"path": "quote.csv"})[field] = value
+    config = data_workspace / "fuzz.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    assert_stages_exit_cleanly(config)

@@ -5,6 +5,9 @@ model stack, and a ``report`` on an existing run never loads the synthetic
 data generator. None of them loads ``dataclasses`` or ``inspect``: hlcast's
 records are written out, not generated at import. Each check runs in a fresh
 interpreter, since this test process has already imported every module.
+
+Inside the pipeline, quarters are quarter numbers: building features,
+scanning lags and running the grid make no ``Quarter``.
 """
 
 import os
@@ -13,6 +16,10 @@ import sys
 from pathlib import Path
 
 import hlcast
+from hlcast.backtest import build_features, default_specs, run_grid
+from hlcast.regress import lag_scan
+from hlcast.spec import HLC, HOUSE_PRICE, LtiParams
+from hlcast.timeseries import Quarter
 
 ENV = {**os.environ, "PYTHONPATH": str(Path(hlcast.__file__).parents[1])}
 
@@ -77,3 +84,16 @@ except SystemExit as exc:
     assert "evaluation window: all_quarters" in out
     assert "hlcast.synthetic" not in loaded, loaded
     assert not loaded & CODE_GENERATION, loaded
+
+
+def test_the_pipeline_core_makes_no_quarter(monkeypatch, scenario):
+    def refuse(self, year, quarter):
+        raise AssertionError(f"Quarter({year}, {quarter}) made inside the pipeline core")
+
+    monkeypatch.setattr(Quarter, "__init__", refuse)
+    features = build_features(scenario.frame, LtiParams(), hlc_lag=scenario.hlc_lag)
+    scan = lag_scan(features.column(HOUSE_PRICE), features.column(HLC), range(9))
+    report = run_grid(features, default_specs(scenario.hlc_lag))
+    assert [e.lag for e in scan.entries] == list(range(9))
+    assert len(report.variants) == 12
+    assert [v.error for v in report.variants] == [None] * 12

@@ -20,7 +20,7 @@ from hlcast.spec import LtiParams, SplitSpec
 from hlcast.synthetic import GeneratedData, ScenarioConfig
 from hlcast.timeseries import Frame, Quarter
 
-FRAME = Frame(Quarter(2000, 1))
+FRAME = Frame(Quarter(2000, 1).index)
 
 # (build one record, a field of it, its repr or None where not pinned)
 RECORDS = [

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.stats
-from conftest import design_from_arrays, fitted_by_quarter
+from conftest import design_from_arrays, fitted_by_quarter, residuals
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -79,7 +79,7 @@ class TestOlsFit:
         assert fit.coefficients["intercept"] == pytest.approx(1.0, abs=1e-10)
         assert fit.coefficients["x"] == pytest.approx(2.0, abs=1e-10)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
-        assert all(abs(v) < 1e-9 for v in fit.residual_array)
+        assert all(abs(v) < 1e-9 for v in residuals(fit))
 
     def test_matches_normal_equations_oracle(self):
         rng = np.random.default_rng(42)
@@ -112,7 +112,7 @@ class TestOlsFit:
         for _ in range(20):
             y, x = random_system(rng)
             fit = ols_fit(design_from_arrays(y, x[:, 1:]))
-            resid = fit.residual_array
+            resid = residuals(fit)
             scale = float(np.abs(y).max())
             assert np.abs(x.T @ resid).max() < 1e-8 * scale * len(y)
             assert abs(resid.sum()) < 1e-8 * scale
@@ -480,7 +480,6 @@ class TestEcm:
             adj_r_squared=0.0,
             residual_stderr=0.0,
             f_statistic=0.0,
-            residual_array=np.array([0.0]),
             design=DesignMatrix(
                 response=np.array([0.0]),
                 matrix=np.zeros((1, len(names))),

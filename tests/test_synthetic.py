@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import residuals
 
 from hlcast.backtest import (
     HLC,
@@ -93,7 +94,7 @@ class TestIdentification:
             data.price_slope, rel=1e-8
         )
         assert fit.coefficients["intercept"] == pytest.approx(data.price_intercept, rel=1e-8)
-        assert max(abs(v) for v in fit.residual_array) < 1e-6
+        assert max(abs(v) for v in residuals(fit)) < 1e-6
 
     def test_noisy_run_close_to_truth(self):
         data = generate(ScenarioConfig(seed=11, noise_scale=0.01))
