@@ -14,7 +14,6 @@ runs the backtest.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
@@ -32,8 +31,8 @@ from .backtest import (
     emit_plot_data,
     run_grid,
 )
-from .config import DEFAULT_UNITS, RunConfig, SeriesSource, checked_settings, load_config
-from .errors import ConfigError, DataError, HlcastError, NumericalError
+from .config import DEFAULT_UNITS, RunConfig, SeriesSource, checked_settings, load_config, sha256
+from .errors import ConfigError, DataError, HlcastError, NumericalError, quote
 from .regress import lag_scan
 from .spec import HLC, HOUSE_PRICE, MODELS
 from .timeseries import (
@@ -51,7 +50,9 @@ def _make_dir(path: Path) -> None:
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from None
+        raise ConfigError(
+            f"cannot create output directory {quote(str(path))}: {exc.strerror}"
+        ) from None
 
 
 # -- pipeline stages ---------------------------------------------------------
@@ -98,7 +99,7 @@ def _manifest() -> str:
     It holds the report schema and the sha256 of hlcast's module sources,
     each fed as its file name, a NUL byte and its bytes, in name order.
     """
-    digest = hashlib.sha256()
+    digest = sha256()
     for path in sorted(Path(__file__).parent.glob("*.py")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
     manifest = {"schema_version": SCHEMA_VERSION, "code_sha256": digest.hexdigest()}

@@ -12,11 +12,21 @@ runs from.
 from __future__ import annotations
 
 import copy
-import hashlib
 import json
 from pathlib import Path
 
 import yaml
+
+# The interpreter's own SHA-256. hashlib loads OpenSSL's libcrypto, ~3.6 MB
+# of peak memory and ~3.6 ms per process, to hash a few kilobytes; the digests
+# are the same bytes.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256  # a build without the built-in hashes
 
 from . import __version__
 from .errors import ConfigError, DataError, ParseError, quote
@@ -150,10 +160,10 @@ class RunConfig(Record):
         """Hash of the config without its paths, each input's bytes and the hlcast version."""
         settings = {k: v for k, v in self.settings.items() if k != "output_dir"}
         units = {name: src.unit for name, src in self.data.items()}
-        h = hashlib.sha256(json.dumps({"data": units, **settings}, sort_keys=True).encode("utf-8"))
+        h = sha256(json.dumps({"data": units, **settings}, sort_keys=True).encode("utf-8"))
         for _, src in sorted(self.data.items()):
             try:
-                h.update(hashlib.sha256(src.path.read_bytes()).digest())
+                h.update(sha256(src.path.read_bytes()).digest())
             except OSError as exc:
                 raise DataError(f"cannot read {src.path}: {exc}") from None
         h.update(__version__.encode("utf-8"))
@@ -175,9 +185,9 @@ def _require_mapping(node, where: str) -> dict:
 
 
 def _reject_unknown(node: dict, allowed, where: str) -> None:
-    unknown = sorted(str(k) for k in node if k not in allowed)  # a YAML key need not be a str
+    unknown = sorted((k for k in node if k not in allowed), key=str)  # a YAML key need not be a str
     if unknown:
-        raise ConfigError(f"unknown key(s) under {where}: {', '.join(unknown)}")
+        raise ConfigError(f"unknown key(s) under {where}: {', '.join(map(quote, unknown))}")
 
 
 def _string(value, key: str) -> str:
@@ -260,7 +270,7 @@ def _check_values(settings: dict, sources: dict[str, SeriesSource]) -> None:
     bad = sorted(set(models) - set(MODELS))
     if bad:
         raise ConfigError(
-            f"unknown model(s) in backtest.models: {', '.join(bad)} "
+            f"unknown model(s) in backtest.models: {', '.join(map(quote, bad))} "
             f"(known: {', '.join(MODELS)})"
         )
     if not models:
@@ -309,7 +319,7 @@ def _sources(node, base: Path) -> dict[str, SeriesSource]:
         except OSError as exc:  # a path the system cannot look up, such as one too long
             raise ConfigError(f"data.{name}: cannot read its file: {exc.strerror}") from None
     if absent:
-        raise ConfigError(f"data file(s) not found: {', '.join(sorted(absent))}")
+        raise ConfigError(f"data file(s) not found: {', '.join(map(quote, sorted(absent)))}")
     return sources
 
 

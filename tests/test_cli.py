@@ -14,6 +14,7 @@ import hlcast.config
 import hlcast.regress
 from hlcast.cli import main
 from hlcast.config import load_config
+from hlcast.errors import quote
 from hlcast.timeseries import (
     align,
     read_frame_csv,
@@ -241,6 +242,43 @@ class TestStaleArtifacts:
         assert json.loads(manifest.read_text()) == {
             "schema_version": 1, "code_sha256": digest.hexdigest()
         }
+
+    def test_run_hash_follows_its_recipe(self, cli, tmp_path):
+        # the settings without output_dir plus each input's unit, as sorted
+        # JSON, then each input's sha256 in name order, then the version
+        config = make_workspace(cli, tmp_path)
+        settings = yaml.safe_load(config.read_text())
+        data = settings.pop("data")
+        del settings["output_dir"]
+        units = {name: entry["unit"] for name, entry in data.items()}
+        digest = hashlib.sha256(json.dumps({"data": units, **settings}, sort_keys=True).encode())
+        for name in sorted(data):
+            source = config.parent / data[name]["path"]
+            digest.update(hashlib.sha256(source.read_bytes()).digest())
+        digest.update(hlcast.__version__.encode())
+        assert load_config(config).run_hash() == digest.hexdigest()[:12]
+
+    def test_hashlib_fallback_gives_the_same_digests(self, cli, tmp_path):
+        # an interpreter built without its own SHA-256 modules hashes through
+        # hashlib: the run directory and the code digest stay the same
+        config = make_workspace(cli, tmp_path)
+        code = """
+import sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+import hashlib
+import hlcast.cli, hlcast.config
+assert hlcast.config.sha256 is hashlib.sha256
+print(hlcast.config.load_config(sys.argv[1]).run_hash())
+print(hlcast.cli._manifest(), end="")
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(hlcast.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(config)], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        run_hash, manifest = done.stdout.split("\n", 1)
+        assert run_hash == load_config(config).run_hash()
+        assert manifest == hlcast.cli._manifest()
 
     def test_version_is_part_of_the_run_hash(self, cli, tmp_path, monkeypatch):
         cfg = load_config(make_workspace(cli, tmp_path))
@@ -472,7 +510,7 @@ class TestErrors:
             (
                 lambda doc: doc["backtest"].update(models=["foo"]),
                 [],
-                "unknown model(s) in backtest.models: foo "
+                "unknown model(s) in backtest.models: 'foo' "
                 "(known: benchmark, hlc, benchmark_hlc, benchmark_debt)",
             ),
             (
@@ -502,7 +540,7 @@ class TestErrors:
             (
                 lambda doc: doc["data"]["ltv"].update(path="nope.csv"),
                 [],
-                "data file(s) not found: {ws}/nope.csv",
+                "data file(s) not found: {nope}",
             ),
             (
                 lambda doc: doc["data"]["ltv"].update(path="a" * 300),
@@ -542,7 +580,8 @@ class TestErrors:
         config.write_text(yaml.safe_dump(doc))
         code, out, err = cli(["ingest", "--config", str(config), *args])
         assert (code, out) == (2, ""), err
-        assert err == f"error: {message.format(ws=config.parent)}\n"
+        nope = quote(str(config.parent / "nope.csv"))
+        assert err == f"error: {message.format(nope=nope)}\n"
 
     @pytest.mark.parametrize(
         "name,row,value",
@@ -584,6 +623,37 @@ class TestErrors:
         assert code == 2, out + err
         assert err.startswith("error: cannot create output directory "), err
         assert "afile" in err
+
+    @pytest.mark.parametrize(
+        "edit,start",
+        [
+            (lambda doc: doc["lti"].update({"k" * 200_000: 1}), "unknown key(s) under lti: "),
+            (
+                lambda doc: doc["backtest"].update(models=["m" * 200_000]),
+                "unknown model(s) in backtest.models: ",
+            ),
+            (
+                lambda doc: doc["data"]["ltv"].update(path="/".join(["a" * 200] * 20)[:4005]),
+                "data file(s) not found: ",
+            ),
+            (
+                lambda doc: doc.update(output_dir="afile/" + "d" * 199_994),
+                "cannot create output directory ",
+            ),
+        ],
+        ids=["lti-key", "model-name", "missing-data-path", "output-dir-under-a-file"],
+    )
+    def test_a_long_name_or_path_is_quoted_bounded(self, cli, tmp_path, edit, start):
+        # the error line quotes the name or path through errors.quote, whatever its length
+        config = make_workspace(cli, tmp_path)
+        (config.parent / "afile").write_text("")
+        doc = yaml.safe_load(config.read_text())
+        edit(doc)
+        config.write_text(yaml.safe_dump(doc))
+        code, out, err = cli(["ingest", "--config", str(config)])
+        assert (code, out) == (2, ""), err[:1000]
+        assert err.startswith(f"error: {start}'") and err.count("\n") == 1, err[:1000]
+        assert len(err.encode()) <= 512, err[:1000]
 
 
 class TestCommandLine:

@@ -3,8 +3,10 @@
 ``import hlcast`` loads no submodule, the configuration loads none of the
 model stack, and a ``report`` on an existing run never loads the synthetic
 data generator. None of them loads ``dataclasses`` or ``inspect``: hlcast's
-records are written out, not generated at import. Each check runs in a fresh
-interpreter, since this test process has already imported every module.
+records are written out, not generated at import. No pipeline stage loads
+OpenSSL: hlcast hashes with the interpreter's own SHA-256. Each check runs in
+a fresh interpreter, since this test process has already imported every
+module.
 
 Inside the pipeline, quarters are quarter numbers: building features,
 scanning lags and running the grid make no ``Quarter``.
@@ -26,19 +28,31 @@ ENV = {**os.environ, "PYTHONPATH": str(Path(hlcast.__file__).parents[1])}
 # Modules whose import time goes to generating code, which hlcast never needs.
 CODE_GENERATION = {"dataclasses", "inspect"}
 
-# Printed last by every probe: the hlcast submodules and code-generation
-# modules loaded so far.
+# hashlib imports _hashlib, which maps OpenSSL's libcrypto into the process.
+OPENSSL = {"hashlib", "_hashlib"}
+
+# Printed last by every probe: the hlcast submodules, code-generation and
+# OpenSSL modules loaded so far.
 LOADED = (
     "\nprint(*sorted(m for m in sys.modules"
-    f' if m.startswith("hlcast.") or m in {sorted(CODE_GENERATION)}))\n'
+    f' if m.startswith("hlcast.") or m in {sorted(CODE_GENERATION | OPENSSL)}))\n'
 )
+
+# A probe that runs ``hlcast <args>`` and requires it to succeed.
+RUN_MAIN = """
+from hlcast.cli import main
+try:
+    main(sys.argv[1:], prog_name="hlcast")
+except SystemExit as exc:
+    assert exc.code == 0, exc
+"""
 
 MODEL_STACK = {"hlcast.backtest", "hlcast.regress", "hlcast.lti", "hlcast.synthetic"}
 
 
 def loaded_by(code: str, *args: str) -> tuple[set[str], str]:
-    """The hlcast submodules and code-generation modules that ``code`` loads,
-    and what it printed before them."""
+    """The hlcast submodules, code-generation and OpenSSL modules that
+    ``code`` loads, and what it printed before them."""
     done = subprocess.run(
         [sys.executable, "-c", "import sys\n" + code + LOADED, *args],
         env=ENV,
@@ -67,20 +81,28 @@ def test_cli_loads_no_code_generation():
     assert not loaded & CODE_GENERATION, loaded
 
 
+def test_no_pipeline_command_loads_openssl(cli, tmp_path):
+    # synth is exempt: numpy's random module loads _hashlib, through secrets
+    # and hmac. The report stage reads the backtest's run back.
+    loaded, _ = loaded_by("import hlcast.cli")
+    assert "hlcast.cli" in loaded
+    assert not loaded & OPENSSL, loaded
+    code, out, err = cli(["synth", "--out", str(tmp_path / "ws")])
+    assert code == 0, out + err
+    config = str(tmp_path / "ws" / "config.yaml")
+    for stage in ("ingest", "features", "lagscan", "backtest", "report"):
+        loaded, _ = loaded_by(RUN_MAIN, stage, "--config", config)
+        assert "hlcast.cli" in loaded, (stage, loaded)
+        assert not loaded & OPENSSL, (stage, loaded)
+
+
 def test_report_on_an_existing_run_never_loads_the_generator(cli, tmp_path):
     code, out, err = cli(["synth", "--out", str(tmp_path / "ws")])
     assert code == 0, out + err
     config = str(tmp_path / "ws" / "config.yaml")
     code, out, err = cli(["backtest", "--config", config])
     assert code == 0, out + err
-    report = """
-from hlcast.cli import main
-try:
-    main(sys.argv[1:], prog_name="hlcast")
-except SystemExit as exc:
-    assert exc.code == 0, exc
-"""
-    loaded, out = loaded_by(report, "report", "--config", config)
+    loaded, out = loaded_by(RUN_MAIN, "report", "--config", config)
     assert "evaluation window: all_quarters" in out
     assert "hlcast.synthetic" not in loaded, loaded
     assert not loaded & CODE_GENERATION, loaded
