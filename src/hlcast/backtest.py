@@ -45,8 +45,7 @@ from .spec import (
     SplitSpec,
 )
 from .timeseries import (
-    Frame, Quarter, QuarterlySeries, Record, _integer, align, quarter_label, quarter_rows,
-    write_csv,
+    Frame, QuarterlySeries, Record, _integer, align, quarter_label, quarter_rows, write_csv
 )
 
 REGIMES = ("full", "truncated")
@@ -282,8 +281,8 @@ class VariantResult:
             else None,
             "train": {
                 "n": len(ols.design.rows),
-                "start": str(Quarter.from_index(ols.design.rows[0])),
-                "end": str(Quarter.from_index(ols.design.rows[-1])),
+                "start": quarter_label(ols.design.rows[0]),
+                "end": quarter_label(ols.design.rows[-1]),
             }
             if ols
             else {"n": 0, "start": None, "end": None},

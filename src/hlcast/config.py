@@ -45,7 +45,7 @@ from .spec import (
     LtiParams,
     SplitSpec,
 )
-from .timeseries import Quarter, Record, parse_quarter, write_text
+from .timeseries import Quarter, Record, parse_quarter, quarter_label, write_text
 
 REQUIRED_SERIES = (HOUSE_PRICE, INCOME, INTEREST_RATE, LTV)
 
@@ -133,12 +133,13 @@ class RunConfig(Record):
     @property
     def interest_only_zero_from(self) -> int | None:
         zero_from = self.settings["features"]["interest_only_zero_from"]
-        return None if zero_from is None else parse_quarter(zero_from).index
+        return None if zero_from is None else parse_quarter(zero_from)
 
     @property
     def split(self) -> SplitSpec:
         split = self.settings["split"]
-        return SplitSpec(parse_quarter(split["cutoff"]), split["evaluation_window"])
+        cutoff = Quarter.from_index(parse_quarter(split["cutoff"]))
+        return SplitSpec(cutoff, split["evaluation_window"])
 
     @property
     def models(self) -> tuple[str, ...]:
@@ -212,7 +213,7 @@ def _checked(where: str, value):
             return None
         try:  # a default is a Quarter; any other kind fails to parse, quoted bounded
             text = str(value) if isinstance(value, (str, Quarter)) else quote(value)
-            return str(parse_quarter(text))
+            return quarter_label(parse_quarter(text))
         except ParseError as exc:
             raise ConfigError(f"{where}: {exc}") from None
     if isinstance(default, (int, float)):
@@ -290,6 +291,10 @@ def _sources(node, base: Path) -> dict[str, SeriesSource]:
     sources: dict[str, SeriesSource] = {}
     for name, entry in node.items():
         _string(name, "a data series name")
+        if len(name) > 64 or not name.isprintable():  # every data.<name> message prints it
+            raise ConfigError(
+                f"a data series name must be at most 64 printable characters, got {quote(name)}"
+            )
         if isinstance(entry, str):
             entry = {"path": entry}
         entry = _require_mapping(entry, f"data.{name}")

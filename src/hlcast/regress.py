@@ -324,7 +324,7 @@ class EcmFit:
 
     @property
     def intercept(self) -> float:
-        return self.underlying.coefficients.get(INTERCEPT, 0.0)
+        return self.underlying.coefficients[INTERCEPT]
 
 
 def ecm_design(

@@ -47,7 +47,7 @@ class ScenarioConfig(Record):
             )
         if not 0.0 <= noise_scale <= 0.2:
             raise ValueError(f"noise_scale must be in [0, 0.2], got {noise_scale}")
-        START + (n_quarters - 1)  # the last quarter must exist: 9999Q4 at the latest
+        Quarter.from_index(START.index + n_quarters - 1)  # 9999Q4 at the latest
         self._set(seed, n_quarters, noise_scale)
 
 
@@ -90,7 +90,7 @@ def generate(config: ScenarioConfig = ScenarioConfig()) -> GeneratedData:
 
     t = np.arange(n)
     u = t / (n - 1)
-    rc = REGIME_CHANGE - START
+    rc = REGIME_CHANGE.index - START.index
 
     season = np.where((START.index + t) % 4 == 3, 1.04, 2.96 / 3.0)
     income = 11_200.0 * 1.0088**t * season * (1.0 + 0.004 * eps_income)
@@ -112,7 +112,7 @@ def generate(config: ScenarioConfig = ScenarioConfig()) -> GeneratedData:
     ltv = np.clip(ltv + 0.0015 * eps_ltv, 0.97, 1.039)
 
     def series(name: str, values: np.ndarray, unit: str) -> QuarterlySeries:
-        return QuarterlySeries(name=name, start=START, values=values, unit=unit)
+        return QuarterlySeries._from_array(name, START.index, values, unit)
 
     income_s = series(INCOME, income, "eur")
     rate_s = series(INTEREST_RATE, rate, "fraction")

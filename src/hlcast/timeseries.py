@@ -7,10 +7,11 @@ Transforms never mutate; they return new values.
 
 Data model: a series holds a read-only float64 ``array`` (NaN marks a
 missing quarter) and the quarter number of its first value, ``start_index``
-(see :attr:`Quarter.index`). Transforms are array slicing and masking;
-:class:`Quarter` objects are made only at the edges (CSV, reports, error
-messages). ``values`` is a tuple view with ``None`` for missing quarters,
-for callers and tests, never for hot paths.
+(see :attr:`Quarter.index`). Transforms are array slicing and masking.
+Quarters are numbers from file to file: :func:`parse_quarter` reads a label
+and :func:`quarter_label` writes one; a :class:`Quarter` is made only by the
+public readers (``start``, ``items``, ...). ``values`` is a tuple view with
+``None`` for missing quarters, for callers and tests, never for hot paths.
 
 CSV conventions: one file per series with header ``quarter,value`` and rows
 like ``1995Q1,89792``; an empty value field marks a missing observation,
@@ -37,6 +38,8 @@ from ._numpy import np
 from .errors import DataError, ParseError, SchemaError, quote
 
 _QUARTER_RE = re.compile(r"^(\d{4})-?Q(\d)$")
+# Quarter numbers 0..LABELLED - 1, 0000Q1..9999Q4, have a four-digit label.
+LABELLED = 40_000
 
 
 class Record:
@@ -44,7 +47,7 @@ class Record:
 
     A subclass lists its fields in ``__slots__`` and sets each once in
     ``__init__``, with :meth:`_set`, or field by field with
-    ``object.__setattr__`` where the record is built per fit or per quarter;
+    ``object.__setattr__`` where the record is built per fit or per term;
     afterwards every field is read-only. Records compare equal field by field when of
     the same class, hash alike when equal, and print as
     ``Name(field=value, ...)``. Written out, not generated at import:
@@ -94,7 +97,7 @@ def _integer(name: str, value) -> int:
 
 
 class Quarter(Record):
-    """A calendar quarter, ordered chronologically."""
+    """A calendar quarter's label; quarter arithmetic is integer arithmetic on :attr:`index`."""
 
     __slots__ = ("year", "quarter")
 
@@ -106,8 +109,7 @@ class Quarter(Record):
             raise ValueError(f"year must be in 0..9999, got {year}")
         if not 1 <= quarter <= 4:
             raise ValueError(f"quarter must be in 1..4, got {quarter}")
-        object.__setattr__(self, "year", year)
-        object.__setattr__(self, "quarter", quarter)
+        self._set(year, quarter)
 
     @classmethod
     def from_index(cls, index: int) -> Quarter:
@@ -119,32 +121,21 @@ class Quarter(Record):
     def index(self) -> int:
         return self.year * 4 + self.quarter - 1
 
-    # a > b and a >= b fall back to the reflected b < a and b <= a
-    def __lt__(self, other):
-        return self.index < other.index if other.__class__ is Quarter else NotImplemented
-
-    def __le__(self, other):
-        return self.index <= other.index if other.__class__ is Quarter else NotImplemented
-
-    def __add__(self, n: int) -> Quarter:
-        return Quarter.from_index(self.index + n)
-
-    def __sub__(self, other: Quarter | int):
-        if isinstance(other, Quarter):
-            return self.index - other.index
-        return Quarter.from_index(self.index - other)
-
     def __str__(self) -> str:
-        return f"{self.year:04d}Q{self.quarter}"
+        return quarter_label(self.index)
 
 
 def quarter_label(index: int) -> str:
-    """``YYYYQn`` of quarter number ``index`` for a message; never raises, as ``Quarter`` can."""
-    return str(Quarter.from_index(index)) if 0 <= index // 4 <= 9999 else f"quarter number {index}"
+    """``YYYYQn`` of quarter number ``index``, the inverse of :func:`parse_quarter`.
+
+    Never raises: a number outside 0000Q1..9999Q4 prints as ``quarter number N``.
+    """
+    in_range = 0 <= index < LABELLED
+    return f"{index // 4:04d}Q{index % 4 + 1}" if in_range else f"quarter number {index}"
 
 
-def parse_quarter(text: str) -> Quarter:
-    """Parse ``YYYYQn`` or ``YYYY-Qn`` into a :class:`Quarter`.
+def parse_quarter(text: str) -> int:
+    """The quarter number (:attr:`Quarter.index`) of ``YYYYQn`` or ``YYYY-Qn``.
 
     Raises:
         ParseError: if the text is malformed or n is outside 1..4.
@@ -152,10 +143,10 @@ def parse_quarter(text: str) -> Quarter:
     m = _QUARTER_RE.match(text.strip())
     if m is None:
         raise ParseError(f"not a quarter label: {quote(text)} (expected YYYYQn or YYYY-Qn)")
-    year, q = int(m.group(1)), int(m.group(2))
+    q = int(m.group(2))
     if not 1 <= q <= 4:
         raise ParseError(f"quarter out of range in {quote(text)}: Q{q}")
-    return Quarter(year, q)
+    return int(m.group(1)) * 4 + q - 1
 
 
 def shift(a: np.ndarray, k: int) -> np.ndarray:
@@ -227,10 +218,6 @@ class QuarterlySeries:
 
     def __repr__(self) -> str:
         return f"QuarterlySeries({self.name!r}, {self.start}, {self.values!r}, {self.unit!r})"
-
-    @property
-    def end(self) -> Quarter:
-        return Quarter.from_index(self.start_index + len(self) - 1)
 
     def get(self, q: Quarter) -> float | None:
         """Value at quarter ``q``; None when missing or out of range."""
@@ -402,10 +389,10 @@ def format_value(v: float) -> str:
     return "" if v != v else repr(v)
 
 
-def _parse_value(text: str, path: Path, line: int) -> float | None:
+def _parse_value(text: str, path: Path, line: int) -> float:
     text = text.strip()
     if text == "":
-        return None
+        return math.nan
     try:
         value = float(text)
     except ValueError:
@@ -416,11 +403,12 @@ def _parse_value(text: str, path: Path, line: int) -> float | None:
     return value
 
 
-def _read_table(path: Path, expected: str, names_of) -> tuple[list[str], Quarter, list[list]]:
-    """Column names, first quarter and value columns of a ``quarter,...`` CSV file.
+def _read_table(path: Path, expected: str, names_of) -> tuple[list[str], int, list[np.ndarray]]:
+    """Column names, first quarter number and value arrays of a ``quarter,...`` CSV file.
 
     ``names_of`` maps the header fields to the value column names, or to None
-    when the header is not ``expected``. Rows must be contiguous quarters.
+    when the header is not ``expected``. Rows must be contiguous quarters;
+    an empty cell is NaN.
     """
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -429,8 +417,8 @@ def _read_table(path: Path, expected: str, names_of) -> tuple[list[str], Quarter
             names = None if header is None else names_of([h.strip() for h in header])
             if names is None:
                 raise ParseError(f"{path}:1: expected header {expected!r}, got {quote(header)}")
-            quarters: list[Quarter] = []
-            data: list[list[float | None]] = [[] for _ in names]
+            quarters: list[int] = []
+            data: list[list[float]] = [[] for _ in names]
             for lineno, row in enumerate(reader, start=2):
                 if not row or all(c.strip() == "" for c in row):
                     continue
@@ -454,9 +442,9 @@ def _read_table(path: Path, expected: str, names_of) -> tuple[list[str], Quarter
         if cur - prev != 1:
             raise ParseError(
                 f"{path}: quarters must be contiguous and ascending; "
-                f"found {prev} followed by {cur}"
+                f"found {quarter_label(prev)} followed by {quarter_label(cur)}"
             )
-    return names, quarters[0], data
+    return names, quarters[0], [np.array(column) for column in data]
 
 
 @contextlib.contextmanager
@@ -495,9 +483,15 @@ def write_csv(path: str | Path, header: list[str], rows: Iterable[list]) -> None
 
 
 def quarter_rows(frame: Frame) -> Iterator[list[str]]:
-    """CSV rows of ``frame``: the quarter label, then each column's :func:`format_value`."""
+    """CSV rows of ``frame``: the quarter label, then each column's :func:`format_value`.
+
+    A quarter past 9999Q4 has no label that reads back, so it is an error.
+    """
+    i0, last = frame.start_index, frame.start_index + len(frame) - 1
+    if last >= LABELLED:
+        raise DataError(f"{quarter_label(last)} lies past 9999Q4, the last labelled quarter")
     for i, row in enumerate(zip(*(s.array.tolist() for s in frame.columns.values()))):
-        yield [str(Quarter.from_index(frame.start_index + i))] + [format_value(v) for v in row]
+        yield [quarter_label(i0 + i)] + [format_value(v) for v in row]
 
 
 def _write_table(path: str | Path, header: list[str], frame: Frame) -> None:
@@ -508,7 +502,7 @@ def _write_table(path: str | Path, header: list[str], frame: Frame) -> None:
     ]
     if infinite:
         i, j = min(infinite)  # the first quarter, then the first column
-        q = Quarter.from_index(frame.start_index + i)
+        q = quarter_label(frame.start_index + i)
         raise DataError(
             f"cannot write {path}: column {header[j + 1]!r} at {q} is not a finite number: "
             f"{float(columns[j][i])!r}"
@@ -524,7 +518,7 @@ def read_series_csv(path: str | Path, name: str | None = None) -> QuarterlySerie
         "quarter,value",
         lambda h: ["value"] if [f.lower() for f in h[:2]] == ["quarter", "value"] else None,
     )
-    return QuarterlySeries(name=name if name is not None else path.stem, start=start, values=values)
+    return QuarterlySeries._from_array(name if name is not None else path.stem, start, values)
 
 
 def write_series_csv(series: QuarterlySeries, path: str | Path) -> None:
@@ -538,7 +532,7 @@ def read_frame_csv(path: str | Path) -> Frame:
         "quarter,<columns...>",
         lambda h: h[1:] if len(h) >= 2 and h[0].lower() == "quarter" else None,
     )
-    return align(QuarterlySeries(name=n, start=start, values=v) for n, v in zip(names, data))
+    return align(QuarterlySeries._from_array(n, start, v) for n, v in zip(names, data))
 
 
 def write_frame_csv(frame: Frame, path: str | Path) -> None:

@@ -147,9 +147,9 @@ def test_criterion_04_ecm_identification_and_dynamic_forecast():
         and abs(fit.intercept - 0.5) < 1e-8
     )
     frame = align([QuarterlySeries("y", Quarter(2000, 1), tuple(y)), xs, xs.diff().rename("d_x")])
-    start = Quarter(2000, 1) + 120
-    forecast = ecm_forecast(fit, frame, start.index, mode="dynamic")
-    err = max(abs(forecast.get(start + i) - y[120 + i]) for i in range(20))
+    start = Quarter(2000, 1).index + 120
+    forecast = ecm_forecast(fit, frame, start, mode="dynamic")
+    err = max(abs(forecast.get(Quarter.from_index(start + i)) - y[120 + i]) for i in range(20))
     verdict(
         4,
         "noiseless ECM identification and 20-step dynamic forecast",

@@ -84,7 +84,7 @@ class TestEvaluate:
     def test_window_restriction(self):
         obs = series([1.0, 1.0, 1.0, 1.0])
         pred = series([2.0, 1.0, 1.0, 5.0])
-        m = evaluate(obs, pred, first=(START + 1).index)
+        m = evaluate(obs, pred, first=START.index + 1)
         assert m.rmse == pytest.approx(math.sqrt(16 / 3)) and m.n_evaluated == 3
 
     def test_empty_overlap_is_error(self):
@@ -127,7 +127,8 @@ class TestOnePassScoring:
         pred_values = np.where(rng.random(m) < 0.1, inf, rng.normal(size=m) * 1e3)
         pred_values = np.where(rng.random(m) < 0.2, np.nan, pred_values)
         obs = series(obs_values, name="observed")
-        pred = series(pred_values, start=START + int(rng.integers(-3, 4)), name="predicted")
+        shifted = Quarter.from_index(START.index + int(rng.integers(-3, 4)))
+        pred = series(pred_values, start=shifted, name="predicted")
         first = START.index + int(rng.integers(-2, n + 3))
         want_all, want_from_first = self.evaluated(obs, pred, first)
         if want_all is None:
@@ -138,14 +139,14 @@ class TestOnePassScoring:
 
     def test_sample_edge_cutoff_has_no_holdout(self):
         obs, pred = series([1.0, 2.0, None]), series([1.5, 2.5, 3.5])
-        got_all, got_holdout = _score(obs, pred, (START + 2).index)
+        got_all, got_holdout = _score(obs, pred, START.index + 2)
         assert got_all == evaluate(obs, pred) and got_holdout is None
         with pytest.raises(DataError, match="from 2000Q3 on"):
-            evaluate(obs, pred, first=(START + 2).index)
+            evaluate(obs, pred, first=START.index + 2)
 
     def test_infinite_predictions_give_null_metrics(self):
         obs, pred = series([1.0, 2.0, 3.0, 4.0]), series([1.0, math.inf, 3.0, 4.5])
-        first = (START + 2).index
+        first = START.index + 2
         got_all, got_holdout = _score(obs, pred, first)
         assert (got_all, got_holdout) == (evaluate(obs, pred), evaluate(obs, pred, first))
         assert got_all.to_dict() == {"rmse": None, "mae": None, "n": 4}
@@ -187,25 +188,28 @@ class TestBuildFeatures:
             f"{HLC_INCOME_RATIO}_lag6",
         }
         # income is the trailing-4 mean of the raw series
-        q = raw.start + 10
-        expected = sum(raw.column(INCOME).get(q - i) for i in range(4)) / 4.0
+        def at(k):
+            return Quarter.from_index(raw.start_index + k)
+
+        q = at(10)
+        expected = sum(raw.column(INCOME).get(at(10 - i)) for i in range(4)) / 4.0
         assert feats.column(INCOME).get(q) == pytest.approx(expected, rel=1e-12)
         # loan-to-value gaps are filled from the most recent report
-        assert feats.column(LTV).get(raw.start + 2) == 1.01
+        assert feats.column(LTV).get(at(2)) == 1.01
         # the ratio column is capacity over (smoothed) income
         assert feats.column(HLC_INCOME_RATIO).get(q) == pytest.approx(
             feats.column(HLC).get(q) / feats.column(INCOME).get(q), rel=1e-12
         )
         # the headline lag is the capacity series shifted six quarters
-        assert feats.column(f"{HLC}_lag6").get(q) == feats.column(HLC).get(q - 6)
+        assert feats.column(f"{HLC}_lag6").get(q) == feats.column(HLC).get(at(4))
 
     def test_interest_only_zero_from(self):
         raw = make_raw()
-        cut = raw.start + 30
-        feats = build_features(raw, LtiParams(), interest_only_zero_from=cut.index)
+        cut = raw.start_index + 30
+        feats = build_features(raw, LtiParams(), interest_only_zero_from=cut)
         share = feats.column(INTEREST_ONLY_SHARE)
-        assert all(v == 0.0 for q, v in share.items() if q >= cut)
-        assert share.get(cut - 1) != 0.0
+        assert all(v == 0.0 for q, v in share.items() if q.index >= cut)
+        assert share.get(Quarter.from_index(cut - 1)) != 0.0
 
     def test_share_derived_from_stock_inputs(self):
         raw = make_raw()
@@ -221,7 +225,7 @@ class TestBuildFeatures:
         feats = build_features(frame, LtiParams())
         share = feats.column(INTEREST_ONLY_SHARE)
         assert share.get(raw.start) is None  # no prior stock observation
-        assert 0.0 <= share.get(raw.start + 10) <= 1.0
+        assert 0.0 <= share.get(Quarter.from_index(raw.start_index + 10)) <= 1.0
 
     def test_missing_column_named(self):
         raw = make_raw()
@@ -283,11 +287,11 @@ class TestRunGrid:
         report = run_grid(features, default_specs(), split)
         for v in report.variants:
             fit = v.fit.underlying if v.approach == "ecm" else v.fit
-            train_end = Quarter.from_index(fit.design.rows[-1])
+            train_end = fit.design.rows[-1]
             if v.regime == "truncated":
-                assert train_end <= split.cutoff
+                assert train_end <= split.cutoff.index
             else:
-                assert train_end > split.cutoff
+                assert train_end > split.cutoff.index
 
     def test_full_fit_beats_truncated_on_all_quarters(self, features):
         # The full-sample fit minimizes squared error over a superset of the

@@ -640,8 +640,23 @@ class TestErrors:
                 lambda doc: doc.update(output_dir="afile/" + "d" * 199_994),
                 "cannot create output directory ",
             ),
+            (
+                lambda doc: doc["data"].update({"n" * 200_000: {}}),
+                "a data series name must be at most 64 printable characters, got ",
+            ),
+            (
+                lambda doc: doc["data"].update({"n" * 200_000: {"path": "ltv.csv"}}),
+                "a data series name must be at most 64 printable characters, got ",
+            ),
+            (
+                lambda doc: doc["data"].update({"lt\nv": {"path": "ltv.csv"}}),
+                "a data series name must be at most 64 printable characters, got ",
+            ),
         ],
-        ids=["lti-key", "model-name", "missing-data-path", "output-dir-under-a-file"],
+        ids=[
+            "lti-key", "model-name", "missing-data-path", "output-dir-under-a-file",
+            "data-name-without-path", "data-name-with-path", "unprintable-data-name",
+        ],
     )
     def test_a_long_name_or_path_is_quoted_bounded(self, cli, tmp_path, edit, start):
         # the error line quotes the name or path through errors.quote, whatever its length

@@ -8,8 +8,9 @@ OpenSSL: hlcast hashes with the interpreter's own SHA-256. Each check runs in
 a fresh interpreter, since this test process has already imported every
 module.
 
-Inside the pipeline, quarters are quarter numbers: building features,
-scanning lags and running the grid make no ``Quarter``.
+Inside the pipeline, quarters are quarter numbers from file to file: reading
+and writing CSV files, generating data, building features, scanning lags,
+running the grid and writing its report make no ``Quarter``.
 """
 
 import os
@@ -17,11 +18,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import hlcast
-from hlcast.backtest import build_features, default_specs, run_grid
+from hlcast.backtest import build_features, default_specs, emit_plot_data, run_grid
 from hlcast.regress import lag_scan
 from hlcast.spec import HLC, HOUSE_PRICE, LtiParams
-from hlcast.timeseries import Quarter
+from hlcast.synthetic import ScenarioConfig, generate
+from hlcast.timeseries import (
+    Quarter, read_frame_csv, read_series_csv, write_frame_csv, write_series_csv
+)
 
 ENV = {**os.environ, "PYTHONPATH": str(Path(hlcast.__file__).parents[1])}
 
@@ -108,14 +114,24 @@ def test_report_on_an_existing_run_never_loads_the_generator(cli, tmp_path):
     assert not loaded & CODE_GENERATION, loaded
 
 
-def test_the_pipeline_core_makes_no_quarter(monkeypatch, scenario):
+def test_the_pipeline_core_makes_no_quarter(monkeypatch, tmp_path):
     def refuse(self, year, quarter):
         raise AssertionError(f"Quarter({year}, {quarter}) made inside the pipeline core")
 
+    config = ScenarioConfig()  # checks its last quarter by making a Quarter
     monkeypatch.setattr(Quarter, "__init__", refuse)
-    features = build_features(scenario.frame, LtiParams(), hlc_lag=scenario.hlc_lag)
+    scenario = generate(config)
+    write_frame_csv(scenario.frame, tmp_path / "frame.csv")
+    frame = read_frame_csv(tmp_path / "frame.csv")
+    write_series_csv(frame.column(HOUSE_PRICE), tmp_path / "price.csv")
+    price = read_series_csv(tmp_path / "price.csv", HOUSE_PRICE)
+    assert price.start_index == scenario.frame.start_index
+    assert np.array_equal(price.array, scenario.frame.column(HOUSE_PRICE).array)
+    features = build_features(frame, LtiParams(), hlc_lag=scenario.hlc_lag)
     scan = lag_scan(features.column(HOUSE_PRICE), features.column(HLC), range(9))
     report = run_grid(features, default_specs(scenario.hlc_lag))
     assert [e.lag for e in scan.entries] == list(range(9))
     assert len(report.variants) == 12
     assert [v.error for v in report.variants] == [None] * 12
+    assert len(emit_plot_data(report, tmp_path / "plots")) == 13
+    assert report.to_json().count("\n") == 14

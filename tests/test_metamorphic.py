@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from hlcast.backtest import SplitSpec, build_features, default_specs, run_grid
 from hlcast.spec import HOUSE_PRICE, INCOME, LtiParams
 from hlcast.synthetic import ScenarioConfig, generate
-from hlcast.timeseries import QuarterlySeries, align
+from hlcast.timeseries import Quarter, QuarterlySeries, align
 
 SETTINGS = settings(max_examples=10, derandomize=True, deadline=None)
 SEEDS = st.integers(0, 7)
@@ -68,10 +68,11 @@ def test_scaling_prices_and_incomes_scales_every_error(seed, k):
 def test_relabelling_quarters_later_changes_no_result(seed, k):
     frame = frame_of(seed)
     later = align(
-        QuarterlySeries(s.name, s.start + k, s.array, s.unit) for s in frame.columns.values()
+        QuarterlySeries(s.name, Quarter.from_index(s.start_index + k), s.array, s.unit)
+        for s in frame.columns.values()
     )
     split = SplitSpec()
-    moved = variants(later, split=SplitSpec(split.cutoff + k))
+    moved = variants(later, split=SplitSpec(Quarter.from_index(split.cutoff.index + k)))
     for base, shifted in zip(variants(frame, split=split), moved, strict=True):
         # the training window's labels move with the data; its length does not
         base_train, shifted_train = base.pop("train"), shifted.pop("train")

@@ -21,6 +21,7 @@ from hlcast.timeseries import (
     Quarter,
     QuarterlySeries,
     align,
+    quarter_label,
     read_series_csv,
     shift,
     write_series_csv,
@@ -203,7 +204,7 @@ def test_hlc_series_equals_scalar_hlc(quarters, cost_rate):
         try:
             expected.append(hlc(HouseholdInputs(*inputs), params))
         except DomainError as exc:
-            error = f"column 'interest_rate' at {frame.start + k}: {exc}"
+            error = f"column 'interest_rate' at {quarter_label(frame.start_index + k)}: {exc}"
             break
     if error is None:
         got = hlc_series(frame, params).array

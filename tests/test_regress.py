@@ -289,13 +289,13 @@ class TestDesignAndPredict:
         d = design_matrix(f, "y", [("x", 1)])
         assert d.names == ["intercept", "x_lag1"]
         # usable rows: x[t-1] present -> t in {2001Q2 missing (x 2000Q2 is None)}
-        assert d.rows.tolist() == [(START + k).index for k in (1, 3, 4, 5)]
+        assert d.rows.tolist() == [START.index + k for k in (1, 3, 4, 5)]
 
     def test_training_window(self):
         f = align([series([float(i) for i in range(8)], name="y"),
                    series([float(i) for i in range(8)], name="x")])
-        d = design_matrix(f, "y", ["x"]).until((START + 3).index)
-        assert d.rows[-1] == (START + 3).index and len(d.rows) == 4
+        d = design_matrix(f, "y", ["x"]).until(START.index + 3)
+        assert d.rows[-1] == START.index + 3 and len(d.rows) == 4
 
     def test_predict_reproduces_fitted(self):
         rng = np.random.default_rng(7)
@@ -431,9 +431,9 @@ class TestEcm:
         x, y = simulate_ecm(noise=0.2, seed=8)
         ys, xs, fit = fit_simulated(x, y)
         frame = ecm_frame(ys, xs)
-        start = START + 100
-        static = ecm_forecast(fit, frame, start.index, mode="static")
-        dynamic = ecm_forecast(fit, frame, start.index, mode="dynamic")
+        start = START.index + 100
+        static = ecm_forecast(fit, frame, start, mode="static")
+        dynamic = ecm_forecast(fit, frame, start, mode="dynamic")
         assert static.values[0] == pytest.approx(dynamic.values[0], rel=1e-14)
 
     def test_static_forecast_does_not_depend_on_start(self):
@@ -443,10 +443,10 @@ class TestEcm:
         ys, xs = series(list(y), name="y"), series(list(x), name="x")
         frame = ecm_frame(ys, xs)
         design = ecm_design(frame, "y", [("d_x", 2)], [("x", 3)])
-        fit = ecm_fit(design.until((START + 90).index))
-        early = ecm_forecast(fit, frame, (START + 4).index, mode="static")
+        fit = ecm_fit(design.until(START.index + 90))
+        early = ecm_forecast(fit, frame, START.index + 4, mode="static")
         for k in (5, 91, 139):
-            late = ecm_forecast(fit, frame, (START + k).index, mode="static")
+            late = ecm_forecast(fit, frame, START.index + k, mode="static")
             assert np.array_equal(late.array, early.array[k - 4 :])
 
     def test_dynamic_forecast_tracks_noiseless_path(self):
@@ -455,10 +455,11 @@ class TestEcm:
         xs = series(list(x), name="x")
         fit = ecm_fit(ecm_design(ecm_frame(train_ys, xs), "y", ["d_x"], [("x", 1)]))
         frame = ecm_frame(series(list(y), name="y"), xs)
-        start = START + 120
-        forecast = ecm_forecast(fit, frame, start.index, mode="dynamic")
+        start = START.index + 120
+        forecast = ecm_forecast(fit, frame, start, mode="dynamic")
         for i in range(20):
-            assert forecast.get(start + i) == pytest.approx(y[120 + i], abs=1e-6)
+            q = Quarter.from_index(start + i)
+            assert forecast.get(q) == pytest.approx(y[120 + i], abs=1e-6)
 
     def test_forecast_without_an_anchor_level_is_data_error(self):
         # no quarter precedes 0000Q1, the first one a Quarter can hold
@@ -501,7 +502,7 @@ class TestEcm:
                 series([2.0] * 10, name="x"),
             ]
         )
-        out = ecm_forecast(fit, frame, (START + 1).index, mode="dynamic")
+        out = ecm_forecast(fit, frame, START.index + 1, mode="dynamic")
         assert all(v == 5.0 for v in out.values)
 
     def test_missing_initial_level(self):
@@ -516,24 +517,24 @@ class TestEcm:
         ys, xs, fit = fit_simulated(x, y)
         frame = ecm_frame(ys, xs)
         with pytest.raises(ValueError):
-            ecm_forecast(fit, frame, (START + 10).index, mode="oracle")
+            ecm_forecast(fit, frame, START.index + 10, mode="oracle")
 
     def test_dynamic_ignores_observed_levels(self):
         # Corrupting post-start observations must not change a dynamic
         # forecast, but must change a static one.
         x, y = simulate_ecm(n=100, noise=0.3, seed=21)
         ys, xs, fit = fit_simulated(x, y)
-        start = START + 80
+        start = START.index + 80
         corrupted = list(y)
         for i in range(81, 100):
             corrupted[i] += 500.0
         frame_ok = ecm_frame(ys, xs)
         frame_bad = ecm_frame(series(corrupted, name="y"), xs)
-        dyn_ok = ecm_forecast(fit, frame_ok, start.index, mode="dynamic")
-        dyn_bad = ecm_forecast(fit, frame_bad, start.index, mode="dynamic")
+        dyn_ok = ecm_forecast(fit, frame_ok, start, mode="dynamic")
+        dyn_bad = ecm_forecast(fit, frame_bad, start, mode="dynamic")
         assert dyn_ok.values == dyn_bad.values
-        static_ok = ecm_forecast(fit, frame_ok, start.index, mode="static")
-        static_bad = ecm_forecast(fit, frame_bad, start.index, mode="static")
+        static_ok = ecm_forecast(fit, frame_ok, start, mode="static")
+        static_bad = ecm_forecast(fit, frame_bad, start, mode="static")
         assert static_ok.values != static_bad.values
 
 

@@ -62,14 +62,12 @@ class TestShapes:
         share = generate(cfg).frame.column(INTEREST_ONLY_SHARE)
         # flat zero before adoption, a real ramp in between, zero after the
         # regulatory shutdown
-        head = [share.get(START + i) for i in range(8)]
+        head = [share.get(Quarter.from_index(START.index + i)) for i in range(8)]
         assert all(v == 0.0 for v in head)
         assert max(v for v in share.values if v is not None) > 0.3
-        q = REGIME_CHANGE
-        while q <= share.end:
-            assert share.get(q) == 0.0
-            q = q + 1
-        assert share.get(REGIME_CHANGE - 1) > 0.0
+        rc = REGIME_CHANGE.index - share.start_index
+        assert rc < len(share) and all(v == 0.0 for v in share.values[rc:])
+        assert share.get(Quarter.from_index(REGIME_CHANGE.index - 1)) > 0.0
 
     def test_boom_bust_in_prices(self):
         cfg = ScenarioConfig(seed=0)
@@ -78,7 +76,7 @@ class TestShapes:
         # The shutdown hits capacity at the regime change and reaches prices
         # with the capacity lag: a pre-dip peak, a drop of at least 5%, then
         # recovery.
-        hit = (REGIME_CHANGE - START) + data.hlc_lag
+        hit = (REGIME_CHANGE.index - START.index) + data.hlc_lag
         peak = price[:hit].max()
         trough = price[hit : hit + 4].min()
         assert trough < 0.95 * peak

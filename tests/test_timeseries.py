@@ -12,6 +12,7 @@ from hlcast.timeseries import (
     align,
     atomic_write,
     parse_quarter,
+    quarter_label,
     read_frame_csv,
     read_series_csv,
     write_frame_csv,
@@ -24,19 +25,13 @@ def series(values, start=Quarter(2000, 1), name="s", unit=""):
 
 
 class TestQuarter:
-    def test_ordering(self):
-        assert Quarter(1995, 1) < Quarter(1995, 2) < Quarter(1996, 1)
-        assert Quarter(2008, 2) == Quarter(2008, 2)
-        assert not Quarter(2009, 1) < Quarter(2008, 4)
-
-    def test_successor_wraps_year(self):
-        assert Quarter(1999, 4) + 1 == Quarter(2000, 1)
-        assert Quarter(2000, 1) - 1 == Quarter(1999, 4)
-
-    def test_arithmetic_roundtrip(self):
-        q = Quarter(2003, 3)
-        for n in range(-10, 11):
-            assert (q + n) - q == n
+    def test_label_pair_roundtrips(self):
+        for i in range(40_000):
+            label = quarter_label(i)
+            assert label == f"{i // 4:04d}Q{i % 4 + 1}"
+            assert parse_quarter(label) == i
+        assert quarter_label(-1) == "quarter number -1"
+        assert quarter_label(40_000) == "quarter number 40000"
 
     def test_invalid_quarter(self):
         with pytest.raises(ValueError):
@@ -53,7 +48,7 @@ class TestQuarter:
         ],
     )
     def test_parse(self, text, expected):
-        assert parse_quarter(text) == expected
+        assert parse_quarter(text) == expected.index
 
     @pytest.mark.parametrize("text", ["2008Q5", "2008Q0", "Q1", "1995", "1995-1", "95Q1", ""])
     def test_parse_rejects(self, text):
@@ -66,7 +61,7 @@ class TestQuarter:
 
     def test_str_roundtrip(self):
         for q in [Quarter(1995, 1), Quarter(2008, 2), Quarter(2017, 4), Quarter(999, 4)]:
-            assert parse_quarter(str(q)) == q
+            assert parse_quarter(str(q)) == q.index
 
     def test_year_without_a_four_digit_label_rejected(self):
         # 10000Q1 and -001Q4 are labels parse_quarter cannot read back
@@ -75,8 +70,8 @@ class TestQuarter:
         with pytest.raises(ValueError, match="got -1"):
             Quarter.from_index(-1)
         with pytest.raises(ValueError, match="got 10000"):
-            Quarter(9999, 4) + 1
-        assert parse_quarter(str(Quarter(0, 1))) == Quarter.from_index(0)
+            Quarter.from_index(Quarter(9999, 4).index + 1)
+        assert parse_quarter(str(Quarter(0, 1))) == 0
 
     @pytest.mark.parametrize(
         "year,quarter,field",
@@ -196,7 +191,8 @@ class TestAlignAndFrame:
         cols = []
         for i in range(4):
             vals = [None if rng.random() < 0.3 else float(v) for v in rng.normal(size=12)]
-            cols.append(series(vals, start=Quarter(2000, 1) + int(rng.integers(0, 6)), name=f"c{i}"))
+            start = Quarter.from_index(Quarter(2000, 1).index + int(rng.integers(0, 6)))
+            cols.append(series(vals, start=start, name=f"c{i}"))
         f = align(cols)
         originals = {s.name: s for s in cols}
         for name, col in f.columns.items():
@@ -253,6 +249,13 @@ class TestCsv:
         back = read_series_csv(path)
         assert back.start == Quarter(999, 4)
         assert back.values == (1.0, 2.0)
+
+    def test_quarter_past_9999q4_is_not_written(self, tmp_path):
+        # 10000Q1 is a label no reader takes back, so no file is written
+        s = series([1.0, 2.0], start=Quarter(9999, 4))
+        with pytest.raises(DataError, match="^quarter number 40000 lies past 9999Q4"):
+            write_series_csv(s, tmp_path / "s.csv")
+        assert list(tmp_path.iterdir()) == []
 
     def test_roundtrip_random_values_bit_exact(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -329,9 +332,14 @@ class TestCsv:
 
     def test_non_contiguous_rejected(self, tmp_path):
         path = tmp_path / "g.csv"
-        path.write_text("quarter,value\n2000Q1,1\n2000Q3,2\n")
-        with pytest.raises(ParseError, match="contiguous"):
-            read_series_csv(path)
+        for rows, pair in [("2000Q1,1\n2000Q3,2", "2000Q1 followed by 2000Q3"),
+                           ("2000Q2,1\n2000Q1,2", "2000Q2 followed by 2000Q1")]:
+            path.write_text(f"quarter,value\n{rows}\n")
+            with pytest.raises(ParseError, match="contiguous") as exc:
+                read_series_csv(path)
+            assert str(exc.value) == (
+                f"{path}: quarters must be contiguous and ascending; found {pair}"
+            )
 
     def test_frame_roundtrip(self, tmp_path):
         f = align(
