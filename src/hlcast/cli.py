@@ -87,9 +87,16 @@ def _backtest(cfg: RunConfig, run_dir: Path) -> BacktestReport:
     features = _features(cfg, run_dir)
     specs = default_specs(cfg.hlc_lag, cfg.models)
     report = run_grid(features, specs, cfg.split, forecast_mode=cfg.forecast_mode)
+    # no manifest vouches for report.json until this backtest has written it
+    # all, so a run that fails part-way is computed again by report
+    manifest = run_dir / "manifest.json"
+    try:
+        manifest.unlink(missing_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot remove {manifest}: {exc}") from None
     write_text(run_dir / "report.json", report.to_json())
     emit_plot_data(report, run_dir / "plots")
-    write_text(run_dir / "manifest.json", _manifest())
+    write_text(manifest, _manifest())
     return report
 
 

@@ -6,16 +6,18 @@ and bytes and the hlcast version, so runs of different settings or data
 never overwrite each other, and a run directory never holds results of
 data that has since changed. File paths are not hashed: a workspace keeps
 its run directories wherever it lies and whichever directory the command
-runs from.
+runs from. The document parsed from a config's text is kept in a JSON
+sidecar beside it, so a command on an unchanged config never imports PyYAML.
 """
 
 from __future__ import annotations
 
 import copy
+import importlib.util
 import json
+import math
+import sys
 from pathlib import Path
-
-import yaml
 
 # The interpreter's own SHA-256. hashlib loads OpenSSL's libcrypto, ~3.6 MB
 # of peak memory and ~3.6 ms per process, to hash a few kilobytes; the digests
@@ -71,8 +73,10 @@ UNIT_FACTORS = {
     "dimensionless": 1.0,
 }
 
-# libyaml's parser when PyYAML was built with it: ~8x faster on a run config
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# The loader that parses config text. None is libyaml's when PyYAML was built
+# with it (~8x faster on a run config), else PyYAML's own; ``_parse_yaml``
+# resolves it, as only a parse imports yaml (~15-20 ms).
+_YAML_LOADER = None
 # The deepest collection a config may nest: a valid one nests 3 deep (the
 # items of backtest.models). Composing a document recurses once per level:
 # PyYAML's Python composer meets the recursion limit near 1,000 levels, and
@@ -174,6 +178,8 @@ class RunConfig(Record):
         return self.output_dir / self.run_hash()
 
     def save(self, path: str | Path) -> None:
+        import yaml
+
         write_text(path, yaml.safe_dump(self.to_canonical(), sort_keys=False))
 
 
@@ -342,16 +348,87 @@ def parse_lag_range(text: str) -> tuple[int, int]:
 
 def _parse_yaml(text: str, path: Path):
     """The document in ``text``, after a walk over its parse events has found
-    no collection nested deeper than ``MAX_DEPTH``."""
-    depth = 0
-    for event in yaml.parse(text, Loader=_YAML_LOADER):
-        if isinstance(event, yaml.CollectionStartEvent):
-            depth += 1
-            if depth > MAX_DEPTH:
-                raise ConfigError(f"config {path} nests deeper than {MAX_DEPTH} levels")
-        elif isinstance(event, yaml.CollectionEndEvent):
-            depth -= 1
-    return yaml.load(text, Loader=_YAML_LOADER)
+    no collection nested deeper than ``MAX_DEPTH``; a ConfigError when YAML
+    cannot turn the text into values."""
+    import yaml
+
+    loader = _YAML_LOADER or getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    try:
+        depth = 0
+        for event in yaml.parse(text, Loader=loader):
+            if isinstance(event, yaml.CollectionStartEvent):
+                depth += 1
+                if depth > MAX_DEPTH:
+                    raise ConfigError(f"config {path} nests deeper than {MAX_DEPTH} levels")
+            elif isinstance(event, yaml.CollectionEndEvent):
+                depth -= 1
+        return yaml.load(text, Loader=loader)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"config {path} is not valid YAML: {exc}") from None
+    except ValueError as exc:  # a scalar PyYAML cannot construct: a huge int, a bad date
+        raise ConfigError(f"config {path} holds a value that cannot be read: {exc}") from None
+
+
+def _cache_key(text: str) -> str | None:
+    """The key of the document parsed from ``text``: a digest of the text,
+    this module's source (the parse rules), the loader, PyYAML's installed
+    files and the interpreter. None when PyYAML or this source is not found.
+
+    PyYAML is known by the size and mtime of its ``__init__.py`` and of its
+    package directory, which a reinstall or an added or removed libyaml
+    extension changes; ``importlib.metadata`` would cost ~17 ms.
+    """
+    try:
+        origin = Path(importlib.util.find_spec("yaml").origin)
+        stats = [(p.stat().st_size, p.stat().st_mtime_ns) for p in (origin, origin.parent)]
+        rules = sha256(Path(__file__).read_bytes()).hexdigest()
+    except (AttributeError, TypeError, ValueError, OSError):
+        return None
+    loader = _YAML_LOADER and f"{_YAML_LOADER.__module__}.{_YAML_LOADER.__qualname__}"
+    facts = (sha256(text.encode()).hexdigest(), rules, loader, str(origin), stats, sys.version)
+    return sha256(repr(facts).encode()).hexdigest()
+
+
+def _plain(node, seen: set) -> bool:
+    """Whether ``node`` reads back from JSON as itself: str-keyed dicts and
+    lists of str, int, finite float, bool or None, no collection reached
+    twice (JSON would write an alias out once per use, or forever)."""
+    if type(node) in (dict, list):
+        if id(node) in seen:
+            return False
+        seen.add(id(node))
+        if type(node) is list:
+            return all(_plain(v, seen) for v in node)
+        return all(type(k) is str and _plain(v, seen) for k, v in node.items())
+    if type(node) is float:
+        return math.isfinite(node)
+    return node is None or type(node) in (str, int, bool)
+
+
+def _document(text: str, path: Path):
+    """The YAML document in ``text``: the one stored beside ``path`` under
+    ``text``'s key, else parsed and stored there for the next command.
+
+    The store is a hidden JSON sidecar, ``.<config name>.hlcast.json``. One
+    that cannot be read, holds another key or cannot be written is a miss.
+    """
+    key = _cache_key(text)
+    if key is None:
+        return _parse_yaml(text, path)
+    sidecar = path.with_name(f".{path.name}.hlcast.json")
+    try:
+        stored = json.loads(sidecar.read_text(encoding="utf-8"))
+        if stored["key"] == key:
+            return stored["document"]
+    except (OSError, ValueError, LookupError, TypeError, RecursionError):
+        pass
+    raw = _parse_yaml(text, path)
+    if _plain(raw, set()):
+        try:  # an int past 4300 digits (YAML reads hex without limit) has no JSON text
+            write_text(sidecar, json.dumps({"key": key, "document": raw}, allow_nan=False))
+        except (DataError, OSError, ValueError):
+            pass
+    return raw
 
 
 def load_config(
@@ -369,14 +446,10 @@ def load_config(
     """
     path = Path(path)
     try:
-        raw = _parse_yaml(path.read_text(encoding="utf-8"), path)
+        text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config {path} is not valid YAML: {exc}") from None
-    except ValueError as exc:  # a scalar PyYAML cannot construct: a huge int, a bad date
-        raise ConfigError(f"config {path} holds a value that cannot be read: {exc}") from None
-    raw = _require_mapping(raw, str(path))
+    raw = _require_mapping(_document(text, path), str(path))
     _reject_unknown(raw, {"data", *DEFAULTS}, str(path))
     sources = _sources(raw.get("data"), path.parent)
     settings = checked_settings(raw)

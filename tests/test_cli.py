@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 import yaml
 
 import hlcast
+import hlcast.backtest
 import hlcast.cli
 import hlcast.config
 import hlcast.regress
@@ -33,6 +35,23 @@ def run_ok(cli, args) -> str:
 def make_workspace(cli, tmp_path, seed=0) -> Path:
     run_ok(cli, ["synth", "--out", str(tmp_path / "data"), "--seed", str(seed)])
     return tmp_path / "data" / "config.yaml"
+
+
+def sidecar(config: Path) -> Path:
+    """Where ``load_config`` stores the parsed document of ``config``."""
+    return config.with_name(f".{config.name}.hlcast.json")
+
+
+def spy_on(monkeypatch, name: str) -> list:
+    """The ``Loader`` of each later call of ``yaml.<name>`` (``parse`` or ``load``)."""
+    loaders, original = [], getattr(yaml, name)
+
+    def spy(stream, Loader):
+        loaders.append(Loader)
+        return original(stream, Loader=Loader)
+
+    monkeypatch.setattr(yaml, name, spy)
+    return loaders
 
 
 class TestSynth:
@@ -231,6 +250,26 @@ class TestStaleArtifacts:
         assert run_ok(cli, ["report", "--config", str(config)]) == tables
         assert (run_dir / "report.json").read_bytes() == clean
         assert (run_dir / "manifest.json").is_file()
+
+    def test_report_that_a_failed_backtest_wrote_is_recomputed(self, cli, tmp_path, monkeypatch):
+        # other code (another ECM level lag) writes report.json, then fails on
+        # the plots: the running code's report must not print its numbers
+        config = make_workspace(cli, tmp_path)
+        tables = run_ok(cli, ["report", "--config", str(config)])
+        run_dir = load_config(config).run_dir()
+        clean = (run_dir / "report.json").read_bytes()
+        summary = run_dir / "plots" / "summary.csv"
+        summary.unlink()
+        summary.mkdir()
+        with monkeypatch.context() as patched:
+            patched.setattr(hlcast.backtest, "ECM_LEVEL_LAG", 3)
+            code, out, err = cli(["backtest", "--config", str(config)])
+        assert code == 3 and "summary.csv" in err, err
+        assert (run_dir / "report.json").read_bytes() != clean
+        assert not (run_dir / "manifest.json").exists()
+        summary.rmdir()
+        assert run_ok(cli, ["report", "--config", str(config)]) == tables
+        assert (run_dir / "report.json").read_bytes() == clean
 
     def test_backtest_writes_the_code_digest(self, cli, tmp_path):
         config = make_workspace(cli, tmp_path)
@@ -870,9 +909,12 @@ class TestConfigRoundTrip:
 
     def test_pure_python_loader_agrees(self, cli, tmp_path, monkeypatch):
         config = make_workspace(cli, tmp_path)
-        fast = load_config(config)
+        fast = load_config(config)  # stores the default loader's document
         monkeypatch.setattr(hlcast.config, "_YAML_LOADER", yaml.SafeLoader)
+        loaders = spy_on(monkeypatch, "load")
         assert load_config(config) == fast
+        # the pure-Python loader parsed the text: the stored document did not answer
+        assert loaders == [yaml.SafeLoader]
 
     def test_unit_override_scales_values(self, cli, tmp_path):
         config = make_workspace(cli, tmp_path)
@@ -886,6 +928,89 @@ class TestConfigRoundTrip:
         idx = header[0].split(",").index("interest_rate")
         value = float(header[1].split(",")[idx])
         assert value < 0.001  # the synthetic fractions divided by 100
+
+
+class TestConfigCache:
+    """``load_config`` keeps the document it parses from a config in a hidden
+    sidecar beside it, keyed by the text; a later command on the same text
+    reads the document from there and parses nothing, with the same output."""
+
+    def test_the_second_command_parses_nothing(self, cli, tmp_path, monkeypatch):
+        config = make_workspace(cli, tmp_path)
+        loads = spy_on(monkeypatch, "load")
+        args = ["report", "--config", str(config)]
+        first = cli(args)
+        assert first[0] == 0 and len(loads) == 1 and sidecar(config).is_file()
+        assert cli(args) == first
+        assert len(loads) == 1
+
+    def test_a_moved_workspace_still_hits(self, cli, tmp_path, monkeypatch):
+        config = make_workspace(cli, tmp_path)
+        run_dir = load_config(config).run_dir()
+        moved = tmp_path / "moved"
+        shutil.copytree(config.parent, moved)
+        loads = spy_on(monkeypatch, "load")
+        assert load_config(moved / "config.yaml").run_dir().name == run_dir.name
+        assert loads == []
+
+    def test_an_edit_in_place_is_read(self, cli, tmp_path):
+        config = make_workspace(cli, tmp_path)
+        assert "evaluation window: all_quarters" in run_ok(cli, ["report", "--config", str(config)])
+        text = config.read_text()
+        assert "  evaluation_window: all_quarters\n" in text
+        config.write_text(text.replace("all_quarters", "holdout_only"))
+        assert "evaluation window: holdout_only" in run_ok(cli, ["report", "--config", str(config)])
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["corrupt", "wrong_shape", "too_deep", "other_key", "read_only_dir", "unwritable"],
+    )
+    def test_a_sidecar_that_cannot_serve_is_a_miss(self, cli, tmp_path, monkeypatch, damage):
+        config = make_workspace(cli, tmp_path)
+        args = ["ingest", "--config", str(config)]
+        want = cli(args)
+        assert want[0] == 0 and sidecar(config).is_file()
+        if damage == "corrupt":
+            sidecar(config).write_bytes(b'{"key": "\xff')
+        elif damage == "wrong_shape":
+            sidecar(config).write_text('["key", "document"]')
+        elif damage == "too_deep":  # json.loads meets the recursion limit
+            sidecar(config).write_text("[" * 100_000)
+        elif damage == "other_key":
+            # the document of a config whose run directory differs
+            other = config.with_name("other.yaml")
+            other.write_text(config.read_text().replace("hlc_lag: 6", "hlc_lag: 5"))
+            assert load_config(other).run_dir() != load_config(config).run_dir()
+            shutil.copy(sidecar(other), sidecar(config))
+        else:
+            sidecar(config).unlink()
+            if damage == "unwritable":  # even for root
+                (sidecar(config) / "taken").mkdir(parents=True)
+        loads = spy_on(monkeypatch, "load")
+        if damage == "read_only_dir":
+            config.parent.chmod(0o555)
+        try:
+            assert cli(args) == want
+        finally:
+            config.parent.chmod(0o755)
+        assert len(loads) == 1
+
+    @pytest.mark.parametrize(
+        "value",
+        [".nan", "2020-01-01", "[&a [x], *a]", "0x" + "f" * 4000],
+        ids=["nan", "date", "alias", "int_past_4300_digits"],
+    )
+    def test_a_document_json_cannot_hold_is_not_stored(self, cli, tmp_path, monkeypatch, value):
+        # the hex integer has 4,817 decimal digits, which JSON cannot write
+        config = make_workspace(cli, tmp_path)
+        config.write_text(config.read_text() + f"extra: {value}\n")
+        loads = spy_on(monkeypatch, "load")
+        args = ["ingest", "--config", str(config)]
+        first = cli(args)
+        assert first[0] == 2 and "unknown key(s)" in first[2], first
+        assert not sidecar(config).exists()
+        assert cli(args) == first
+        assert len(loads) == 2
 
 
 class TestConfigText:
@@ -907,18 +1032,28 @@ class TestConfigText:
 
     @pytest.mark.parametrize("loader", ["default", "pure_python"])
     def test_depth_bound(self, cli, tmp_path, monkeypatch, loader):
-        if loader == "pure_python":
-            monkeypatch.setattr(hlcast.config, "_YAML_LOADER", yaml.SafeLoader)
         config = make_workspace(cli, tmp_path)
         text = config.read_text()
         assert text.endswith("\noutput_dir: runs\n")
         depth = hlcast.config.MAX_DEPTH
+        walks = spy_on(monkeypatch, "parse")
+        if loader == "pure_python":
+            walker = yaml.SafeLoader
+        else:
+            walker = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
         # output_dir's list sits one level below the document's mapping
         for levels, want in ((depth - 1, "output_dir must be a string"),
                              (depth, "nests deeper than")):
             config.write_text(text.replace("runs", "[" * levels + "]" * levels))
+            if loader == "pure_python":
+                # the default loader's document is stored first, and must not answer
+                monkeypatch.setattr(hlcast.config, "_YAML_LOADER", None)
+                cli(["ingest", "--config", str(config)])
+                monkeypatch.setattr(hlcast.config, "_YAML_LOADER", yaml.SafeLoader)
+            walks.clear()
             code, out, err = cli(["ingest", "--config", str(config)])
             assert code == 2 and want in err and err.count("\n") == 1, err
+            assert walks == [walker]
 
     @pytest.mark.parametrize(
         "value,message",
@@ -1025,8 +1160,8 @@ class TestWarnings:
 
 
 def test_import_leaves_scipy_out():
-    # of third-party packages, importing the CLI loads only the runtime
-    # dependencies, plus the Cython runtime of PyYAML's compiled loader
+    # of third-party packages, importing the CLI loads only numpy's package;
+    # PyYAML waits for a config that must be parsed
     env = {**os.environ, "PYTHONPATH": str(Path(hlcast.__file__).parents[1])}
     code = (
         "import sys; before = set(sys.modules); import hlcast.cli; "
@@ -1034,8 +1169,5 @@ def test_import_leaves_scipy_out():
     )
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    loaded = {
-        m for m in set(done.stdout.split()) - set(sys.stdlib_module_names)
-        if not m.startswith("_cython_") and m != "cython_runtime"
-    }
-    assert loaded <= {"hlcast", "numpy", "yaml", "_yaml"}, loaded
+    loaded = set(done.stdout.split()) - set(sys.stdlib_module_names)
+    assert loaded <= {"hlcast", "numpy"}, loaded

@@ -4,7 +4,8 @@ documented exit code, never in a traceback or a raw Python warning.
 
 Each example sets one key of ``config.DEFAULTS``, one field of one ``data``
 entry, or one cell of one input CSV, in a synth workspace to one hostile value
-and runs the five stages in-process through ``main``.
+and runs the five stages in-process through ``main``. A fuzzed config gives
+the same result whether its parsed document is stored beside it or not.
 """
 
 import contextlib
@@ -37,11 +38,11 @@ def workspace(tmp_path_factory):
     return ws
 
 
-def run(args: list[str]) -> tuple[int, str]:
-    """``hlcast <args>`` in-process: its exit code and stderr, with every
-    warning it raises written to stderr as Python would print it."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+def run(args: list[str]) -> tuple[int, str, str]:
+    """``hlcast <args>`` in-process: its exit code, stdout and stderr, with
+    every warning it raises written to stderr as Python would print it."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
@@ -52,7 +53,18 @@ def run(args: list[str]) -> tuple[int, str]:
                 raise AssertionError("main returned without SystemExit")
     for w in caught:
         err.write(warnings.formatwarning(w.message, w.category, w.filename, w.lineno))
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_stages(config) -> list[tuple[int, str, str]]:
+    """Every stage on ``config``, the first on a load that parses the text (no
+    stored document). The first stage run again, on a load that reads the
+    document stored then wherever JSON can hold it, gives the same exit code,
+    stdout and stderr."""
+    config.with_name(f".{config.name}.hlcast.json").unlink(missing_ok=True)
+    results = [run([stage, "--config", str(config)]) for stage in STAGES]
+    assert run([next(iter(STAGES)), "--config", str(config)]) == results[0]
+    return results
 
 
 # 200 covers all 14 x 13 pairs: hypothesis stops when none is left
@@ -68,8 +80,7 @@ def test_hostile_config_value_exits_cleanly(workspace, key, value):
         doc[section][name] = value
     config = workspace / "fuzz.yaml"
     config.write_text(yaml.safe_dump(doc))
-    for stage in STAGES:
-        code, err = run([stage, "--config", str(config)])
+    for stage, (code, _, err) in zip(STAGES, run_stages(config)):
         assert code in (0, 2, 3, 4), (stage, code, err)
         assert "Traceback" not in err and "Warning" not in err, (stage, err)
         if code:
@@ -83,8 +94,7 @@ def assert_stages_exit_cleanly(config) -> list[str]:
     stderr holds only ``warning:`` lines and, on failure, one last ``error:``
     line. Returns each stage's stderr."""
     errs = []
-    for stage in STAGES:
-        code, err = run([stage, "--config", str(config)])
+    for stage, (code, _, err) in zip(STAGES, run_stages(config)):
         assert code in (0, 2, 3, 4), (stage, code, err)
         assert "Traceback" not in err and "Warning" not in err, (stage, err)
         body = err.splitlines()

@@ -4,9 +4,10 @@
 model stack, and a ``report`` on an existing run never loads the synthetic
 data generator. None of them loads ``dataclasses`` or ``inspect``: hlcast's
 records are written out, not generated at import. No pipeline stage loads
-OpenSSL: hlcast hashes with the interpreter's own SHA-256. Each check runs in
-a fresh interpreter, since this test process has already imported every
-module.
+OpenSSL: hlcast hashes with the interpreter's own SHA-256. Neither ``--help``
+nor a command on a config whose parsed document is stored beside it loads
+PyYAML. Each check runs in a fresh interpreter, since this test process has
+already imported every module.
 
 Inside the pipeline, quarters are quarter numbers from file to file: reading
 and writing CSV files, generating data, building features, scanning lags,
@@ -37,11 +38,14 @@ CODE_GENERATION = {"dataclasses", "inspect"}
 # hashlib imports _hashlib, which maps OpenSSL's libcrypto into the process.
 OPENSSL = {"hashlib", "_hashlib"}
 
-# Printed last by every probe: the hlcast submodules, code-generation and
-# OpenSSL modules loaded so far.
+# PyYAML, ~15-20 ms of a command's start-up; only a config parse imports it.
+YAML = {"yaml"}
+
+# Printed last by every probe: the hlcast submodules, code-generation,
+# OpenSSL and PyYAML modules loaded so far.
 LOADED = (
     "\nprint(*sorted(m for m in sys.modules"
-    f' if m.startswith("hlcast.") or m in {sorted(CODE_GENERATION | OPENSSL)}))\n'
+    f' if m.startswith("hlcast.") or m in {sorted(CODE_GENERATION | OPENSSL | YAML)}))\n'
 )
 
 # A probe that runs ``hlcast <args>`` and requires it to succeed.
@@ -57,8 +61,8 @@ MODEL_STACK = {"hlcast.backtest", "hlcast.regress", "hlcast.lti", "hlcast.synthe
 
 
 def loaded_by(code: str, *args: str) -> tuple[set[str], str]:
-    """The hlcast submodules, code-generation and OpenSSL modules that
-    ``code`` loads, and what it printed before them."""
+    """The hlcast submodules, code-generation, OpenSSL and PyYAML modules
+    that ``code`` loads, and what it printed before them."""
     done = subprocess.run(
         [sys.executable, "-c", "import sys\n" + code + LOADED, *args],
         env=ENV,
@@ -112,6 +116,21 @@ def test_report_on_an_existing_run_never_loads_the_generator(cli, tmp_path):
     assert "evaluation window: all_quarters" in out
     assert "hlcast.synthetic" not in loaded, loaded
     assert not loaded & CODE_GENERATION, loaded
+
+
+def test_help_and_a_second_report_never_load_yaml(cli, tmp_path):
+    loaded, out = loaded_by(RUN_MAIN, "--help")
+    assert "usage: hlcast" in out
+    assert "hlcast.cli" in loaded and not loaded & YAML, loaded
+    code, out, err = cli(["synth", "--out", str(tmp_path / "ws")])
+    assert code == 0, out + err
+    config = str(tmp_path / "ws" / "config.yaml")
+    code, out, err = cli(["backtest", "--config", config])
+    assert code == 0, out + err
+    for _ in range(2):  # the second report on the run is checked
+        loaded, out = loaded_by(RUN_MAIN, "report", "--config", config)
+    assert "evaluation window: all_quarters" in out
+    assert "hlcast.config" in loaded and not loaded & YAML, loaded
 
 
 def test_the_pipeline_core_makes_no_quarter(monkeypatch, tmp_path):
