@@ -204,9 +204,10 @@ def _checked(where: str, value):
     """``value`` of the key ``where`` (``section.key``, or a top-level key) in
     canonical form; a ConfigError if it is not of the kind of the key's default.
 
-    An int or float key takes a number that is no bool, and an int key no
-    fraction; a quarter key takes a quarter label and keeps it as ``YYYYQn``;
-    a list key takes a list of strings; a string key a string.
+    An int or float key takes a YAML number, not a bool or a string of
+    digits, and an int key no fraction; a quarter key takes a quarter label
+    and keeps it as ``YYYYQn``; a list key takes a list of strings; a string
+    key a string.
     """
     section, _, key = where.partition(".")
     default = DEFAULTS[section][key] if key else DEFAULTS[section]
@@ -222,7 +223,7 @@ def _checked(where: str, value):
         cast = type(default)
         fractional = cast is int and isinstance(value, float) and not value.is_integer()
         try:
-            if isinstance(value, bool) or fractional:
+            if type(value) not in (int, float) or fractional:
                 raise TypeError
             number = cast(value)
             str(number)  # the run hash writes it: ValueError past sys.get_int_max_str_digits()

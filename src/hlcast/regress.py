@@ -11,6 +11,7 @@ lending-capacity lead time.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from typing import Iterable, Sequence
@@ -490,15 +491,18 @@ def lag_scan(
     y_all, x_all = merged.column(response.name).array, merged.column(cand.name).array
     y_ok, x_ok = ~np.isnan(y_all), ~np.isnan(x_all)
     entries: list[LagScanEntry] = []
+    # a lag at or past the sample's length pairs no quarters
+    inside = bisect.bisect_left(lag_list, len(y_all))
     # overflowed sums are found by _univariate_r2's finiteness checks
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in lag_list:
+        for k in lag_list[:inside]:
             # pair the response at quarter t with the candidate at t - k
-            y, x = y_all[k:], x_all[: max(len(x_all) - k, 0)]
+            y, x = y_all[k:], x_all[: len(x_all) - k]
             keep = y_ok[k:] & x_ok[: len(x)]
             n = int(np.count_nonzero(keep))
             r2 = _univariate_r2(y[keep], x[keep], response.name, cand.name, k) if n > 2 else None
             entries.append(LagScanEntry(lag=k, r_squared=r2, n_obs=n))
+    entries += [LagScanEntry(lag=k, r_squared=None, n_obs=0) for k in lag_list[inside:]]
     return LagScanResult(entries)
 
 

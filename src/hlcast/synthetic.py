@@ -1,12 +1,17 @@
 """Deterministic generator of pipeline-shaped test datasets.
 
-Produces a boom-bust price path driven by lending capacity: rates fall over
+Produces a rising price path driven by lending capacity: rates fall over
 the sample, income grows with a year-end bonus season, the interest-only
-share ramps up and is then shut off by regulation, and the house price is an
-affine function of capacity lagged six quarters plus bounded seeded noise.
-The generating coefficients are returned so tests can check that the full
-pipeline identifies them. Shapes are qualitative calibration for testing,
-not economic claims.
+share ramps up and is then shut off by regulation in 2011Q1, and the house
+price is an affine function of capacity lagged six quarters plus bounded
+seeded noise. The price is a trend with one step down where the cut reaches
+it, six quarters after 2011Q1; it has no bust. The generating coefficients
+are returned so tests can check that the full pipeline identifies them.
+Shapes are qualitative calibration for testing, not economic claims.
+
+The noise is numpy's ``default_rng(seed).uniform(-1.0, 1.0, n)``, five
+blocks in turn, re-derived bit for bit by :func:`_uniform_blocks` so that
+nothing here imports ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from .backtest import build_features
 from .spec import (
     HLC, HLC_LAG, HOUSE_PRICE, INCOME, INTEREST_ONLY_SHARE, INTEREST_RATE, LTV, LtiParams
 )
-from .timeseries import Frame, Quarter, QuarterlySeries, Record, align
+from .timeseries import Frame, Quarter, QuarterlySeries, Record, _integer, align
 
 # Affine map from lagged lending capacity to the generated price level.
 PRICE_INTERCEPT = 15_000.0
@@ -39,6 +44,7 @@ class ScenarioConfig(Record):
     __slots__ = ("seed", "n_quarters", "noise_scale")
 
     def __init__(self, seed: int = 0, n_quarters: int = 92, noise_scale: float = 0.01) -> None:
+        seed = _integer("seed", seed)
         if seed < 0:
             raise ValueError(f"seed must be >= 0, got {seed}")
         if n_quarters < 40:
@@ -49,6 +55,70 @@ class ScenarioConfig(Record):
             raise ValueError(f"noise_scale must be in [0, 0.2], got {noise_scale}")
         Quarter.from_index(START.index + n_quarters - 1)  # 9999Q4 at the latest
         self._set(seed, n_quarters, noise_scale)
+
+
+# The word sizes numpy's C computes the stream in, and PCG64's multiplier.
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(const: int, multiplier: int):
+    """SeedSequence's ``hashmix``: each call advances the hash constant."""
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = (const * multiplier) & _MASK32
+        value = (value * const) & _MASK32
+        return value ^ (value >> 16)
+
+    return hashmix
+
+
+def _mix(x: int, y: int) -> int:
+    """SeedSequence's ``mix`` of two pool words."""
+    result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+    return result ^ (result >> 16)
+
+
+def _uniform_blocks(seed: int, blocks: int, n: int) -> np.ndarray:
+    """Rows of ``rng.uniform(-1.0, 1.0, n)``, drawn ``blocks`` times in turn from
+    ``rng = np.random.default_rng(seed)``, bit for bit, without importing
+    ``numpy.random`` (which loads OpenSSL through ``secrets``).
+
+    ``SeedSequence(seed)`` hashes the seed's 32-bit words into a pool of four,
+    from which PCG64 takes its 128-bit state and stream; each draw steps the
+    XSL-RR generator (O'Neill, 2014) and maps its top 53 bits into [-1, 1).
+    """
+    entropy = [(seed >> s) & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    # generate_state(4, np.uint64): eight words from the pool, paired little-endian
+    hashmix = _hasher(0x8B51F9DD, 0x58F38DED)
+    state_words = [hashmix(pool[i % 4]) for i in range(8)]
+    high, low, seq_high, seq_low = (
+        state_words[i] | state_words[i + 1] << 32 for i in range(0, 8, 2)
+    )
+    # pcg_setseq_128_srandom_r: from state 0, step, add the seed state, step
+    inc = (((seq_high << 64 | seq_low) << 1) | 1) & _MASK128
+    state = ((inc + (high << 64 | low)) * _PCG64_MULTIPLIER + inc) & _MASK128
+    draws = []
+    for _ in range(blocks * n):
+        state = (state * _PCG64_MULTIPLIER + inc) & _MASK128
+        rot = state >> 122
+        x = ((state >> 64) ^ state) & _MASK64
+        draws.append(((x >> rot) | (x << (64 - rot))) & _MASK64)
+    # a double from the top 53 bits; 2.0 * d is exact, so the sum rounds once,
+    # as numpy's C does with or without FMA
+    doubles = (np.array(draws, dtype=np.uint64) >> np.uint64(11)) * 2.0**-53
+    return (-1.0 + 2.0 * doubles).reshape(blocks, n)
 
 
 class GeneratedData(Record):
@@ -80,13 +150,8 @@ def generate(config: ScenarioConfig = ScenarioConfig()) -> GeneratedData:
     price instead.
     """
     n = config.n_quarters
-    rng = np.random.default_rng(config.seed)
     # One draw block per series, in a fixed order, so shapes stay stable.
-    eps_income = rng.uniform(-1.0, 1.0, n)
-    eps_rate = rng.uniform(-1.0, 1.0, n)
-    eps_share = rng.uniform(-1.0, 1.0, n)
-    eps_ltv = rng.uniform(-1.0, 1.0, n)
-    eps_price = rng.uniform(-1.0, 1.0, n)
+    eps_income, eps_rate, eps_share, eps_ltv, eps_price = _uniform_blocks(config.seed, 5, n)
 
     t = np.arange(n)
     u = t / (n - 1)

@@ -472,8 +472,16 @@ class TestErrors:
                 ("lti", "cost_rate", False),
                 ("lti", "term_months", True),
             ]
-            # a bool is no number, and an integer key takes no fraction
-            for value, suffix in [("four", ""), (True, "-bool")] + [(4.7, "-fraction")] * integer
+            # a bool is no number, a string of digits is no number, and an
+            # integer key takes no fraction
+            for value, suffix in [
+                ("four", ""),
+                (True, "-bool"),
+                (" 4_0 ", "-spaced-digits"),
+                ("\u0664", "-arabic-indic-digit"),
+                ("1e2", "-exponent-string"),
+                ("nan", "-nan-string"),
+            ] + [(4.7, "-fraction")] * integer
         ],
     )
     def test_non_numeric_config_value(self, cli, tmp_path, section, key, value):

@@ -3,8 +3,9 @@
 ``import hlcast`` loads no submodule, the configuration loads none of the
 model stack, and a ``report`` on an existing run never loads the synthetic
 data generator. None of them loads ``dataclasses`` or ``inspect``: hlcast's
-records are written out, not generated at import. No pipeline stage loads
-OpenSSL: hlcast hashes with the interpreter's own SHA-256. Neither ``--help``
+records are written out, not generated at import. No pipeline command loads
+OpenSSL: hlcast hashes with the interpreter's own SHA-256, and the generator
+draws numpy's random stream without ``numpy.random``. Neither ``--help``
 nor a command on a config whose parsed document is stored beside it loads
 PyYAML. Each check runs in a fresh interpreter, since this test process has
 already imported every module.
@@ -41,11 +42,15 @@ OPENSSL = {"hashlib", "_hashlib"}
 # PyYAML, ~15-20 ms of a command's start-up; only a config parse imports it.
 YAML = {"yaml"}
 
+# numpy's random package, which loads OpenSSL through secrets and hmac.
+NUMPY_RANDOM = {"numpy.random"}
+
 # Printed last by every probe: the hlcast submodules, code-generation,
-# OpenSSL and PyYAML modules loaded so far.
+# OpenSSL, PyYAML and numpy.random modules loaded so far.
 LOADED = (
     "\nprint(*sorted(m for m in sys.modules"
-    f' if m.startswith("hlcast.") or m in {sorted(CODE_GENERATION | OPENSSL | YAML)}))\n'
+    f' if m.startswith("hlcast.")'
+    f" or m in {sorted(CODE_GENERATION | OPENSSL | YAML | NUMPY_RANDOM)}))\n"
 )
 
 # A probe that runs ``hlcast <args>`` and requires it to succeed.
@@ -61,8 +66,8 @@ MODEL_STACK = {"hlcast.backtest", "hlcast.regress", "hlcast.lti", "hlcast.synthe
 
 
 def loaded_by(code: str, *args: str) -> tuple[set[str], str]:
-    """The hlcast submodules, code-generation, OpenSSL and PyYAML modules
-    that ``code`` loads, and what it printed before them."""
+    """The hlcast submodules, code-generation, OpenSSL, PyYAML and
+    numpy.random modules that ``code`` loads, and what it printed before them."""
     done = subprocess.run(
         [sys.executable, "-c", "import sys\n" + code + LOADED, *args],
         env=ENV,
@@ -91,19 +96,29 @@ def test_cli_loads_no_code_generation():
     assert not loaded & CODE_GENERATION, loaded
 
 
-def test_no_pipeline_command_loads_openssl(cli, tmp_path):
-    # synth is exempt: numpy's random module loads _hashlib, through secrets
-    # and hmac. The report stage reads the backtest's run back.
+def test_no_pipeline_command_loads_openssl(tmp_path):
+    # the report stage reads the backtest's run back
     loaded, _ = loaded_by("import hlcast.cli")
     assert "hlcast.cli" in loaded
     assert not loaded & OPENSSL, loaded
-    code, out, err = cli(["synth", "--out", str(tmp_path / "ws")])
-    assert code == 0, out + err
+    loaded, _ = loaded_by(RUN_MAIN, "synth", "--out", str(tmp_path / "ws"))
+    assert "hlcast.synthetic" in loaded and not loaded & OPENSSL, loaded
     config = str(tmp_path / "ws" / "config.yaml")
     for stage in ("ingest", "features", "lagscan", "backtest", "report"):
         loaded, _ = loaded_by(RUN_MAIN, stage, "--config", config)
         assert "hlcast.cli" in loaded, (stage, loaded)
         assert not loaded & OPENSSL, (stage, loaded)
+
+
+def test_the_generator_loads_neither_numpy_random_nor_openssl(tmp_path):
+    loaded, out = loaded_by(
+        "from hlcast.synthetic import generate\nprint(len(generate().frame))"
+    )
+    assert out == "92"
+    assert "hlcast.synthetic" in loaded and not loaded & (NUMPY_RANDOM | OPENSSL), loaded
+    loaded, out = loaded_by(RUN_MAIN, "synth", "--out", str(tmp_path / "ws"), "--seed", "3")
+    assert "seed 3" in out
+    assert "hlcast.synthetic" in loaded and not loaded & (NUMPY_RANDOM | OPENSSL), loaded
 
 
 def test_report_on_an_existing_run_never_loads_the_generator(cli, tmp_path):

@@ -21,6 +21,7 @@ from hlcast.regress import (
     DesignMatrix,
     EcmFit,
     FitResult,
+    LagScanEntry,
     Term,
     design_matrix,
     ecm_design,
@@ -585,6 +586,29 @@ class TestLagScan:
         assert by_lag[0].r_squared is not None
         assert by_lag[4].r_squared is None  # one overlapping pair is not a fit
         assert result.best_lag == 0
+
+    def test_lags_past_the_sample_are_unusable_without_array_work(self, monkeypatch):
+        # responses and candidates offset by a quarter, with gaps: the aligned
+        # sample spans 13 quarters
+        resp = series(
+            [1.0, None, 3.0, 2.0, 5.0, 4.0, 7.0, None, 9.0, 8.0, 11.0, 10.0], name="resp"
+        )
+        cand = series(
+            [2.0, 1.0, None, 4.0, 3.0, 6.0, 5.0, 8.0, 7.0, None, 9.0, 12.0],
+            start=Quarter(2000, 2),
+            name="cand",
+        )
+        n = len(align([resp, cand]))
+        assert n == 13
+        one_by_one = [lag_scan(resp, cand, [k]).entries[0] for k in range(n)]
+        calls = []
+        count_nonzero = np.count_nonzero
+        monkeypatch.setattr(np, "count_nonzero", lambda a: calls.append(1) or count_nonzero(a))
+        entries = lag_scan(resp, cand, range(n + 20)).entries
+        assert entries[:n] == one_by_one
+        assert [e.n_obs for e in one_by_one][-3:] == [1, 0, 0]
+        assert entries[n:] == [LagScanEntry(k, None, 0) for k in range(n, n + 20)]
+        assert len(calls) == n  # one per lag inside the sample
 
     @pytest.mark.parametrize("which", ["resp", "cand"])
     def test_overflowing_sums_named(self, which):

@@ -12,7 +12,9 @@ from hlcast.backtest import (
     build_features,
 )
 from hlcast.regress import design_matrix, ols_fit
-from hlcast.synthetic import REGIME_CHANGE, START, GeneratedData, ScenarioConfig, generate
+from hlcast.synthetic import (
+    REGIME_CHANGE, START, GeneratedData, ScenarioConfig, _uniform_blocks, generate
+)
 from hlcast.timeseries import Quarter, write_frame_csv
 
 
@@ -31,6 +33,29 @@ class TestDeterminism:
 
     def test_different_seeds_differ(self):
         assert generate(ScenarioConfig(seed=1)).frame != generate(ScenarioConfig(seed=2)).frame
+
+
+class TestStream:
+    """The draws are numpy's ``default_rng(seed).uniform(-1.0, 1.0, n)``, bit for bit."""
+
+    @pytest.mark.parametrize("n", [40, 92, 400, 2000])
+    @pytest.mark.parametrize("seed", [*range(32), 2**32, 2**70 + 3, 2**160 + 7])
+    def test_blocks_are_numpys_stream(self, seed, n):
+        rng = np.random.default_rng(seed)
+        expected = np.array([rng.uniform(-1.0, 1.0, n) for _ in range(5)])
+        drawn = _uniform_blocks(seed, 5, n)
+        assert drawn.dtype == np.float64 and drawn.shape == (5, n)
+        assert np.array_equal(drawn.view(np.uint64), expected.view(np.uint64))
+
+    def test_numpy_integer_seed_keeps_its_stream(self):
+        config = ScenarioConfig(seed=np.int64(7))
+        assert type(config.seed) is int
+        assert generate(config).frame == generate(ScenarioConfig(seed=7)).frame
+
+    @pytest.mark.parametrize("seed", [7.0, True])
+    def test_float_or_bool_seed_is_refused(self, seed):
+        with pytest.raises(TypeError, match="seed"):
+            ScenarioConfig(seed=seed)
 
 
 class TestShapes:
