@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Sequence
 
 from ._numpy import np
-from .errors import DataError, HlcastError, SchemaError
+from .errors import DataError, HlcastError, Record, SchemaError, _integer
 from .lti import derive_interest_only_share, hlc_series
 from .regress import (
     DesignMatrix,
@@ -44,9 +44,7 @@ from .spec import (
     LtiParams,
     SplitSpec,
 )
-from .timeseries import (
-    Frame, QuarterlySeries, Record, _integer, align, quarter_label, quarter_rows, write_csv
-)
+from .timeseries import Frame, QuarterlySeries, align, quarter_label, quarter_rows, write_csv
 
 REGIMES = ("full", "truncated")
 
@@ -322,7 +320,7 @@ class BacktestReport:
     def to_dict(self) -> dict:
         return {
             "schema_version": SCHEMA_VERSION,
-            "cutoff": str(self.split.cutoff),
+            "cutoff": quarter_label(self.split.cutoff),
             "evaluation_window": self.split.evaluation_window,
             "forecast_mode": self.forecast_mode,
             "variants": [v.to_dict() for v in self.variants],
@@ -411,11 +409,13 @@ def run_grid(
         raise ValueError(f"forecast_mode must be 'static' or 'dynamic', got {forecast_mode!r}")
     features.require(HOUSE_PRICE)
     observed = features.column(HOUSE_PRICE)
-    cutoff, i0 = split.cutoff.index, observed.start_index
+    cutoff, i0 = split.cutoff, observed.start_index
     if not i0 <= cutoff < i0 + len(observed) or np.isnan(observed.array[cutoff - i0]):
         # The cutoff must fall inside the observed sample for the split to
         # mean anything.
-        raise DataError(f"cutoff {split.cutoff} lies outside the observed {HOUSE_PRICE!r} sample")
+        raise DataError(
+            f"cutoff {quarter_label(cutoff)} lies outside the observed {HOUSE_PRICE!r} sample"
+        )
     seen = set()
     for spec in specs:
         key = (spec.name, spec.approach)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -38,6 +39,7 @@ from .spec import HLC, HOUSE_PRICE, MODELS
 from .timeseries import (
     Frame,
     align,
+    quarter_label,
     read_series_csv,
     write_csv,
     write_frame_csv,
@@ -145,6 +147,10 @@ def _stat_cell(x: float | None, width: int) -> str:
     return f"{text:>{width}}" if len(text) < width else f"{x:>{width}.3e}"
 
 
+def _span(frame: Frame) -> str:
+    return "..".join(quarter_label(frame.start_index + k) for k in (0, len(frame) - 1))
+
+
 def _require_a_fit(variants: list[tuple[str, str | None]]) -> None:
     """Fail when every variant failed; ``variants`` holds (label, error) pairs.
 
@@ -193,7 +199,7 @@ def synth(out: str, seed: int, quarters: int, noise: float) -> None:
 def ingest(cfg: RunConfig, run_dir: Path) -> None:
     """Read per-series CSVs, normalize units, write the aligned frame."""
     frame = _frame(cfg, run_dir)
-    print(f"frame: {len(frame)} quarters ({frame.start}..{frame.end}), "
+    print(f"frame: {len(frame)} quarters ({_span(frame)}), "
           f"{len(frame.names())} columns -> {run_dir / 'frame.csv'}")
     for line in _summary_table(frame):
         print(line)
@@ -204,9 +210,9 @@ def features(cfg: RunConfig, run_dir: Path) -> None:
     frame = _features(cfg, run_dir)
     span = frame.complete_range()
     print(f"features: {', '.join(frame.names())}")
-    print(f"rows {frame.start}..{frame.end} -> {run_dir / 'features.csv'}")
+    print(f"rows {_span(frame)} -> {run_dir / 'features.csv'}")
     if span:
-        print(f"complete sample: {span[0]}..{span[1]}")
+        print(f"complete sample: {quarter_label(span[0])}..{quarter_label(span[1])}")
 
 
 def lagscan(cfg: RunConfig, run_dir: Path) -> None:
@@ -227,11 +233,11 @@ def lagscan(cfg: RunConfig, run_dir: Path) -> None:
         [e.lag, "" if e.r_squared is None else f"{e.r_squared:.6f}", e.n_obs]
         for e in result.entries
     ]
+    write_csv(run_dir / "lag_scan.csv", ["lag", "r_squared", "n_obs"], rows)
     print(f"{'lag':>4}{'R^2':>10}{'n':>6}")
     for lag, r2, n in rows:
         print(f"{lag:>4}{r2:>10}{n:>6}")
     print(f"best lag: {result.best_lag}")
-    write_csv(run_dir / "lag_scan.csv", ["lag", "r_squared", "n_obs"], rows)
 
 
 def backtest(cfg: RunConfig, run_dir: Path) -> None:
@@ -240,7 +246,7 @@ def backtest(cfg: RunConfig, run_dir: Path) -> None:
     ok = sum(1 for v in report.variants if v.error is None)
     print(
         f"backtest: {ok}/{len(report.variants)} variants fitted "
-        f"(cutoff {cfg.split.cutoff}) -> {run_dir / 'report.json'}"
+        f"(cutoff {quarter_label(cfg.split.cutoff)}) -> {run_dir / 'report.json'}"
     )
     variants = [(f"{v.name}/{v.approach}/{v.regime}", v.error) for v in report.variants]
     for label, error in variants:
@@ -312,8 +318,8 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 def main(args: list[str] | None = None, prog_name: str | None = None) -> NoReturn:
     """Run one command of ``args`` (default ``sys.argv[1:]``) and exit with its code.
 
-    Every path ends in SystemExit: 0 on success, 2 on a usage error, and an
-    HlcastError's exit code after an ``error:`` line on stderr.
+    Every path ends in SystemExit: 0 on success, 1 if stdout's reader closed it,
+    2 on a usage error, and an HlcastError's exit code after an ``error:`` line.
     """
     parser = argparse.ArgumentParser(
         prog=prog_name or "hlcast",
@@ -334,21 +340,27 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> NoRetur
         cmd.add_argument("--lags", help="Override the lag-scan range, e.g. 0..8.")
     opts = parser.parse_args(args)
     try:
-        # the warning filters stay as they are: only the display changes
-        with warnings.catch_warnings():
-            warnings.showwarning = _show_warning
-            if opts.command == "synth":
-                synth(opts.out, opts.seed, opts.quarters, opts.noise)
-            else:
-                # a module-global lookup at call time, so a wrapper installed on
-                # cli.load_config (the benchmark's layer tracer) still sees the call
-                cfg = load_config(opts.config, out=opts.out, cutoff=opts.cutoff, lags=opts.lags)
-                # run_dir() hashes every input file, so compute it once
-                STAGES[opts.command](cfg, cfg.run_dir())
-    except HlcastError as exc:
-        sys.stdout.flush()  # a merged log keeps the tables before the error
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(exc.exit_code)
+        try:
+            # the warning filters stay as they are: only the display changes
+            with warnings.catch_warnings():
+                warnings.showwarning = _show_warning
+                if opts.command == "synth":
+                    synth(opts.out, opts.seed, opts.quarters, opts.noise)
+                else:
+                    # a module-global lookup at call time, so a wrapper installed on
+                    # cli.load_config (the benchmark's layer tracer) still sees the call
+                    cfg = load_config(opts.config, out=opts.out, cutoff=opts.cutoff, lags=opts.lags)
+                    # run_dir() hashes every input file, so compute it once
+                    STAGES[opts.command](cfg, cfg.run_dir())
+        except HlcastError as exc:
+            sys.stdout.flush()  # a merged log keeps the tables before the error
+            print(f"error: {exc}", file=sys.stderr)
+            sys.exit(exc.exit_code)
+        sys.stdout.flush()  # a closed stdout shows here, not in the flush at exit
+    except BrokenPipeError:
+        # Python's signal docs' recipe: the flush at exit writes to devnull, not a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
     sys.exit(0)
 
 

@@ -31,7 +31,7 @@ except ImportError:
         from hashlib import sha256  # a build without the built-in hashes
 
 from . import __version__
-from .errors import ConfigError, DataError, ParseError, quote
+from .errors import ConfigError, DataError, ParseError, Record, quote
 from .spec import (
     DEBT_TO_GDP,
     HLC_LAG,
@@ -47,7 +47,7 @@ from .spec import (
     LtiParams,
     SplitSpec,
 )
-from .timeseries import Quarter, Record, parse_quarter, quarter_label, write_text
+from .timeseries import parse_quarter, quarter_label, write_text
 
 REQUIRED_SERIES = (HOUSE_PRICE, INCOME, INTEREST_RATE, LTV)
 
@@ -81,13 +81,14 @@ MAX_DEPTH = 32
 
 # Every config key outside ``data``, by section, with its default: the one
 # statement of the defaults. The type of a default picks its key's check
-# (``_checked``); ``None`` marks an optional quarter.
+# (``_checked``), except at the quarter keys, whose defaults are labels.
 DEFAULTS = {
     "lti": dict(zip(LtiParams.__slots__, LtiParams()._values())),
     "features": {
         "smoothing_window": SMOOTHING_WINDOW, "hlc_lag": HLC_LAG, "interest_only_zero_from": None
     },
-    "split": dict(zip(SplitSpec.__slots__, SplitSpec()._values())),
+    "split": {"cutoff": quarter_label(SplitSpec().cutoff),
+              "evaluation_window": SplitSpec().evaluation_window},
     "lag_scan": {"min": 0, "max": 6},
     "backtest": {"forecast_mode": "dynamic", "models": list(PAPER_MODELS)},
     "output_dir": "runs",
@@ -138,8 +139,7 @@ class RunConfig(Record):
     @property
     def split(self) -> SplitSpec:
         split = self.settings["split"]
-        cutoff = Quarter.from_index(parse_quarter(split["cutoff"]))
-        return SplitSpec(cutoff, split["evaluation_window"])
+        return SplitSpec(parse_quarter(split["cutoff"]), split["evaluation_window"])
 
     @property
     def models(self) -> tuple[str, ...]:
@@ -211,12 +211,11 @@ def _checked(where: str, value):
     """
     section, _, key = where.partition(".")
     default = DEFAULTS[section][key] if key else DEFAULTS[section]
-    if default is None or isinstance(default, Quarter):
+    if where in ("split.cutoff", "features.interest_only_zero_from"):
         if value is None and default is None:
             return None
-        try:  # a default is a Quarter; any other kind fails to parse, quoted bounded
-            text = str(value) if isinstance(value, (str, Quarter)) else quote(value)
-            return quarter_label(parse_quarter(text))
+        try:  # any kind but a string fails to parse, quoted bounded
+            return quarter_label(parse_quarter(value if isinstance(value, str) else quote(value)))
         except ParseError as exc:
             raise ConfigError(f"{where}: {exc}") from None
     if isinstance(default, (int, float)):

@@ -21,9 +21,9 @@ from __future__ import annotations
 import math
 
 from ._numpy import np
-from .errors import DataError, DomainError, InconsistencyError
+from .errors import DataError, DomainError, InconsistencyError, Record
 from .spec import HLC, INCOME, INTEREST_ONLY_SHARE, INTEREST_RATE, LtiParams
-from .timeseries import Frame, QuarterlySeries, Record, align, quarter_label
+from .timeseries import Frame, QuarterlySeries, align, quarter_label
 
 
 class HouseholdInputs(Record):

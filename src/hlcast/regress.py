@@ -21,10 +21,11 @@ from .errors import (
     DataError,
     InsufficientDataError,
     NumericalError,
+    Record,
     SchemaError,
     SingularDesignError,
 )
-from .timeseries import Frame, QuarterlySeries, Record, align, quarter_label, shift
+from .timeseries import Frame, QuarterlySeries, align, quarter_label, shift
 
 # Relative singular-value threshold below which a design counts as rank
 # deficient.
@@ -51,7 +52,7 @@ class DesignMatrix:
     """Dense regression inputs after listwise deletion.
 
     ``matrix`` has one column per entry of ``names``, the all-ones intercept
-    first. ``rows`` holds each row's quarter number (:attr:`Quarter.index`).
+    first. ``rows`` holds each row's quarter number, 4 × year + quarter − 1.
     ``terms`` describes how the other columns derive from frame columns, so
     predictions can be rebuilt on any compatible frame.
     """
@@ -440,7 +441,9 @@ class LagScanEntry(Record):
     __slots__ = ("lag", "r_squared", "n_obs")
 
     def __init__(self, lag: int, r_squared: float | None, n_obs: int) -> None:
-        self._set(lag, r_squared, n_obs)
+        object.__setattr__(self, "lag", lag)
+        object.__setattr__(self, "r_squared", r_squared)
+        object.__setattr__(self, "n_obs", n_obs)
 
 
 class LagScanResult:

@@ -3,15 +3,13 @@
 Column names of the feature frame, the grid's model forms, the paper's
 feature settings, and the parameter records of the lending-capacity engine
 and the out-of-sample split. This module sits below every layer: it imports
-nothing from hlcast but :class:`~hlcast.timeseries.Quarter`, its ``Record``
-base and :func:`~hlcast.errors.quote`, so ``config`` and ``synthetic`` read
-these names without loading the backtest or regression code.
+only :mod:`hlcast.errors`, for ``Record``, ``_integer`` and ``quote``, so
+``config`` and ``synthetic`` read these names without loading any layer.
 """
 
 from __future__ import annotations
 
-from .errors import quote
-from .timeseries import Quarter, Record
+from .errors import Record, _integer, quote
 
 # Canonical column names for the feature frame.
 HOUSE_PRICE = "house_price"
@@ -75,13 +73,13 @@ class LtiParams(Record):
 
 
 class SplitSpec(Record):
-    """Out-of-sample split: truncated fits use quarters up to ``cutoff``."""
+    """Out-of-sample split: truncated fits use quarters up to ``cutoff``, a
+    quarter number (4 × year + quarter − 1; the default is 2008Q2)."""
 
     __slots__ = ("cutoff", "evaluation_window")
 
-    def __init__(
-        self, cutoff: Quarter = Quarter(2008, 2), evaluation_window: str = "all_quarters"
-    ) -> None:
+    def __init__(self, cutoff: int = 2008 * 4 + 1, evaluation_window: str = "all_quarters") -> None:
+        cutoff = _integer("cutoff", cutoff)
         if evaluation_window not in ("all_quarters", "holdout_only"):
             raise ValueError(
                 f"evaluation_window must be 'all_quarters' or 'holdout_only', "

@@ -18,19 +18,20 @@ from __future__ import annotations
 
 from ._numpy import np
 from .backtest import build_features
+from .errors import Record, _integer
 from .spec import (
     HLC, HLC_LAG, HOUSE_PRICE, INCOME, INTEREST_ONLY_SHARE, INTEREST_RATE, LTV, LtiParams
 )
-from .timeseries import Frame, Quarter, QuarterlySeries, Record, _integer, align
+from .timeseries import LABELLED, Frame, QuarterlySeries, align
 
 # Affine map from lagged lending capacity to the generated price level.
 PRICE_INTERCEPT = 15_000.0
 PRICE_SLOPE = 0.7
 
-# The first generated quarter, and the quarter from which regulation forces
-# the interest-only share to zero.
-START = Quarter(1995, 1)
-REGIME_CHANGE = Quarter(2011, 1)
+# The quarter numbers of the first generated quarter, 1995Q1, and of the
+# quarter from which regulation forces the interest-only share to zero, 2011Q1.
+START = 1995 * 4
+REGIME_CHANGE = 2011 * 4
 
 
 class ScenarioConfig(Record):
@@ -53,7 +54,8 @@ class ScenarioConfig(Record):
             )
         if not 0.0 <= noise_scale <= 0.2:
             raise ValueError(f"noise_scale must be in [0, 0.2], got {noise_scale}")
-        Quarter.from_index(START.index + n_quarters - 1)  # 9999Q4 at the latest
+        if START + n_quarters > LABELLED:  # the last quarter has a label: 9999Q4 at the latest
+            raise ValueError(f"year must be in 0..9999, got {(START + n_quarters - 1) // 4}")
         self._set(seed, n_quarters, noise_scale)
 
 
@@ -155,9 +157,9 @@ def generate(config: ScenarioConfig = ScenarioConfig()) -> GeneratedData:
 
     t = np.arange(n)
     u = t / (n - 1)
-    rc = REGIME_CHANGE.index - START.index
+    rc = REGIME_CHANGE - START
 
-    season = np.where((START.index + t) % 4 == 3, 1.04, 2.96 / 3.0)
+    season = np.where((START + t) % 4 == 3, 1.04, 2.96 / 3.0)
     income = 11_200.0 * 1.0088**t * season * (1.0 + 0.004 * eps_income)
 
     rate = 0.03 + 0.052 * (1.0 - u) ** 1.3 + 0.0018 * np.sin(t / 3.0) + 0.0012 * eps_rate
@@ -177,7 +179,7 @@ def generate(config: ScenarioConfig = ScenarioConfig()) -> GeneratedData:
     ltv = np.clip(ltv + 0.0015 * eps_ltv, 0.97, 1.039)
 
     def series(name: str, values: np.ndarray, unit: str) -> QuarterlySeries:
-        return QuarterlySeries._from_array(name, START.index, values, unit)
+        return QuarterlySeries._from_array(name, START, values, unit)
 
     income_s = series(INCOME, income, "eur")
     rate_s = series(INTEREST_RATE, rate, "fraction")

@@ -6,12 +6,12 @@ Everything downstream works on two immutable containers: a
 Transforms never mutate; they return new values.
 
 Data model: a series holds a read-only float64 ``array`` (NaN marks a
-missing quarter) and the quarter number of its first value, ``start_index``
-(see :attr:`Quarter.index`). Transforms are array slicing and masking.
-Quarters are numbers from file to file: :func:`parse_quarter` reads a label
-and :func:`quarter_label` writes one; a :class:`Quarter` is made only by the
-public readers (``start``, ``items``, ...). ``values`` is a tuple view with
-``None`` for missing quarters, for callers and tests, never for hot paths.
+missing quarter) and the quarter number, 4 × year + quarter − 1, of its
+first value, ``start_index``. Transforms are array slicing and masking.
+A quarter is a number in code: :func:`parse_quarter` reads a label and
+:func:`quarter_label` writes one; only the series constructor's ``start``,
+``start`` and ``items()`` take or give a :class:`Quarter`. ``values`` is a
+tuple view with ``None`` for missing quarters, for callers and tests.
 
 CSV conventions: one file per series with header ``quarter,value`` and rows
 like ``1995Q1,89792``; an empty value field marks a missing observation,
@@ -28,76 +28,21 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
-import operator
 import os
 import re
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
 from ._numpy import np
-from .errors import DataError, ParseError, SchemaError, quote
+from .errors import DataError, ParseError, Record, SchemaError, _integer, quote
 
 _QUARTER_RE = re.compile(r"^(\d{4})-?Q(\d)$")
 # Quarter numbers 0..LABELLED - 1, 0000Q1..9999Q4, have a four-digit label.
 LABELLED = 40_000
 
 
-class Record:
-    """Base of hlcast's immutable records.
-
-    A subclass lists its fields in ``__slots__`` and sets each once in
-    ``__init__``, with :meth:`_set`, or field by field with
-    ``object.__setattr__`` where the record is built per fit or per term;
-    afterwards every field is read-only. Records compare equal field by field when of
-    the same class, hash alike when equal, and print as
-    ``Name(field=value, ...)``. Written out, not generated at import:
-    generating each record's methods cost every command ~15 ms of start-up.
-    """
-
-    __slots__ = ()
-
-    def _set(self, *values) -> None:
-        """Set the fields, in ``__slots__`` order, to ``values``."""
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an ``int``, or a ``TypeError`` naming field ``name``."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise TypeError(f"{name} must be an integer, got {value!r}")
-
-
 class Quarter(Record):
-    """A calendar quarter's label; quarter arithmetic is integer arithmetic on :attr:`index`."""
+    """A calendar quarter's label; quarter arithmetic is integer arithmetic on quarter numbers."""
 
     __slots__ = ("year", "quarter")
 
@@ -135,7 +80,7 @@ def quarter_label(index: int) -> str:
 
 
 def parse_quarter(text: str) -> int:
-    """The quarter number (:attr:`Quarter.index`) of ``YYYYQn`` or ``YYYY-Qn``.
+    """The quarter number, 4 × year + quarter − 1, of ``YYYYQn`` or ``YYYY-Qn``.
 
     Raises:
         ParseError: if the text is malformed or n is outside 1..4.
@@ -160,7 +105,7 @@ def shift(a: np.ndarray, k: int) -> np.ndarray:
 class QuarterlySeries:
     """A contiguous quarterly series with NaN marking missing quarters.
 
-    ``array[i]`` is the observation at ``start + i``. ``values`` may be any
+    ``array[i]`` is the observation at ``start_index + i``. ``values`` may be any
     sequence of numbers with ``None`` (or NaN) for missing quarters. ``unit``
     is free-form metadata ("eur", "fraction", ...) carried through every
     transform.
@@ -217,13 +162,8 @@ class QuarterlySeries:
         ) and np.array_equal(self.array, other.array, equal_nan=True)
 
     def __repr__(self) -> str:
-        return f"QuarterlySeries({self.name!r}, {self.start}, {self.values!r}, {self.unit!r})"
-
-    def get(self, q: Quarter) -> float | None:
-        """Value at quarter ``q``; None when missing or out of range."""
-        i = q.index - self.start_index
-        v = float(self.array[i]) if 0 <= i < len(self) else None
-        return None if v != v else v
+        label = quarter_label(self.start_index)
+        return f"QuarterlySeries({self.name!r}, {label}, {self.values!r}, {self.unit!r})"
 
     def items(self) -> Iterator[tuple[Quarter, float | None]]:
         return ((Quarter.from_index(self.start_index + i), v) for i, v in enumerate(self.values))
@@ -307,15 +247,7 @@ class Frame:
         return self.start_index == other.start_index and self.columns == other.columns
 
     def __repr__(self) -> str:
-        return f"Frame({self.start}, {self.columns!r})"
-
-    @property
-    def start(self) -> Quarter:
-        return Quarter.from_index(self.start_index)
-
-    @property
-    def end(self) -> Quarter:
-        return Quarter.from_index(self.start_index + len(self) - 1)
+        return f"Frame({quarter_label(self.start_index)}, {self.columns!r})"
 
     def names(self) -> list[str]:
         return list(self.columns)
@@ -334,8 +266,9 @@ class Frame:
         if missing:
             raise SchemaError(f"frame is missing required column(s): {', '.join(missing)}")
 
-    def complete_range(self) -> tuple[Quarter, Quarter] | None:
-        """The longest contiguous run of quarters where every column is present.
+    def complete_range(self) -> tuple[int, int] | None:
+        """The first and last quarter numbers of the longest contiguous run of
+        quarters where every column is present.
 
         This is the natural regression sample; returns None when no quarter
         has all columns observed. Of equally long runs the earliest wins.
@@ -348,10 +281,7 @@ class Frame:
         if not len(starts):
             return None
         k = int(np.argmax(stops - starts))
-        return (
-            Quarter.from_index(self.start_index + starts[k]),
-            Quarter.from_index(self.start_index + stops[k] - 1),
-        )
+        return self.start_index + int(starts[k]), self.start_index + int(stops[k]) - 1
 
 
 def align(columns: Iterable[QuarterlySeries]) -> Frame:

@@ -62,10 +62,16 @@ def _beta(fit) -> np.ndarray:
 
 
 def fitted_by_quarter(fit) -> dict:
-    """An OLS fit's fitted values, ``design.matrix @ beta``, by each design row's quarter."""
+    """An OLS fit's fitted values, ``design.matrix @ beta``, by each design row's quarter number."""
     d = fit.design
-    fitted = (d.matrix @ _beta(fit)).tolist()
-    return {Quarter.from_index(r): v for r, v in zip(d.rows.tolist(), fitted)}
+    return dict(zip(d.rows.tolist(), (d.matrix @ _beta(fit)).tolist()))
+
+
+def value_at(series, q: int) -> float | None:
+    """``series``' value at quarter number ``q``; None when missing or out of range."""
+    i = q - series.start_index
+    v = float(series.array[i]) if 0 <= i < len(series) else None
+    return None if v != v else v
 
 
 def residuals(fit) -> np.ndarray:

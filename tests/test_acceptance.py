@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import (
-    REAL_DATA_ENV, REAL_SERIES, design_from_arrays, fitted_by_quarter, real_data_dir
+    REAL_DATA_ENV, REAL_SERIES, design_from_arrays, fitted_by_quarter, real_data_dir, value_at
 )
 from test_regress import normal_equations_fit, random_system, simulate_ecm
 
@@ -121,8 +121,9 @@ def test_criterion_03_ecm_reparametrization_identity():
         for q, want in fitted.items():
             restricted = (
                 fit.intercept
-                + fit.underlying.coefficients["d_x"] * xs.diff().get(q)
-                + fit.gamma * (ys.lag(1).get(q) - fit.long_run_alphas["x_lag1"] * xs.lag(1).get(q))
+                + fit.underlying.coefficients["d_x"] * value_at(xs.diff(), q)
+                + fit.gamma
+                * (value_at(ys.lag(1), q) - fit.long_run_alphas["x_lag1"] * value_at(xs.lag(1), q))
             )
             worst = max(worst, abs(restricted - want) / scale)
     verdict(3, "ECM reparametrization identity", worst < 1e-10, f"max rel err {worst:.2e}")
@@ -149,7 +150,7 @@ def test_criterion_04_ecm_identification_and_dynamic_forecast():
     frame = align([QuarterlySeries("y", Quarter(2000, 1), tuple(y)), xs, xs.diff().rename("d_x")])
     start = Quarter(2000, 1).index + 120
     forecast = ecm_forecast(fit, frame, start, mode="dynamic")
-    err = max(abs(forecast.get(Quarter.from_index(start + i)) - y[120 + i]) for i in range(20))
+    err = max(abs(value_at(forecast, start + i) - y[120 + i]) for i in range(20))
     verdict(
         4,
         "noiseless ECM identification and 20-step dynamic forecast",

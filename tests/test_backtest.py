@@ -1,10 +1,12 @@
 import csv
 import json
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
+from conftest import value_at
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,7 +37,7 @@ from hlcast.errors import DataError, SchemaError
 from hlcast.lti import LtiParams
 from hlcast.regress import DesignMatrix, design_matrix, ols_fit
 from hlcast.synthetic import ScenarioConfig, generate
-from hlcast.timeseries import Frame, Quarter, QuarterlySeries, align
+from hlcast.timeseries import Frame, Quarter, QuarterlySeries, align, parse_quarter
 
 START = Quarter(2000, 1)
 CUTOFF = Quarter(2008, 2)
@@ -188,20 +190,19 @@ class TestBuildFeatures:
             f"{HLC_INCOME_RATIO}_lag6",
         }
         # income is the trailing-4 mean of the raw series
-        def at(k):
-            return Quarter.from_index(raw.start_index + k)
+        def at(column, k):
+            return value_at(column, raw.start_index + k)
 
-        q = at(10)
-        expected = sum(raw.column(INCOME).get(at(10 - i)) for i in range(4)) / 4.0
-        assert feats.column(INCOME).get(q) == pytest.approx(expected, rel=1e-12)
+        expected = sum(at(raw.column(INCOME), 10 - i) for i in range(4)) / 4.0
+        assert at(feats.column(INCOME), 10) == pytest.approx(expected, rel=1e-12)
         # loan-to-value gaps are filled from the most recent report
-        assert feats.column(LTV).get(at(2)) == 1.01
+        assert at(feats.column(LTV), 2) == 1.01
         # the ratio column is capacity over (smoothed) income
-        assert feats.column(HLC_INCOME_RATIO).get(q) == pytest.approx(
-            feats.column(HLC).get(q) / feats.column(INCOME).get(q), rel=1e-12
+        assert at(feats.column(HLC_INCOME_RATIO), 10) == pytest.approx(
+            at(feats.column(HLC), 10) / at(feats.column(INCOME), 10), rel=1e-12
         )
         # the headline lag is the capacity series shifted six quarters
-        assert feats.column(f"{HLC}_lag6").get(q) == feats.column(HLC).get(at(4))
+        assert at(feats.column(f"{HLC}_lag6"), 10) == at(feats.column(HLC), 4)
 
     def test_interest_only_zero_from(self):
         raw = make_raw()
@@ -209,23 +210,23 @@ class TestBuildFeatures:
         feats = build_features(raw, LtiParams(), interest_only_zero_from=cut)
         share = feats.column(INTEREST_ONLY_SHARE)
         assert all(v == 0.0 for q, v in share.items() if q.index >= cut)
-        assert share.get(Quarter.from_index(cut - 1)) != 0.0
+        assert value_at(share, cut - 1) != 0.0
 
     def test_share_derived_from_stock_inputs(self):
         raw = make_raw()
         cols = [raw.column(c) for c in raw.names() if c != INTEREST_ONLY_SHARE]
-        n = len(raw)
+        n, start = len(raw), Quarter.from_index(raw.start_index)
         stock = series(
-            [min(0.5, 0.005 * i) for i in range(n)], raw.start,
+            [min(0.5, 0.005 * i) for i in range(n)], start,
             "interest_only_stock_share", unit="fraction",
         )
-        trans = series([5_000.0] * n, raw.start, "transactions")
-        hh = series([100_000.0] * n, raw.start, "households")
+        trans = series([5_000.0] * n, start, "transactions")
+        hh = series([100_000.0] * n, start, "households")
         frame = align(cols + [stock, trans, hh])
         feats = build_features(frame, LtiParams())
         share = feats.column(INTEREST_ONLY_SHARE)
-        assert share.get(raw.start) is None  # no prior stock observation
-        assert 0.0 <= share.get(Quarter.from_index(raw.start_index + 10)) <= 1.0
+        assert value_at(share, raw.start_index) is None  # no prior stock observation
+        assert 0.0 <= value_at(share, raw.start_index + 10) <= 1.0
 
     def test_missing_column_named(self):
         raw = make_raw()
@@ -272,7 +273,7 @@ class TestRunGrid:
         # the same names must neither collide with them nor replace them
         data = generate(ScenarioConfig(seed=2))
         junk = [
-            series(np.linspace(-1.0, 1.0, 92), start=data.frame.start, name=n)
+            series(np.linspace(-1.0, 1.0, 92), Quarter.from_index(data.frame.start_index), n)
             for n in ("d_house_price", "d_income")
         ]
         reports = [
@@ -289,9 +290,9 @@ class TestRunGrid:
             fit = v.fit.underlying if v.approach == "ecm" else v.fit
             train_end = fit.design.rows[-1]
             if v.regime == "truncated":
-                assert train_end <= split.cutoff.index
+                assert train_end <= split.cutoff
             else:
-                assert train_end > split.cutoff.index
+                assert train_end > split.cutoff
 
     def test_full_fit_beats_truncated_on_all_quarters(self, features):
         # The full-sample fit minimizes squared error over a superset of the
@@ -326,13 +327,13 @@ class TestRunGrid:
             run_grid(features, [ModelSpec("hlc"), ModelSpec("hlc")], SplitSpec())
 
     def test_cutoff_outside_sample_rejected(self, features):
-        with pytest.raises(DataError):
-            run_grid(features, default_specs(), SplitSpec(cutoff=Quarter(2050, 1)))
+        with pytest.raises(DataError, match="^cutoff 2050Q1 lies outside the observed"):
+            run_grid(features, default_specs(), SplitSpec(cutoff=parse_quarter("2050Q1")))
 
     def test_cutoff_at_the_last_labelled_quarter(self, features, tmp_path):
-        # a sample ending at 9999Q4 has no Quarter after its cutoff, and no holdout
-        last = Quarter(9999, 4)
-        i0 = last.index - len(features) + 1
+        # a sample ending at 9999Q4 has no labelled quarter after its cutoff, and no holdout
+        last = parse_quarter("9999Q4")
+        i0 = last - len(features) + 1
         frame = align(s._with_array(s.array, i0) for s in features.columns.values())
         report = run_grid(frame, default_specs(), SplitSpec(cutoff=last))
         assert all(v.error is None and v.metrics_holdout is None for v in report.variants)
@@ -684,6 +685,16 @@ class TestSpecValidation:
             for spec in default_specs(3, tuple(MODELS))
         }
         assert names == {key: ["intercept"] + terms for key, terms in expected.items()}
+
+    @pytest.mark.parametrize("cutoff", [Quarter(2008, 2), True, 8033.0, "2008Q2"], ids=repr)
+    def test_non_integer_cutoff(self, cutoff):
+        message = f"^cutoff must be an integer, got {re.escape(repr(cutoff))}$"
+        with pytest.raises(TypeError, match=message):
+            SplitSpec(cutoff=cutoff)
+
+    def test_numpy_integer_cutoff_stored_as_int(self):
+        split = SplitSpec(cutoff=np.int64(8033))
+        assert type(split.cutoff) is int and split == SplitSpec() == SplitSpec(cutoff=8033)
 
     def test_bad_evaluation_window(self):
         with pytest.raises(ValueError):

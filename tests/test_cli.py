@@ -90,19 +90,29 @@ class TestSynth:
 class TestPipeline:
     def test_full_chain(self, cli, tmp_path):
         config = make_workspace(cli, tmp_path)
-        out = run_ok(cli, ["ingest", "--config", str(config)])
-        assert "92 quarters" in out and "house_price" in out
-        run_ok(cli, ["features", "--config", str(config)])
+        run_dir = load_config(config).run_dir()
+        out = run_ok(cli, ["ingest", "--config", str(config)]).splitlines()
+        frame = run_dir / "frame.csv"
+        assert out[0] == f"frame: 92 quarters (1995Q1..2017Q4), 5 columns -> {frame}"
+        assert "house_price" in "\n".join(out)
+        out = run_ok(cli, ["features", "--config", str(config)]).splitlines()
+        assert out[1:] == [
+            f"rows 1995Q1..2017Q4 -> {run_dir / 'features.csv'}", "complete sample: 1997Q2..2017Q4"
+        ]
         scan = run_ok(cli, ["lagscan", "--config", str(config)])
         assert "best lag: 6" in scan
         bt = run_ok(cli, ["backtest", "--config", str(config)])
-        assert "12/12 variants fitted" in bt
+        report = run_dir / "report.json"
+        assert bt == f"backtest: 12/12 variants fitted (cutoff 2008Q2) -> {report}\n"
         rep = run_ok(cli, ["report", "--config", str(config)])
         assert "Benchmark model" in rep
         assert "Lending capacity model" in rep
         assert "up to 2008Q2" in rep
+        rerun = load_config(config, cutoff="2006Q4").run_dir() / "report.json"
+        bt = run_ok(cli, ["backtest", "--config", str(config), "--cutoff", "2006Q4"])
+        assert bt == f"backtest: 12/12 variants fitted (cutoff 2006Q4) -> {rerun}\n"
+        assert json.loads(rerun.read_text())["cutoff"] == "2006Q4"
 
-        run_dir = load_config(config).run_dir()
         for name in ("frame.csv", "features.csv", "lag_scan.csv", "report.json"):
             assert (run_dir / name).is_file()
         assert (run_dir / "plots" / "summary.csv").is_file()
@@ -741,6 +751,23 @@ class TestCommandLine:
         code, out, err = cli(args)
         assert code == 2
         assert "usage: hlcast " in err.lower()
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("stage", ["ingest", "lagscan", "report"])
+    def test_closed_stdout_exits_1_without_a_traceback(self, cli, tmp_path, stage, unbuffered):
+        config = make_workspace(cli, tmp_path)
+        env = {**os.environ, "PYTHONPATH": str(Path(hlcast.__file__).parents[1])}
+        env["PYTHONUNBUFFERED"] = unbuffered  # empty: stdout is a buffered pipe
+        command = [sys.executable, "-m", "hlcast.cli", stage, "--config", str(config)]
+        proc = subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()  # the reader is gone before the command prints
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert err == ""
+        # a stage writes its files before it prints
+        written = {"ingest": "frame.csv", "lagscan": "lag_scan.csv", "report": "report.json"}
+        assert (load_config(config).run_dir() / written[stage]).is_file()
 
     def test_main_raises_system_exit_on_every_path(self, tmp_path):
         synth = ["synth", "--out", str(tmp_path / "ws")]

@@ -10,9 +10,12 @@ nor a command on a config whose parsed document is stored beside it loads
 PyYAML. Each check runs in a fresh interpreter, since this test process has
 already imported every module.
 
+``spec``, the names every layer shares, imports no layer.
+
 Inside the pipeline, quarters are quarter numbers from file to file: reading
 and writing CSV files, generating data, building features, scanning lags,
-running the grid and writing its report make no ``Quarter``.
+running the grid and writing its report make no ``Quarter``, and neither do
+the default split, the config or any command.
 """
 
 import os
@@ -25,7 +28,8 @@ import numpy as np
 import hlcast
 from hlcast.backtest import build_features, default_specs, emit_plot_data, run_grid
 from hlcast.regress import lag_scan
-from hlcast.spec import HLC, HOUSE_PRICE, LtiParams
+from hlcast.config import load_config
+from hlcast.spec import HLC, HOUSE_PRICE, LtiParams, SplitSpec
 from hlcast.synthetic import ScenarioConfig, generate
 from hlcast.timeseries import (
     Quarter, read_frame_csv, read_series_csv, write_frame_csv, write_series_csv
@@ -82,6 +86,11 @@ def loaded_by(code: str, *args: str) -> tuple[set[str], str]:
 def test_import_hlcast_loads_no_submodule():
     loaded, _ = loaded_by("import hlcast")
     assert loaded == set()
+
+
+def test_spec_imports_no_layer():
+    loaded, _ = loaded_by("import hlcast.spec")
+    assert loaded == {"hlcast.errors", "hlcast.spec"}
 
 
 def test_config_loads_none_of_the_model_stack():
@@ -148,13 +157,12 @@ def test_help_and_a_second_report_never_load_yaml(cli, tmp_path):
     assert "hlcast.config" in loaded and not loaded & YAML, loaded
 
 
-def test_the_pipeline_core_makes_no_quarter(monkeypatch, tmp_path):
+def test_the_pipeline_core_makes_no_quarter(cli, monkeypatch, tmp_path):
     def refuse(self, year, quarter):
         raise AssertionError(f"Quarter({year}, {quarter}) made inside the pipeline core")
 
-    config = ScenarioConfig()  # checks its last quarter by making a Quarter
     monkeypatch.setattr(Quarter, "__init__", refuse)
-    scenario = generate(config)
+    scenario = generate(ScenarioConfig())
     write_frame_csv(scenario.frame, tmp_path / "frame.csv")
     frame = read_frame_csv(tmp_path / "frame.csv")
     write_series_csv(frame.column(HOUSE_PRICE), tmp_path / "price.csv")
@@ -163,9 +171,17 @@ def test_the_pipeline_core_makes_no_quarter(monkeypatch, tmp_path):
     assert np.array_equal(price.array, scenario.frame.column(HOUSE_PRICE).array)
     features = build_features(frame, LtiParams(), hlc_lag=scenario.hlc_lag)
     scan = lag_scan(features.column(HOUSE_PRICE), features.column(HLC), range(9))
-    report = run_grid(features, default_specs(scenario.hlc_lag))
+    report = run_grid(features, default_specs(scenario.hlc_lag), SplitSpec())
     assert [e.lag for e in scan.entries] == list(range(9))
     assert len(report.variants) == 12
     assert [v.error for v in report.variants] == [None] * 12
     assert len(emit_plot_data(report, tmp_path / "plots")) == 13
     assert report.to_json().count("\n") == 14
+    # the commands, and the config they read
+    code, out, err = cli(["synth", "--out", str(tmp_path / "ws")])
+    assert code == 0, out + err
+    config = tmp_path / "ws" / "config.yaml"
+    assert load_config(config).split == SplitSpec()
+    for stage in ("ingest", "features", "lagscan", "backtest", "report"):
+        code, out, err = cli([stage, "--config", str(config)])
+        assert code == 0, (stage, out + err)

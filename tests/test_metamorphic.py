@@ -72,7 +72,7 @@ def test_relabelling_quarters_later_changes_no_result(seed, k):
         for s in frame.columns.values()
     )
     split = SplitSpec()
-    moved = variants(later, split=SplitSpec(Quarter.from_index(split.cutoff.index + k)))
+    moved = variants(later, split=SplitSpec(split.cutoff + k))
     for base, shifted in zip(variants(frame, split=split), moved, strict=True):
         # the training window's labels move with the data; its length does not
         base_train, shifted_train = base.pop("train"), shifted.pop("train")
@@ -85,7 +85,7 @@ def test_relabelling_quarters_later_changes_no_result(seed, k):
 def test_data_after_the_cutoff_never_reaches_a_truncated_fit(seed, draw):
     frame = frame_of(seed)
     rng = np.random.default_rng(draw)
-    cut = SplitSpec().cutoff.index + 1 - frame.start_index  # the first holdout position
+    cut = SplitSpec().cutoff + 1 - frame.start_index  # the first holdout position
     columns = []
     for s in frame.columns.values():
         a = s.to_array()

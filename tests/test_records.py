@@ -33,7 +33,7 @@ RECORDS = [
     (
         SplitSpec,
         "cutoff",
-        "SplitSpec(cutoff=Quarter(year=2008, quarter=2), evaluation_window='all_quarters')",
+        "SplitSpec(cutoff=8033, evaluation_window='all_quarters')",
     ),
     (lambda: ModelSpec("hlc"), "approach", "ModelSpec(name='hlc', approach='ols', hlc_lag=6)"),
     (lambda: Metrics(1.0, 2.0, 3), "rmse", "Metrics(rmse=1.0, mae=2.0, n_evaluated=3)"),

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.stats
-from conftest import design_from_arrays, fitted_by_quarter, residuals
+from conftest import design_from_arrays, fitted_by_quarter, residuals, value_at
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -306,7 +306,7 @@ class TestDesignAndPredict:
         fit = ols_fit(design_matrix(f, "y", ["x"]))
         pred = predict(fit, f)
         for q, v in fitted_by_quarter(fit).items():
-            assert pred.get(q) == pytest.approx(v, rel=1e-12)
+            assert value_at(pred, q) == pytest.approx(v, rel=1e-12)
 
     def test_predict_missing_propagates(self):
         f = align([series([1.0, 2.0, 3.0], name="y"), series([1.0, None, 3.0], name="x")])
@@ -395,12 +395,12 @@ class TestEcm:
             for q, want in fitted.items():
                 restricted = (
                     fit.intercept
-                    + fit.underlying.coefficients["d_x1"] * x1s.diff().get(q)
+                    + fit.underlying.coefficients["d_x1"] * value_at(x1s.diff(), q)
                     + fit.gamma
                     * (
-                        ys.lag(1).get(q)
-                        - fit.long_run_alphas["x1_lag1"] * x1s.lag(1).get(q)
-                        - fit.long_run_alphas["x2_lag1"] * x2s.lag(1).get(q)
+                        value_at(ys.lag(1), q)
+                        - fit.long_run_alphas["x1_lag1"] * value_at(x1s.lag(1), q)
+                        - fit.long_run_alphas["x2_lag1"] * value_at(x2s.lag(1), q)
                     )
                 )
                 assert abs(restricted - want) <= 1e-10 * scale
@@ -459,8 +459,7 @@ class TestEcm:
         start = START.index + 120
         forecast = ecm_forecast(fit, frame, start, mode="dynamic")
         for i in range(20):
-            q = Quarter.from_index(start + i)
-            assert forecast.get(q) == pytest.approx(y[120 + i], abs=1e-6)
+            assert value_at(forecast, start + i) == pytest.approx(y[120 + i], abs=1e-6)
 
     def test_forecast_without_an_anchor_level_is_data_error(self):
         # no quarter precedes 0000Q1, the first one a Quarter can hold
@@ -569,9 +568,9 @@ class TestLagScan:
         for e in result.entries:
             shifted = cand.lag(e.lag)
             pairs = [
-                (v, shifted.get(q))
-                for q, v in resp.items()
-                if v is not None and shifted.get(q) is not None
+                (v, w)
+                for v, w in zip(resp.values, shifted.values, strict=True)
+                if v is not None and w is not None
             ]
             a = np.array([p[0] for p in pairs])
             b = np.array([p[1] for p in pairs])

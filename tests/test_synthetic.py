@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import residuals
+from conftest import residuals, value_at
 
 from hlcast.backtest import (
     HLC,
@@ -15,7 +15,7 @@ from hlcast.regress import design_matrix, ols_fit
 from hlcast.synthetic import (
     REGIME_CHANGE, START, GeneratedData, ScenarioConfig, _uniform_blocks, generate
 )
-from hlcast.timeseries import Quarter, write_frame_csv
+from hlcast.timeseries import parse_quarter, write_frame_csv
 
 
 class TestDeterminism:
@@ -57,13 +57,19 @@ class TestStream:
         with pytest.raises(TypeError, match="seed"):
             ScenarioConfig(seed=seed)
 
+    def test_the_last_quarter_may_be_9999q4(self):
+        # 32020 quarters from 1995Q1 end in 9999Q4, the last labelled quarter
+        assert ScenarioConfig(n_quarters=32020).n_quarters == 32020
+        with pytest.raises(ValueError, match="^year must be in 0..9999, got 10000$"):
+            ScenarioConfig(n_quarters=32021)
+
 
 class TestShapes:
     def test_dimensions_and_units(self):
         data = generate(ScenarioConfig(seed=0))
         f = data.frame
         assert len(f) == 92
-        assert f.start == Quarter(1995, 1)
+        assert f.start_index == START == parse_quarter("1995Q1")
         assert set(f.names()) == {HOUSE_PRICE, INCOME, INTEREST_RATE, LTV, INTEREST_ONLY_SHARE}
         assert f.column(HOUSE_PRICE).unit == "eur"
         assert f.column(INCOME).unit == "eur"
@@ -87,12 +93,13 @@ class TestShapes:
         share = generate(cfg).frame.column(INTEREST_ONLY_SHARE)
         # flat zero before adoption, a real ramp in between, zero after the
         # regulatory shutdown
-        head = [share.get(Quarter.from_index(START.index + i)) for i in range(8)]
+        head = [value_at(share, START + i) for i in range(8)]
         assert all(v == 0.0 for v in head)
         assert max(v for v in share.values if v is not None) > 0.3
-        rc = REGIME_CHANGE.index - share.start_index
+        assert REGIME_CHANGE == parse_quarter("2011Q1")
+        rc = REGIME_CHANGE - share.start_index
         assert rc < len(share) and all(v == 0.0 for v in share.values[rc:])
-        assert share.get(Quarter.from_index(REGIME_CHANGE.index - 1)) > 0.0
+        assert value_at(share, REGIME_CHANGE - 1) > 0.0
 
     def test_boom_bust_in_prices(self):
         cfg = ScenarioConfig(seed=0)
@@ -101,7 +108,7 @@ class TestShapes:
         # The shutdown hits capacity at the regime change and reaches prices
         # with the capacity lag: a pre-dip peak, a drop of at least 5%, then
         # recovery.
-        hit = (REGIME_CHANGE.index - START.index) + data.hlc_lag
+        hit = (REGIME_CHANGE - START) + data.hlc_lag
         peak = price[:hit].max()
         trough = price[hit : hit + 4].min()
         assert trough < 0.95 * peak

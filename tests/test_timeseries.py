@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import value_at
 
 import hlcast.timeseries
 from hlcast.errors import DataError, ParseError, SchemaError
@@ -171,10 +172,9 @@ class TestLagDiff:
         rng = np.random.default_rng(1)
         s = series([float(v) for v in rng.normal(size=25)])
         d, l1 = s.diff(), s.lag(1)
-        for q, _ in s.items():
-            dv, lv = d.get(q), l1.get(q)
+        for v, dv, lv in zip(s.values, d.values, l1.values, strict=True):
             if dv is not None and lv is not None:
-                assert dv + lv == pytest.approx(s.get(q), rel=1e-12)
+                assert dv + lv == pytest.approx(v, rel=1e-12)
 
 
 class TestAlignAndFrame:
@@ -182,7 +182,8 @@ class TestAlignAndFrame:
         a = series([1.0, 2.0], start=Quarter(2000, 1), name="a")
         b = series([5.0, 6.0], start=Quarter(2000, 3), name="b")
         f = align([a, b])
-        assert f.start == Quarter(2000, 1) and f.end == Quarter(2000, 4)
+        last = f.start_index + len(f) - 1
+        assert (f.start_index, last) == (parse_quarter("2000Q1"), parse_quarter("2000Q4"))
         assert f.column("a").values == (1.0, 2.0, None, None)
         assert f.column("b").values == (None, None, 5.0, 6.0)
 
@@ -196,9 +197,9 @@ class TestAlignAndFrame:
         f = align(cols)
         originals = {s.name: s for s in cols}
         for name, col in f.columns.items():
-            for q, v in col.items():
+            for i, v in enumerate(col.values):
                 if v is not None:
-                    assert originals[name].get(q) == v
+                    assert value_at(originals[name], f.start_index + i) == v
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(SchemaError, match="duplicate"):
@@ -212,7 +213,9 @@ class TestAlignAndFrame:
         a = series([1.0, None, 1.0, 1.0, 1.0, None], name="a")
         b = series([1.0, 1.0, 1.0, 1.0, 1.0, 1.0], name="b")
         f = align([a, b])
-        assert f.complete_range() == (Quarter(2000, 3), Quarter(2001, 1))
+        span = f.complete_range()
+        assert span == (parse_quarter("2000Q3"), parse_quarter("2001Q1"))
+        assert [type(q) for q in span] == [int, int]
 
     def test_complete_range_none(self):
         f = align([series([None, None], name="a")])
