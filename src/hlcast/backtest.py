@@ -374,17 +374,13 @@ def _run_variant(
         result.predicted = predict(result.fit, frame)
     else:
         ecm = result.fit = ecm_fit(design)
-        # A static step uses only the observed previous level, so the path from
-        # the first fitted quarter is also the static out-of-sample forecast.
-        static = ecm_forecast(ecm, frame, start=int(design.rows[0]), mode="static")
-        result.predicted = static
-        if regime == "truncated":
-            dynamic = static.to_array()
-            if first < static.start_index + len(static):  # a holdout to forecast
-                dynamic[first - static.start_index :] = ecm_forecast(ecm, frame, first).array
-            paths = {"static": static, "dynamic": static._with_array(dynamic)}
+        # the full fit is one-step fitted everywhere; a truncated one forecasts
+        # from the cutoff in both modes
+        origin = None if regime == "full" else first - 1
+        result.predicted = ecm_forecast(ecm, frame, origin, forecast_mode)
+        if origin is not None:
             other = "static" if forecast_mode == "dynamic" else "dynamic"
-            result.predicted, alt = paths[forecast_mode], paths[other]
+            alt = ecm_forecast(ecm, frame, origin, other)
             result.forecast_mode, result.alt_mode = forecast_mode, other
             result.alt_metrics_all, result.alt_metrics_holdout = _score(observed, alt, first)
 

@@ -385,55 +385,55 @@ def ecm_fit(d: DesignMatrix) -> EcmFit:
 
 
 def ecm_forecast(
-    fit: EcmFit,
-    frame: Frame,
-    start: int,
-    mode: str = "dynamic",
+    fit: EcmFit, frame: Frame, origin: int | None = None, mode: str = "dynamic"
 ) -> QuarterlySeries:
-    """Forecast response levels from quarter number ``start`` to the end of ``frame``.
+    """The fit's path over ``frame``, from its first fitted quarter to the frame's end.
 
-    Static mode predicts each change from the observed previous level (one
-    step ahead everywhere); dynamic mode feeds its own predicted level back
-    in, so post-``start`` observations of the response are never used. The
-    frame must contain the response column (for the initial level) and the
-    column of every term of the fit; terms are rebuilt at their lags, as in
-    :func:`predict`.
-
-    A missing regressor makes that quarter's forecast missing; in dynamic
-    mode the recursion has then lost its level, so all later quarters are
-    missing too.
+    Up to and including quarter number ``origin``, each change is predicted
+    from the observed previous level; after it, static mode keeps doing so
+    (one step ahead) and dynamic mode feeds its own levels back, anchored on
+    the observed level at ``origin``, so no later response reaches its path.
+    With no origin, every quarter is a one-step fitted value.
+    The frame must contain the response and every term's column; terms are
+    rebuilt at their lags, as in :func:`predict`. A missing input makes that
+    quarter missing, and in dynamic mode every later quarter too.
     """
     if mode not in ("static", "dynamic"):
         raise ValueError(f"mode must be 'static' or 'dynamic', got {mode!r}")
-    terms, k = fit.underlying.design.terms, fit.level
-    response, terms = terms[k].column, terms[:k] + terms[k + 1 :]
+    design, k = fit.underlying.design, fit.level
+    response, terms = design.terms[k].column, design.terms[:k] + design.terms[k + 1 :]
     frame.require(response, *(t.column for t in terms))
     observed = frame.column(response)
-    y, n = observed.array, len(frame)
-    a = start - frame.start_index  # position of ``start`` in the frame
-    if not 0 < a <= n or np.isnan(y[a - 1]):
-        q = quarter_label(start)
-        raise DataError(f"no observed {response!r} level before {q} to anchor the forecast")
+    y, n, i0 = observed.array, len(frame), frame.start_index
+    start = int(design.rows[0])  # the fit's first fitted quarter
+    anchor = start - 1 if origin is None else origin
+    # the positions of the path's first quarter and of the first fed its own levels
+    a, b = start - i0, n if origin is None else origin + 1 - i0
+    if not 0 < a <= b <= n or np.isnan(y[anchor - i0]):
+        raise DataError(
+            f"no observed {response!r} level at {quarter_label(anchor)} "
+            f"can anchor a path from {quarter_label(start)}"
+        )
     # change = intercept + gamma * previous level + terms in fit order; NaN
     # marks missing, and an infinite input gives inf - inf = NaN
     with np.errstate(invalid="ignore"):
         products = _term_products(fit.underlying.coefficients, terms, frame, a)
-        if mode == "static":
-            prev = y[a - 1 : n - 1]
-            delta = fit.intercept + fit.gamma * prev
-            for p in products:
-                delta = delta + p
-            levels = prev + delta
-        else:
-            intercept, gamma, level = fit.intercept, fit.gamma, float(y[a - 1])
+        prev = y[a - 1 : n - 1]
+        delta = fit.intercept + fit.gamma * prev
+        for p in products:
+            delta = delta + p
+        levels = prev + delta
+        if mode == "dynamic":
+            intercept, gamma, level = fit.intercept, fit.gamma, float(y[b - 1])
+            tail = [p[b - a :] for p in products]
             out = []
-            for inputs in np.column_stack(products).tolist() if products else [()] * (n - a):
+            for inputs in np.column_stack(tail).tolist() if tail else [()] * (n - b):
                 delta = intercept + gamma * level
                 for p in inputs:
                     delta += p
                 level = level + delta
                 out.append(level)
-            levels = np.array(out, dtype=float)
+            levels[b - a :] = out
     return QuarterlySeries._from_array(f"{response}_forecast", start, levels, observed.unit)
 
 

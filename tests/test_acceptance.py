@@ -148,9 +148,9 @@ def test_criterion_04_ecm_identification_and_dynamic_forecast():
         and abs(fit.intercept - 0.5) < 1e-8
     )
     frame = align([QuarterlySeries("y", Quarter(2000, 1), tuple(y)), xs, xs.diff().rename("d_x")])
-    start = Quarter(2000, 1).index + 120
-    forecast = ecm_forecast(fit, frame, start, mode="dynamic")
-    err = max(abs(value_at(forecast, start + i) - y[120 + i]) for i in range(20))
+    origin = Quarter(2000, 1).index + 119
+    forecast = ecm_forecast(fit, frame, origin, mode="dynamic")
+    err = max(abs(value_at(forecast, origin + 1 + i) - y[120 + i]) for i in range(20))
     verdict(
         4,
         "noiseless ECM identification and 20-step dynamic forecast",

@@ -157,6 +157,32 @@ class TestPipeline:
         doc = json.loads((moved_dir / "report.json").read_text())
         assert doc["cutoff"] == "2006Q4"
 
+    def test_static_forecast_mode_swaps_the_main_and_alternative_paths(self, cli, tmp_path):
+        config = make_workspace(cli, tmp_path)
+        run_ok(cli, ["backtest", "--config", str(config)])
+        doc = yaml.safe_load(config.read_text())
+        doc["backtest"]["forecast_mode"] = "static"
+        config.write_text(yaml.safe_dump(doc))
+        run_ok(cli, ["backtest", "--config", str(config)])
+        runs = sorted((tmp_path / "data" / "runs").iterdir())
+        assert load_config(config).run_dir() in runs and len(runs) == 2
+        reports = {}
+        for run_dir in runs:
+            report = json.loads((run_dir / "report.json").read_text())
+            reports[report["forecast_mode"]] = report["variants"]
+        swapped = 0
+        for d, s in zip(reports["dynamic"], reports["static"], strict=True):
+            if (d["approach"], d["regime"]) != ("ecm", "truncated"):
+                assert s == d
+                continue
+            swapped += 1
+            assert (s["forecast_mode"], s["alt_forecast"]["mode"]) == ("static", "dynamic")
+            assert s["metrics_holdout"] != d["metrics_holdout"], d["name"]
+            for window in ("metrics_all", "metrics_holdout"):
+                assert s[window] == d["alt_forecast"][window], (d["name"], window)
+                assert s["alt_forecast"][window] == d[window], (d["name"], window)
+        assert swapped == 3
+
     def test_run_dir_does_not_depend_on_the_config_path_spelling(
         self, cli, tmp_path, monkeypatch
     ):

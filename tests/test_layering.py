@@ -16,8 +16,13 @@ Inside the pipeline, quarters are quarter numbers from file to file: reading
 and writing CSV files, generating data, building features, scanning lags,
 running the grid and writing its report make no ``Quarter``, and neither do
 the default split, the config or any command.
+
+The benchmark's span tracer wraps hlcast's layer functions by name, so each
+name it lists must resolve.
 """
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -185,3 +190,17 @@ def test_the_pipeline_core_makes_no_quarter(cli, monkeypatch, tmp_path):
     for stage in ("ingest", "features", "lagscan", "backtest", "report"):
         code, out, err = cli([stage, "--config", str(config)])
         assert code == 0, (stage, out + err)
+
+
+def test_every_name_the_span_tracer_wraps_resolves():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    module_spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(spans)
+    for name, targets in spans.LAYER_FUNCTIONS.items():
+        for module, function in targets:
+            found = getattr(importlib.import_module(module), function, None)
+            assert callable(found), (name, module, function)
+    for name, (module, cls, method) in spans.LAYER_METHODS.items():
+        found = vars(getattr(importlib.import_module(module), cls, object)).get(method)
+        assert callable(found), (name, module, cls, method)

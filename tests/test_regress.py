@@ -429,26 +429,33 @@ class TestEcm:
         assert fit.long_run_alphas["x_lag1"] == pytest.approx(-theta / fit.gamma, rel=1e-14)
 
     def test_forecast_one_step_modes_agree(self):
+        # the modes differ only after the origin, and not in its first step
         x, y = simulate_ecm(noise=0.2, seed=8)
         ys, xs, fit = fit_simulated(x, y)
         frame = ecm_frame(ys, xs)
-        start = START.index + 100
-        static = ecm_forecast(fit, frame, start, mode="static")
-        dynamic = ecm_forecast(fit, frame, start, mode="dynamic")
-        assert static.values[0] == pytest.approx(dynamic.values[0], rel=1e-14)
+        origin = START.index + 99
+        static = ecm_forecast(fit, frame, origin, mode="static")
+        dynamic = ecm_forecast(fit, frame, origin, mode="dynamic")
+        assert static.start_index == dynamic.start_index == int(fit.underlying.design.rows[0])
+        m = origin + 2 - static.start_index  # through the first quarter after the origin
+        assert np.array_equal(static.array[:m], dynamic.array[:m])
+        assert not np.array_equal(static.array[m:], dynamic.array[m:])
 
-    def test_static_forecast_does_not_depend_on_start(self):
-        # each static step reads only the observed previous level, so a later
-        # start gives, bit for bit, the tail of an earlier one
+    def test_static_path_does_not_depend_on_the_origin(self):
+        # each static step reads only the observed previous level, so every
+        # origin gives, bit for bit, the one-step fitted path
         x, y = simulate_ecm(noise=0.3, seed=5)
         ys, xs = series(list(y), name="y"), series(list(x), name="x")
         frame = ecm_frame(ys, xs)
         design = ecm_design(frame, "y", [("d_x", 2)], [("x", 3)])
         fit = ecm_fit(design.until(START.index + 90))
-        early = ecm_forecast(fit, frame, START.index + 4, mode="static")
-        for k in (5, 91, 139):
-            late = ecm_forecast(fit, frame, START.index + k, mode="static")
-            assert np.array_equal(late.array, early.array[k - 4 :])
+        fitted = ecm_forecast(fit, frame, mode="static")
+        first, last = int(design.rows[0]), frame.start_index + len(frame) - 1
+        assert fitted.start_index == first and len(fitted) == last + 1 - first
+        for origin in (first - 1, first, START.index + 90, START.index + 138, last):
+            path = ecm_forecast(fit, frame, origin, mode="static")
+            assert path.start_index == first
+            assert np.array_equal(path.array, fitted.array)
 
     def test_dynamic_forecast_tracks_noiseless_path(self):
         x, y = simulate_ecm(n=140)
@@ -456,20 +463,24 @@ class TestEcm:
         xs = series(list(x), name="x")
         fit = ecm_fit(ecm_design(ecm_frame(train_ys, xs), "y", ["d_x"], [("x", 1)]))
         frame = ecm_frame(series(list(y), name="y"), xs)
-        start = START.index + 120
-        forecast = ecm_forecast(fit, frame, start, mode="dynamic")
+        origin = START.index + 119
+        forecast = ecm_forecast(fit, frame, origin, mode="dynamic")
         for i in range(20):
-            assert value_at(forecast, start + i) == pytest.approx(y[120 + i], abs=1e-6)
+            assert value_at(forecast, origin + 1 + i) == pytest.approx(y[120 + i], abs=1e-6)
 
     def test_forecast_without_an_anchor_level_is_data_error(self):
-        # no quarter precedes 0000Q1, the first one a Quarter can hold
+        # a fit on data from 0000Q1, the first quarter a label can name: its
+        # path starts at 0000Q2, and no quarter precedes 0000Q1
         x, y = simulate_ecm(n=40)
-        ys, xs, fit = fit_simulated(x, y)
-        frame = align(s._with_array(s.array, 0) for s in ecm_frame(ys, xs).columns.values())
-        with pytest.raises(DataError, match="no observed 'y' level before 0000Q1"):
-            ecm_forecast(fit, frame, Quarter(0, 1).index)
+        ys, xs = (s._with_array(s.array, 0) for s in (series(y, name="y"), series(x, name="x")))
+        frame = ecm_frame(ys, xs)
+        fit = ecm_fit(ecm_design(frame, "y", ["d_x"], [("x", 1)]))
+        with pytest.raises(DataError, match="no observed 'y' level at 0000Q1 can anchor a path"):
+            ecm_forecast(fit, align(s._with_array(s.array[1:], 1) for s in frame.columns.values()))
         # a quarter number with no label is named by its number
-        with pytest.raises(DataError, match="no observed 'y' level before quarter number -1"):
+        with pytest.raises(
+            DataError, match="no observed 'y' level at quarter number -1 can anchor a path from 0000Q2"
+        ):
             ecm_forecast(fit, frame, -1)
 
     def test_zero_coefficients_give_flat_forecast(self):
@@ -484,7 +495,7 @@ class TestEcm:
             design=DesignMatrix(
                 response=np.array([0.0]),
                 matrix=np.zeros((1, len(names))),
-                rows=np.array([START.index]),
+                rows=np.array([START.index + 1]),
                 response_name="d_y",
                 terms=(Term("d_x", "d_x"), Term("y_lag1", "y", 1), Term("x_lag1", "x", 1)),
             ),
@@ -502,7 +513,7 @@ class TestEcm:
                 series([2.0] * 10, name="x"),
             ]
         )
-        out = ecm_forecast(fit, frame, START.index + 1, mode="dynamic")
+        out = ecm_forecast(fit, frame, START.index, mode="dynamic")
         assert all(v == 5.0 for v in out.values)
 
     def test_missing_initial_level(self):
@@ -510,7 +521,12 @@ class TestEcm:
         ys, xs, fit = fit_simulated(x, y)
         frame = ecm_frame(ys, xs)
         with pytest.raises(DataError, match="anchor"):
-            ecm_forecast(fit, frame, frame.start_index, mode="dynamic")
+            ecm_forecast(fit, frame, frame.start_index - 1, mode="dynamic")
+        # an origin whose level is missing
+        gap = ys.to_array()
+        gap[30] = np.nan
+        with pytest.raises(DataError, match=r"level at 2007Q3 can anchor"):
+            ecm_forecast(fit, ecm_frame(ys._with_array(gap), xs), START.index + 30)
 
     def test_bad_mode(self):
         x, y = simulate_ecm(n=60)
@@ -520,21 +536,21 @@ class TestEcm:
             ecm_forecast(fit, frame, START.index + 10, mode="oracle")
 
     def test_dynamic_ignores_observed_levels(self):
-        # Corrupting post-start observations must not change a dynamic
-        # forecast, but must change a static one.
+        # Corrupting observations after the origin must not change a dynamic
+        # path, but must change a static one.
         x, y = simulate_ecm(n=100, noise=0.3, seed=21)
         ys, xs, fit = fit_simulated(x, y)
-        start = START.index + 80
+        origin = START.index + 80
         corrupted = list(y)
         for i in range(81, 100):
             corrupted[i] += 500.0
         frame_ok = ecm_frame(ys, xs)
         frame_bad = ecm_frame(series(corrupted, name="y"), xs)
-        dyn_ok = ecm_forecast(fit, frame_ok, start, mode="dynamic")
-        dyn_bad = ecm_forecast(fit, frame_bad, start, mode="dynamic")
+        dyn_ok = ecm_forecast(fit, frame_ok, origin, mode="dynamic")
+        dyn_bad = ecm_forecast(fit, frame_bad, origin, mode="dynamic")
         assert dyn_ok.values == dyn_bad.values
-        static_ok = ecm_forecast(fit, frame_ok, start, mode="static")
-        static_bad = ecm_forecast(fit, frame_bad, start, mode="static")
+        static_ok = ecm_forecast(fit, frame_ok, origin, mode="static")
+        static_bad = ecm_forecast(fit, frame_bad, origin, mode="static")
         assert static_ok.values != static_bad.values
 
 
