@@ -6,8 +6,9 @@ and bytes and the hlcast version, so runs of different settings or data
 never overwrite each other, and a run directory never holds results of
 data that has since changed. File paths are not hashed: a workspace keeps
 its run directories wherever it lies and whichever directory the command
-runs from. The document parsed from a config's text is kept in a JSON
-sidecar beside it, so a command on an unchanged config never imports PyYAML.
+runs from. Once a config has passed every check, the document parsed from
+its text is kept in a JSON sidecar beside it, so a command on an unchanged
+valid config never imports PyYAML.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import copy
 import importlib.util
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -387,48 +387,6 @@ def _cache_key(text: str) -> str | None:
     return sha256(repr(facts).encode()).hexdigest()
 
 
-def _plain(node, seen: set) -> bool:
-    """Whether ``node`` reads back from JSON as itself: str-keyed dicts and
-    lists of str, int, finite float, bool or None, no collection reached
-    twice (JSON would write an alias out once per use, or forever)."""
-    if type(node) in (dict, list):
-        if id(node) in seen:
-            return False
-        seen.add(id(node))
-        if type(node) is list:
-            return all(_plain(v, seen) for v in node)
-        return all(type(k) is str and _plain(v, seen) for k, v in node.items())
-    if type(node) is float:
-        return math.isfinite(node)
-    return node is None or type(node) in (str, int, bool)
-
-
-def _document(text: str, path: Path):
-    """The YAML document in ``text``: the one stored beside ``path`` under
-    ``text``'s key, else parsed and stored there for the next command.
-
-    The store is a hidden JSON sidecar, ``.<config name>.hlcast.json``. One
-    that cannot be read, holds another key or cannot be written is a miss.
-    """
-    key = _cache_key(text)
-    if key is None:
-        return _parse_yaml(text, path)
-    sidecar = path.with_name(f".{path.name}.hlcast.json")
-    try:
-        stored = json.loads(sidecar.read_text(encoding="utf-8"))
-        if stored["key"] == key:
-            return stored["document"]
-    except (OSError, ValueError, LookupError, TypeError, RecursionError):
-        pass
-    raw = _parse_yaml(text, path)
-    if _plain(raw, set()):
-        try:  # an int past 4300 digits (YAML reads hex without limit) has no JSON text
-            write_text(sidecar, json.dumps({"key": key, "document": raw}, allow_nan=False))
-        except (DataError, OSError, ValueError):
-            pass
-    return raw
-
-
 def load_config(
     path: str | Path,
     out: str | None = None,
@@ -441,17 +399,41 @@ def load_config(
     are given replace the file's values once those have passed every check,
     and go through the same per-key checks. Relative data paths and
     ``output_dir`` resolve against the config file's directory.
+
+    The document parsed from the text is stored in a hidden JSON sidecar,
+    ``.<config name>.hlcast.json``, under the text's key once it has passed
+    every check, and the next load of the same text reads it from there. A
+    sidecar that cannot be read, holds another key or cannot be written is a
+    miss; every check runs on a hit too.
     """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    raw = _require_mapping(_document(text, path), str(path))
+    key, document = _cache_key(text), None
+    sidecar = path.with_name(f".{path.name}.hlcast.json")
+    if key is not None:
+        try:
+            stored = json.loads(sidecar.read_text(encoding="utf-8"))
+            document = stored["document"] if stored["key"] == key else None
+        except (OSError, ValueError, LookupError, TypeError, RecursionError):
+            pass
+    hit = document is not None
+    if not hit:
+        document = _parse_yaml(text, path)
+    raw = _require_mapping(document, str(path))
     _reject_unknown(raw, {"data", *DEFAULTS}, str(path))
     sources = _sources(raw.get("data"), path.parent)
     settings = checked_settings(raw)
     _check_values(settings, sources)
+    # a checked document nests 3 deep and holds only str keys, strings, None and
+    # numbers that the checks cast, wrote and bounded: JSON reads it back as itself
+    if not hit and key is not None:
+        try:
+            write_text(sidecar, json.dumps({"key": key, "document": document}))
+        except (DataError, OSError):
+            pass
     # a flag replaces a file value only after the file has passed every check
     if out is not None:
         settings["output_dir"] = _checked("output_dir", out)

@@ -48,9 +48,10 @@ class ScenarioConfig(Record):
         seed = _integer("seed", seed)
         if seed < 0:
             raise ValueError(f"seed must be >= 0, got {seed}")
-        if n_quarters < 40:
+        if n_quarters < REGIME_CHANGE - START + 1:  # so the default cutoff, 2008Q2, lies inside
             raise ValueError(
-                f"n_quarters must be >= 40 to span the lags and both regimes, got {n_quarters}"
+                f"n_quarters must be >= {REGIME_CHANGE - START + 1} to reach the "
+                f"interest-only cut in 2011Q1, got {n_quarters}"
             )
         if not 0.0 <= noise_scale <= 0.2:
             raise ValueError(f"noise_scale must be in [0, 0.2], got {noise_scale}")

@@ -70,6 +70,23 @@ class TestSynth:
         assert code == 3
         assert not (tmp_path / "ws").exists()
 
+    def test_the_shortest_scenario_runs_every_stage(self, cli, tmp_path):
+        # 65 quarters from 1995Q1 reach 2011Q1, the interest-only cut, past the
+        # default cutoff 2008Q2; one quarter fewer is refused before anything is written
+        ws = tmp_path / "ws"
+        code, out, err = cli(["synth", "--out", str(ws), "--quarters", "64"])
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: n_quarters must be >= 65 to reach the interest-only cut in 2011Q1, got 64\n"
+        )
+        assert not ws.exists()
+        run_ok(cli, ["synth", "--out", str(ws), "--quarters", "65"])
+        config = str(ws / "config.yaml")
+        outs = [run_ok(cli, [stage, "--config", config]) for stage in
+                ("ingest", "features", "lagscan", "backtest", "report")]
+        assert outs[0].startswith("frame: 65 quarters (1995Q1..2011Q1), ")
+        assert outs[3].startswith("backtest: 12/12 variants fitted (cutoff 2008Q2) -> ")
+
     def test_rejects_negative_seed(self, cli, tmp_path):
         code, out, err = cli(["synth", "--out", str(tmp_path / "ws"), "--seed", "-1"])
         assert code == 3
@@ -665,6 +682,8 @@ class TestErrors:
         assert (code, out) == (2, ""), err
         nope = quote(str(config.parent / "nope.csv"))
         assert err == f"error: {message.format(nope=nope)}\n"
+        # only a file that passed every check is stored, before a flag is checked
+        assert sidecar(config).exists() == bool(args)
 
     @pytest.mark.parametrize(
         "name,row,value",
@@ -983,9 +1002,10 @@ class TestConfigRoundTrip:
 
 
 class TestConfigCache:
-    """``load_config`` keeps the document it parses from a config in a hidden
-    sidecar beside it, keyed by the text; a later command on the same text
-    reads the document from there and parses nothing, with the same output."""
+    """``load_config`` keeps the document it parses from a config that passes
+    every check in a hidden sidecar beside it, keyed by the text; a later
+    command on the same text reads the document from there and parses nothing,
+    with the same output."""
 
     def test_the_second_command_parses_nothing(self, cli, tmp_path, monkeypatch):
         config = make_workspace(cli, tmp_path)
@@ -1049,11 +1069,13 @@ class TestConfigCache:
 
     @pytest.mark.parametrize(
         "value",
-        [".nan", "2020-01-01", "[&a [x], *a]", "0x" + "f" * 4000],
-        ids=["nan", "date", "alias", "int_past_4300_digits"],
+        [".nan", "2020-01-01", "[&a [x], *a]", "0x" + "f" * 4000, "1"],
+        ids=["nan", "date", "alias", "int_past_4300_digits", "int"],
     )
     def test_a_document_json_cannot_hold_is_not_stored(self, cli, tmp_path, monkeypatch, value):
-        # the hex integer has 4,817 decimal digits, which JSON cannot write
+        # a config that fails its checks is parsed on every command and never
+        # stored, whether or not JSON could write its document (a plain int can;
+        # the hex integer has 4,817 decimal digits, which JSON cannot write)
         config = make_workspace(cli, tmp_path)
         config.write_text(config.read_text() + f"extra: {value}\n")
         loads = spy_on(monkeypatch)
@@ -1063,6 +1085,51 @@ class TestConfigCache:
         assert not sidecar(config).exists()
         assert cli(args) == first
         assert len(loads) == 2
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            (
+                "  interest_rate:\n    path: interest_rate.csv\n    unit: fraction\n"
+                "  ltv:\n    path: ltv.csv\n    unit: fraction\n",
+                "  interest_rate: &f\n    path: interest_rate.csv\n    unit: fraction\n"
+                "  ltv: *f\n",
+            ),
+            ("  smoothing_window: 4\n", "  smoothing_window: 1" + "0" * 3999 + "\n"),
+            (
+                "  cost_rate: 0.025\n  term_months: 360\n",
+                "  cost_rate: 0\n  term_months: 360.0\n",
+            ),
+            (
+                "features:\n  smoothing_window: 4\n  hlc_lag: 6\n  interest_only_zero_from: null\n",
+                "features:\n",
+            ),
+        ],
+        ids=["shared_alias", "4000_digits", "int_and_float_keys_swapped", "empty_section"],
+    )
+    def test_an_accepted_config_reads_back_as_itself(self, cli, tmp_path, monkeypatch, old, new):
+        # only the checks keep these documents to what JSON writes back as itself
+        config = make_workspace(cli, tmp_path)
+        text = config.read_text()
+        assert old in text
+        config.write_text(text.replace(old, new))
+        loads = spy_on(monkeypatch)
+        first = load_config(config)
+        assert len(loads) == 1 and sidecar(config).is_file()
+        second = load_config(config)
+        assert len(loads) == 1
+        assert second == first and second.run_dir() == first.run_dir()
+
+    def test_a_hit_still_runs_every_check(self, cli, tmp_path, monkeypatch):
+        config = make_workspace(cli, tmp_path)
+        run_ok(cli, ["ingest", "--config", str(config)])
+        assert sidecar(config).is_file()
+        (config.parent / "ltv.csv").unlink()
+        loads = spy_on(monkeypatch)
+        code, out, err = cli(["ingest", "--config", str(config)])
+        assert (code, out) == (2, ""), err
+        assert err == f"error: data file(s) not found: {quote(str(config.parent / 'ltv.csv'))}\n"
+        assert loads == []
 
 
 class TestConfigText:
@@ -1115,11 +1182,10 @@ class TestConfigText:
             code, out, err = cli(args)
             assert code == 2 and err.startswith(want) and err.count("\n") == 1, err
             assert len(loads) == 1 and issubclass(loads[0], yaml.SafeLoader)
-            # a document JSON holds as itself is stored, and the next command parses nothing
-            stored = levels == depth - 1 and kind != "alias"
-            assert sidecar(config).exists() == stored
+            # a config that fails its checks is not stored, so the next command parses again
+            assert not sidecar(config).exists()
             assert cli(args) == (code, out, err)
-            assert len(loads) == 2 - stored
+            assert len(loads) == 2
 
     @pytest.mark.parametrize(
         "value,message",

@@ -59,8 +59,8 @@ def run(args: list[str]) -> tuple[int, str, str]:
 def run_stages(config) -> list[tuple[int, str, str]]:
     """Every stage on ``config``, the first on a load that parses the text (no
     stored document). The first stage run again, on a load that reads the
-    document stored then wherever JSON can hold it, gives the same exit code,
-    stdout and stderr."""
+    document stored then if the config passed every check, gives the same exit
+    code, stdout and stderr."""
     config.with_name(f".{config.name}.hlcast.json").unlink(missing_ok=True)
     results = [run([stage, "--config", str(config)]) for stage in STAGES]
     assert run([next(iter(STAGES)), "--config", str(config)]) == results[0]

@@ -139,7 +139,7 @@ class TestIdentification:
 class TestConfigValidation:
     def test_minimum_span(self):
         with pytest.raises(ValueError):
-            ScenarioConfig(n_quarters=39)
+            ScenarioConfig(n_quarters=64)
 
     def test_noise_scale_bounds(self):
         with pytest.raises(ValueError):
@@ -148,5 +148,5 @@ class TestConfigValidation:
             ScenarioConfig(noise_scale=-0.01)
 
     def test_custom_length(self):
-        data = generate(ScenarioConfig(seed=2, n_quarters=60))
-        assert len(data.frame) == 60
+        data = generate(ScenarioConfig(seed=2, n_quarters=65))
+        assert len(data.frame) == 65
