@@ -374,13 +374,13 @@ def _run_variant(
         result.predicted = predict(result.fit, frame)
     else:
         ecm = result.fit = ecm_fit(design)
-        # the full fit is one-step fitted everywhere; a truncated one forecasts
-        # from the cutoff in both modes
-        origin = None if regime == "full" else first - 1
-        result.predicted = ecm_forecast(ecm, frame, origin, forecast_mode)
-        if origin is not None:
+        # a static path, and the full fit's, is one-step fitted everywhere; a
+        # truncated fit's dynamic path runs on its own levels from the cutoff
+        origins = {"static": None, "dynamic": None if regime == "full" else first - 1}
+        result.predicted = ecm_forecast(ecm, frame, origins[forecast_mode])
+        if regime == "truncated":
             other = "static" if forecast_mode == "dynamic" else "dynamic"
-            alt = ecm_forecast(ecm, frame, origin, other)
+            alt = ecm_forecast(ecm, frame, origins[other])
             result.forecast_mode, result.alt_mode = forecast_mode, other
             result.alt_metrics_all, result.alt_metrics_holdout = _score(observed, alt, first)
 

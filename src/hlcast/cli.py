@@ -237,6 +237,8 @@ def lagscan(cfg: RunConfig, run_dir: Path) -> None:
     print(f"{'lag':>4}{'R^2':>10}{'n':>6}")
     for lag, r2, n in rows:
         print(f"{lag:>4}{r2:>10}{n:>6}")
+    if result.best_lag is None:
+        raise DataError(f"no lag in {cfg.lag_min}..{cfg.lag_max} has a usable R^2")
     print(f"best lag: {result.best_lag}")
 
 

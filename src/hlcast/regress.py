@@ -4,8 +4,8 @@ OLS with classical inference statistics, solved through an orthogonal
 decomposition with column-norm equilibration (the design matrices here mix
 euros with fractions, so raw normal equations lose digits). The error
 correction model is fitted in its unrestricted linear parametrization and
-the long-run coefficients recovered afterwards. Also: static/dynamic
-forecasting for fitted ECMs and the R-squared lag scan used to pick the
+the long-run coefficients recovered afterwards. Also: the fitted and
+forecast paths of fitted ECMs and the R-squared lag scan used to pick the
 lending-capacity lead time.
 """
 
@@ -384,22 +384,17 @@ def ecm_fit(d: DesignMatrix) -> EcmFit:
     )
 
 
-def ecm_forecast(
-    fit: EcmFit, frame: Frame, origin: int | None = None, mode: str = "dynamic"
-) -> QuarterlySeries:
+def ecm_forecast(fit: EcmFit, frame: Frame, origin: int | None = None) -> QuarterlySeries:
     """The fit's path over ``frame``, from its first fitted quarter to the frame's end.
 
     Up to and including quarter number ``origin``, each change is predicted
-    from the observed previous level; after it, static mode keeps doing so
-    (one step ahead) and dynamic mode feeds its own levels back, anchored on
-    the observed level at ``origin``, so no later response reaches its path.
-    With no origin, every quarter is a one-step fitted value.
+    from the observed previous level; after it, the path feeds its own levels
+    back, anchored on the observed level at ``origin``, so no later response
+    reaches it. With no origin, every quarter is a one-step fitted value.
     The frame must contain the response and every term's column; terms are
     rebuilt at their lags, as in :func:`predict`. A missing input makes that
-    quarter missing, and in dynamic mode every later quarter too.
+    quarter missing, and after the origin every later quarter too.
     """
-    if mode not in ("static", "dynamic"):
-        raise ValueError(f"mode must be 'static' or 'dynamic', got {mode!r}")
     design, k = fit.underlying.design, fit.level
     response, terms = design.terms[k].column, design.terms[:k] + design.terms[k + 1 :]
     frame.require(response, *(t.column for t in terms))
@@ -423,7 +418,7 @@ def ecm_forecast(
         for p in products:
             delta = delta + p
         levels = prev + delta
-        if mode == "dynamic":
+        if origin is not None:  # past the origin, the path feeds on its own levels
             intercept, gamma, level = fit.intercept, fit.gamma, float(y[b - 1])
             tail = [p[b - a :] for p in products]
             out = []

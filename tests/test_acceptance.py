@@ -149,7 +149,7 @@ def test_criterion_04_ecm_identification_and_dynamic_forecast():
     )
     frame = align([QuarterlySeries("y", Quarter(2000, 1), tuple(y)), xs, xs.diff().rename("d_x")])
     origin = Quarter(2000, 1).index + 119
-    forecast = ecm_forecast(fit, frame, origin, mode="dynamic")
+    forecast = ecm_forecast(fit, frame, origin)
     err = max(abs(value_at(forecast, origin + 1 + i) - y[120 + i]) for i in range(20))
     verdict(
         4,

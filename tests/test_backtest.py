@@ -343,6 +343,20 @@ class TestRunGrid:
         emit_plot_data(report, tmp_path)
         assert (tmp_path / "hlc_ecm_truncated.csv").read_text().splitlines()[-1].startswith("9999Q4,")
 
+    def test_unknown_forecast_mode_rejected_before_any_fit(self, features, monkeypatch):
+        def no_fit(*_):
+            raise AssertionError("fitted before the forecast mode was checked")
+
+        monkeypatch.setattr(hlcast.backtest, "ols_fit", no_fit)
+        monkeypatch.setattr(hlcast.backtest, "ecm_fit", no_fit)
+        with pytest.raises(ValueError, match="forecast_mode must be 'static' or 'dynamic', got 'x'"):
+            run_grid(features, default_specs(), SplitSpec(), forecast_mode="x")
+
+    def test_unknown_variant_is_key_error(self, features):
+        report = run_grid(features, default_specs(models=["hlc"]), SplitSpec())
+        with pytest.raises(KeyError, match="no variant benchmark/ols/full"):
+            report.variant("benchmark", "ols", "full")
+
     def test_ecm_truncated_reports_both_modes(self, features):
         report = run_grid(features, default_specs(), SplitSpec(), forecast_mode="dynamic")
         v = report.variant("hlc", "ecm", "truncated")

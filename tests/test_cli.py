@@ -481,6 +481,21 @@ class TestErrors:
         assert code == 3, out + err
         assert "error: lag_scan.max must be below the sample length of 92 quarters" in err
 
+    def test_lag_scan_without_a_usable_lag_is_data_error(self, cli, tmp_path):
+        # no quarter has 200 quarters behind it, so capacity is missing everywhere
+        config = make_workspace(cli, tmp_path)
+        doc = yaml.safe_load(config.read_text())
+        doc["features"]["smoothing_window"] = 200
+        config.write_text(yaml.safe_dump(doc))
+        code, out, err = cli(["lagscan", "--config", str(config)])
+        assert code == 3, out + err
+        assert err.splitlines() == ["error: no lag in 0..6 has a usable R^2"]
+        (scan,) = (tmp_path / "data" / "runs").glob("*/lag_scan.csv")
+        assert scan.read_text().splitlines() == ["lag,r_squared,n_obs"] + [
+            f"{lag},,0" for lag in range(7)
+        ]
+        assert out.splitlines()[1:] == [f"{lag:>4}{'':>10}{0:>6}" for lag in range(7)]
+
     @pytest.mark.parametrize(
         "edit,key",
         [

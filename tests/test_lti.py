@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -280,6 +281,19 @@ class TestNewMortgageShare:
         assert new_mortgage_share(0.0, 0.0, 0.35) == 0.35
         with pytest.raises(InconsistencyError):
             new_mortgage_share(0.0, 0.01, 0.35)
+
+    @pytest.mark.parametrize(
+        "mover,prior,message",
+        [
+            (0.05, 1.5, "prior stock share out of [0, 1]: 1.5"),
+            (0.05, -0.1, "prior stock share out of [0, 1]: -0.1"),
+            (1.5, 0.4, "mover share out of [0, 1]: 1.5"),
+            (-0.05, 0.4, "mover share out of [0, 1]: -0.05"),
+        ],
+    )
+    def test_share_outside_unit_interval_is_data_error(self, mover, prior, message):
+        with pytest.raises(DataError, match=re.escape(message)):
+            new_mortgage_share(mover, 0.0, prior)
 
     def test_always_in_unit_interval(self):
         rng = np.random.default_rng(11)

@@ -173,6 +173,12 @@ class TestOlsFit:
             )
         assert fit.r_squared == 0.0
 
+    def test_intercept_only_f_is_zero(self):
+        # F compares the fit with the intercept-only model: itself
+        fit = ols_fit(design_from_arrays(np.array([1.0, 4.0, 2.0, 3.0]), np.empty((4, 0))))
+        assert fit.f_statistic == 0.0
+        assert fit.r_squared == pytest.approx(0.0, abs=1e-15)
+
     def test_adj_below_r2(self):
         rng = np.random.default_rng(17)
         for _ in range(10):
@@ -322,6 +328,23 @@ class TestDesignAndPredict:
         assert pred.values[1] is None
         assert pred.values[0] is not None
 
+    @pytest.mark.parametrize(
+        "regressors,error,message",
+        [
+            ([("x", -1)], ValueError, "regressor lag must be >= 0, got -1 for 'x'"),
+            ([("x", 0), ("x", 0)], SchemaError, "duplicate regressor names"),
+        ],
+        ids=["negative-lag", "duplicate"],
+    )
+    def test_bad_regressors_rejected(self, regressors, error, message):
+        f = align([series([1.0, 2.0, 3.0, 4.0], name="y"), series([4.0, 1.0, 3.0, 2.0], name="x")])
+        with pytest.raises(error, match=message):
+            design_matrix(f, "y", regressors)
+
+    def test_response_shorter_than_matrix_rejected(self):
+        with pytest.raises(ValueError, match="dimensions are inconsistent"):
+            DesignMatrix(np.zeros(2), np.ones((3, 1)), np.arange(3), "y", ())
+
     def test_predict_requires_columns(self):
         f = align([series([1.0, 2.0, 3.0, 4.0], name="y"),
                    series([1.0, 2.0, 3.0, 4.0], name="x")])
@@ -434,28 +457,15 @@ class TestEcm:
         ys, xs, fit = fit_simulated(x, y)
         frame = ecm_frame(ys, xs)
         origin = START.index + 99
-        static = ecm_forecast(fit, frame, origin, mode="static")
-        dynamic = ecm_forecast(fit, frame, origin, mode="dynamic")
+        static = ecm_forecast(fit, frame)
+        dynamic = ecm_forecast(fit, frame, origin)
         assert static.start_index == dynamic.start_index == int(fit.underlying.design.rows[0])
+        # the origin-free path runs from the first fitted quarter to the frame's end
+        last = frame.start_index + len(frame) - 1
+        assert len(static) == last + 1 - static.start_index
         m = origin + 2 - static.start_index  # through the first quarter after the origin
         assert np.array_equal(static.array[:m], dynamic.array[:m])
         assert not np.array_equal(static.array[m:], dynamic.array[m:])
-
-    def test_static_path_does_not_depend_on_the_origin(self):
-        # each static step reads only the observed previous level, so every
-        # origin gives, bit for bit, the one-step fitted path
-        x, y = simulate_ecm(noise=0.3, seed=5)
-        ys, xs = series(list(y), name="y"), series(list(x), name="x")
-        frame = ecm_frame(ys, xs)
-        design = ecm_design(frame, "y", [("d_x", 2)], [("x", 3)])
-        fit = ecm_fit(design.until(START.index + 90))
-        fitted = ecm_forecast(fit, frame, mode="static")
-        first, last = int(design.rows[0]), frame.start_index + len(frame) - 1
-        assert fitted.start_index == first and len(fitted) == last + 1 - first
-        for origin in (first - 1, first, START.index + 90, START.index + 138, last):
-            path = ecm_forecast(fit, frame, origin, mode="static")
-            assert path.start_index == first
-            assert np.array_equal(path.array, fitted.array)
 
     def test_dynamic_forecast_tracks_noiseless_path(self):
         x, y = simulate_ecm(n=140)
@@ -464,7 +474,7 @@ class TestEcm:
         fit = ecm_fit(ecm_design(ecm_frame(train_ys, xs), "y", ["d_x"], [("x", 1)]))
         frame = ecm_frame(series(list(y), name="y"), xs)
         origin = START.index + 119
-        forecast = ecm_forecast(fit, frame, origin, mode="dynamic")
+        forecast = ecm_forecast(fit, frame, origin)
         for i in range(20):
             assert value_at(forecast, origin + 1 + i) == pytest.approx(y[120 + i], abs=1e-6)
 
@@ -513,7 +523,7 @@ class TestEcm:
                 series([2.0] * 10, name="x"),
             ]
         )
-        out = ecm_forecast(fit, frame, START.index, mode="dynamic")
+        out = ecm_forecast(fit, frame, START.index)
         assert all(v == 5.0 for v in out.values)
 
     def test_missing_initial_level(self):
@@ -521,19 +531,12 @@ class TestEcm:
         ys, xs, fit = fit_simulated(x, y)
         frame = ecm_frame(ys, xs)
         with pytest.raises(DataError, match="anchor"):
-            ecm_forecast(fit, frame, frame.start_index - 1, mode="dynamic")
+            ecm_forecast(fit, frame, frame.start_index - 1)
         # an origin whose level is missing
         gap = ys.to_array()
         gap[30] = np.nan
         with pytest.raises(DataError, match=r"level at 2007Q3 can anchor"):
             ecm_forecast(fit, ecm_frame(ys._with_array(gap), xs), START.index + 30)
-
-    def test_bad_mode(self):
-        x, y = simulate_ecm(n=60)
-        ys, xs, fit = fit_simulated(x, y)
-        frame = ecm_frame(ys, xs)
-        with pytest.raises(ValueError):
-            ecm_forecast(fit, frame, START.index + 10, mode="oracle")
 
     def test_dynamic_ignores_observed_levels(self):
         # Corrupting observations after the origin must not change a dynamic
@@ -546,11 +549,11 @@ class TestEcm:
             corrupted[i] += 500.0
         frame_ok = ecm_frame(ys, xs)
         frame_bad = ecm_frame(series(corrupted, name="y"), xs)
-        dyn_ok = ecm_forecast(fit, frame_ok, origin, mode="dynamic")
-        dyn_bad = ecm_forecast(fit, frame_bad, origin, mode="dynamic")
+        dyn_ok = ecm_forecast(fit, frame_ok, origin)
+        dyn_bad = ecm_forecast(fit, frame_bad, origin)
         assert dyn_ok.values == dyn_bad.values
-        static_ok = ecm_forecast(fit, frame_ok, origin, mode="static")
-        static_bad = ecm_forecast(fit, frame_bad, origin, mode="static")
+        static_ok = ecm_forecast(fit, frame_ok)
+        static_bad = ecm_forecast(fit, frame_bad)
         assert static_ok.values != static_bad.values
 
 

@@ -221,6 +221,19 @@ class TestAlignAndFrame:
         f = align([series([None, None], name="a")])
         assert f.complete_range() is None
 
+    def test_complete_range_of_a_frame_without_columns(self):
+        assert Frame(Quarter(2000, 1).index, {}).complete_range() is None
+
+    @pytest.mark.parametrize(
+        "column",
+        [series([1.0, 2.0], start=Quarter(2000, 2), name="b"), series([1.0], name="b")],
+        ids=["other-start", "other-length"],
+    )
+    def test_misaligned_column_rejected(self, column):
+        columns = {"a": series([1.0, 2.0], name="a"), "b": column}
+        with pytest.raises(SchemaError, match="column 'b' is not aligned to the frame index"):
+            Frame(Quarter(2000, 1).index, columns)
+
     def test_column_missing_is_schema_error(self):
         f = align([series([1.0], name="a")])
         with pytest.raises(SchemaError, match="nope"):
