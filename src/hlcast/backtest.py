@@ -407,10 +407,10 @@ def run_grid(
     observed = features.column(HOUSE_PRICE)
     cutoff, i0 = split.cutoff, observed.start_index
     if not i0 <= cutoff < i0 + len(observed) or np.isnan(observed.array[cutoff - i0]):
-        # The cutoff must fall inside the observed sample for the split to
-        # mean anything.
+        # The split, and the dynamic path that starts from it, need an
+        # observed price at the cutoff.
         raise DataError(
-            f"cutoff {quarter_label(cutoff)} lies outside the observed {HOUSE_PRICE!r} sample"
+            f"cutoff {quarter_label(cutoff)} has no observed {HOUSE_PRICE!r} value"
         )
     seen = set()
     for spec in specs:

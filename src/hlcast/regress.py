@@ -164,19 +164,18 @@ class FitResult:
         self.f_statistic, self.design = f_statistic, design
 
 
-def _require_full_rank(xs: np.ndarray, r_mat: np.ndarray, names: list[str]) -> None:
+def _require_full_rank(r_mat: np.ndarray, names: list[str]) -> None:
     """Raise :class:`SingularDesignError` if ``R`` fails the singular-value rank rule.
 
-    The rank counts the singular values of ``R`` above ``RANK_RTOL`` of the
-    largest. The error names every column with weight in the null space of
-    the equilibrated design ``xs``.
+    One SVD of ``R`` counts the singular values above ``RANK_RTOL`` of the
+    largest and names every column with weight in its null space, which is
+    the equilibrated design's: that design is ``QR`` with orthonormal ``Q``.
     """
     p = len(names)
-    singular_values = np.linalg.svd(r_mat, compute_uv=False)
+    _, singular_values, vt = np.linalg.svd(r_mat)
     rank = int(np.sum(singular_values > RANK_RTOL * singular_values[0]))
     if rank < p:
-        null_space = np.linalg.svd(xs, full_matrices=False)[2][rank:]
-        loaded = np.abs(null_space).max(axis=0) > NULL_LOADING_TOL
+        loaded = np.abs(vt[rank:]).max(axis=0) > NULL_LOADING_TOL
         collinear = sorted(names[j] for j in np.flatnonzero(loaded))
         raise SingularDesignError(
             f"design is rank deficient (rank {rank} of {p}); "
@@ -227,14 +226,14 @@ def ols_fit(d: DesignMatrix) -> FitResult:
         try:
             solved = np.linalg.solve(r_mat, rhs)
         except np.linalg.LinAlgError:  # an exact zero pivot: R fails the rank rule
-            _require_full_rank(xs, r_mat, names)
+            _require_full_rank(r_mat, names)
             raise
         # squared row norms of R^-1: their sum is ||R^-1||_F^2
         r_inv = solved[:, 1:]
         inv_rows = np.add.reduce(r_inv * r_inv, axis=1)
         bound = math.sqrt(np.add.reduce(r_mat * r_mat, axis=None) * np.add.reduce(inv_rows))
         if not bound * 16 * RANK_RTOL < 1:
-            _require_full_rank(xs, r_mat, names)
+            _require_full_rank(r_mat, names)
         beta = solved[:, 0] / norms
         fitted = x @ beta
         resid = y - fitted

@@ -203,12 +203,8 @@ class QuarterlySeries:
         return self._with_array(out)
 
     def forward_fill(self) -> QuarterlySeries:
-        """Replace each missing value with the most recent present one."""
+        """Fill each missing value from the most recent present one; a leading gap stays missing."""
         a = self.array
-        if not len(a) or np.isnan(a[0]):
-            raise DataError(
-                f"series {self.name!r} starts with a missing value; nothing to fill from"
-            )
         source = np.where(np.isnan(a), 0, np.arange(len(a)))
         return self._with_array(a[np.maximum.accumulate(source)])
 

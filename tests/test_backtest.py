@@ -327,8 +327,17 @@ class TestRunGrid:
             run_grid(features, [ModelSpec("hlc"), ModelSpec("hlc")], SplitSpec())
 
     def test_cutoff_outside_sample_rejected(self, features):
-        with pytest.raises(DataError, match="^cutoff 2050Q1 lies outside the observed"):
+        with pytest.raises(DataError, match="^cutoff 2050Q1 has no observed 'house_price' value"):
             run_grid(features, default_specs(), SplitSpec(cutoff=parse_quarter("2050Q1")))
+
+    def test_cutoff_at_a_missing_price_rejected(self, features):
+        cutoff = parse_quarter("2008Q2")
+        price = features.column("house_price").to_array()
+        price[cutoff - features.start_index] = np.nan
+        columns = dict(features.columns)
+        columns["house_price"] = columns["house_price"]._with_array(price)
+        with pytest.raises(DataError, match="^cutoff 2008Q2 has no observed 'house_price' value$"):
+            run_grid(align(columns.values()), default_specs(), SplitSpec(cutoff=cutoff))
 
     def test_cutoff_at_the_last_labelled_quarter(self, features, tmp_path):
         # a sample ending at 9999Q4 has no labelled quarter after its cutoff, and no holdout

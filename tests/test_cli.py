@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -17,8 +18,11 @@ import hlcast.regress
 from hlcast.cli import main
 from hlcast.config import load_config
 from hlcast.errors import quote
+from hlcast.lti import derive_interest_only_share
 from hlcast.timeseries import (
+    QuarterlySeries,
     align,
+    parse_quarter,
     read_frame_csv,
     read_series_csv,
     write_frame_csv,
@@ -35,6 +39,12 @@ def run_ok(cli, args) -> str:
 def make_workspace(cli, tmp_path, seed=0) -> Path:
     run_ok(cli, ["synth", "--out", str(tmp_path / "data"), "--seed", str(seed)])
     return tmp_path / "data" / "config.yaml"
+
+
+def run_every_stage(cli, config: Path) -> list[str]:
+    """Run the five pipeline stages on ``config``; returns each stage's stdout."""
+    stages = ("ingest", "features", "lagscan", "backtest", "report")
+    return [run_ok(cli, [stage, "--config", str(config)]) for stage in stages]
 
 
 def sidecar(config: Path) -> Path:
@@ -81,9 +91,7 @@ class TestSynth:
         )
         assert not ws.exists()
         run_ok(cli, ["synth", "--out", str(ws), "--quarters", "65"])
-        config = str(ws / "config.yaml")
-        outs = [run_ok(cli, [stage, "--config", config]) for stage in
-                ("ingest", "features", "lagscan", "backtest", "report")]
+        outs = run_every_stage(cli, ws / "config.yaml")
         assert outs[0].startswith("frame: 65 quarters (1995Q1..2011Q1), ")
         assert outs[3].startswith("backtest: 12/12 variants fitted (cutoff 2008Q2) -> ")
 
@@ -134,6 +142,75 @@ class TestPipeline:
             assert (run_dir / name).is_file()
         assert (run_dir / "plots" / "summary.csv").is_file()
         assert len(list((run_dir / "plots").glob("*.csv"))) == 13
+
+    def test_year_end_loan_to_value_runs_every_stage(self, cli, tmp_path):
+        # loan-to-value reported once a year, at year end: the quarters before
+        # the first Q4 stay missing, and the designs that read it drop them
+        config = make_workspace(cli, tmp_path)
+        ltv = config.with_name("ltv.csv")
+        header, *rows = ltv.read_text().splitlines()
+        rows = [row if row[4:6] == "Q4" else row[:7] for row in rows]
+        assert [row[7:] != "" for row in rows[:8]] == [False, False, False, True] * 2
+        ltv.write_text("\n".join([header, *rows]) + "\n")
+        outs = run_every_stage(cli, config)
+        assert outs[3].startswith("backtest: 12/12 variants fitted (cutoff 2008Q2) -> ")
+
+    def test_late_loan_to_value_leaves_the_capacity_models_unchanged(self, cli, tmp_path):
+        # the hlc models never read loan-to-value; the benchmark's samples
+        # start where it does
+        config = make_workspace(cli, tmp_path)
+        late = make_workspace(cli, tmp_path / "late")
+        ltv = late.with_name("ltv.csv")
+        header, *rows = ltv.read_text().splitlines()
+        assert rows[4].startswith("1996Q1,")
+        ltv.write_text("\n".join([header, *rows[4:]]) + "\n")
+        variants = []
+        for c in (config, late):
+            run_ok(cli, ["backtest", "--config", str(c)])
+            report = json.loads((load_config(c).run_dir() / "report.json").read_text())
+            variants.append({(v["name"], v["approach"], v["regime"]): v for v in report["variants"]})
+        full, short = variants
+        capacity = [key for key in full if key[0] in ("hlc", "benchmark_hlc")]
+        assert len(capacity) == 8
+        for key in capacity:
+            assert json.dumps(short[key]) == json.dumps(full[key])
+        starts = {
+            key[1]: (full[key]["train"]["start"], short[key]["train"]["start"])
+            for key in full if key[0] == "benchmark"
+        }
+        assert starts == {"ols": ("1995Q4", "1996Q1"), "ecm": ("1996Q1", "1996Q2")}
+
+    def test_stock_derived_interest_only_share(self, cli, tmp_path):
+        # the paper derives the new-mortgage interest-only share from the
+        # share of the mortgage stock, transactions and households
+        config = make_workspace(cli, tmp_path)
+        start = parse_quarter("1995Q1")
+        stock = [0.1 + 0.004 * min(k, 60) - 0.003 * max(k - 60, 0) for k in range(92)]
+        inputs = {
+            "interest_only_stock_share": ("fraction", stock),
+            "transactions": ("count", [50_000.0] * 92),
+            "households": ("count", [1_000_000.0] * 92),
+        }
+        doc = yaml.safe_load(config.read_text())
+        del doc["data"]["interest_only_share"]
+        for name, (unit, values) in inputs.items():
+            path = config.with_name(f"{name}.csv")
+            write_series_csv(QuarterlySeries._from_array(name, start, np.array(values)), path)
+            doc["data"][name] = {"path": path.name, "unit": unit}
+        doc["features"]["interest_only_zero_from"] = "2011Q1"
+        config.write_text(yaml.safe_dump(doc, sort_keys=False))
+        outs = run_every_stage(cli, config)
+        assert outs[3].startswith("backtest: 12/12 variants fitted (cutoff 2008Q2) -> ")
+        share = read_frame_csv(load_config(config).run_dir() / "features.csv").column(
+            "interest_only_share"
+        )
+        cut = parse_quarter("2011Q1") - share.start_index
+        expected = derive_interest_only_share(
+            *(read_series_csv(config.with_name(f"{name}.csv")) for name in inputs)
+        )
+        assert share.start_index == expected.start_index == start
+        assert share.values[:cut] == expected.values[:cut]
+        assert share.values[cut:] == (0.0,) * (92 - cut)
 
     def test_stage_commands_self_sufficient(self, cli, tmp_path):
         # backtest on a virgin config must compute ingest+features itself

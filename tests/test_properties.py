@@ -79,8 +79,6 @@ def test_trailing_mean_matches_reference(vals, window):
 @SETTINGS
 @given(values)
 def test_forward_fill_matches_reference(vals):
-    if not vals or vals[0] is None:
-        return
     expected, last = [], None
     for v in vals:
         last = v if v is not None else last

@@ -127,9 +127,12 @@ class TestForwardFill:
         s = series([1.0, None, None, 2.0]).forward_fill()
         assert s.values == (1.0, 1.0, 1.0, 2.0)
 
-    def test_leading_gap_is_error(self):
-        with pytest.raises(DataError):
-            series([None, 1.0]).forward_fill()
+    def test_leading_gap_stays_missing(self):
+        s = series([None, None, 1.0, None]).forward_fill()
+        assert s.values == (None, None, 1.0, 1.0)
+        for values in ([None, None], []):
+            s = series(values)
+            assert s.forward_fill() == s
 
     def test_identity_when_complete(self):
         s = series([1.0, 2.0, 3.0])
