@@ -241,17 +241,18 @@ class VariantResult:
 
     __slots__ = (
         "name", "approach", "regime", "metrics_all", "metrics_holdout", "fit", "predicted",
-        "forecast_mode", "alt_mode", "alt_metrics_all", "alt_metrics_holdout", "error",
+        "alt_metrics_all", "alt_metrics_holdout", "error",
     )
 
     def __init__(self, name: str, approach: str, regime: str, error: str | None = None) -> None:
         self.name, self.approach, self.regime, self.error = name, approach, regime, error
         self.metrics_all = self.metrics_holdout = self.fit = self.predicted = None
-        self.forecast_mode = self.alt_mode = self.alt_metrics_all = self.alt_metrics_holdout = None
+        self.alt_metrics_all = self.alt_metrics_holdout = None
 
     def to_dict(self) -> dict:
         ecm = self.fit if isinstance(self.fit, EcmFit) else None
         ols = ecm.underlying if ecm else self.fit  # the fit statistics live here
+        truncated_ecm = ecm is not None and self.regime == "truncated"
         return {
             "name": self.name,
             "approach": self.approach,
@@ -284,13 +285,13 @@ class VariantResult:
             }
             if ols
             else {"n": 0, "start": None, "end": None},
-            "forecast_mode": self.forecast_mode,
+            "forecast_mode": "dynamic" if truncated_ecm else None,
             "alt_forecast": {
-                "mode": self.alt_mode,
+                "mode": "static",
                 "metrics_all": _metrics_dict(self.alt_metrics_all),
                 "metrics_holdout": _metrics_dict(self.alt_metrics_holdout),
             }
-            if self.alt_mode
+            if truncated_ecm
             else None,
             "error": self.error,
         }
@@ -299,17 +300,12 @@ class VariantResult:
 class BacktestReport:
     """All variant results plus the observed response they are scored against."""
 
-    __slots__ = ("variants", "split", "observed", "forecast_mode")
+    __slots__ = ("variants", "split", "observed")
 
     def __init__(
-        self,
-        variants: list[VariantResult],
-        split: SplitSpec,
-        observed: QuarterlySeries,
-        forecast_mode: str = "dynamic",
+        self, variants: list[VariantResult], split: SplitSpec, observed: QuarterlySeries
     ) -> None:
         self.variants, self.split, self.observed = variants, split, observed
-        self.forecast_mode = forecast_mode
 
     def variant(self, name: str, approach: str, regime: str) -> VariantResult:
         for v in self.variants:
@@ -322,7 +318,7 @@ class BacktestReport:
             "schema_version": SCHEMA_VERSION,
             "cutoff": quarter_label(self.split.cutoff),
             "evaluation_window": self.split.evaluation_window,
-            "forecast_mode": self.forecast_mode,
+            "forecast_mode": "dynamic",
             "variants": [v.to_dict() for v in self.variants],
         }
 
@@ -365,7 +361,6 @@ def _run_variant(
     observed: QuarterlySeries,
     first: int,
     regime: str,
-    forecast_mode: str,
 ) -> VariantResult:
     result = VariantResult(name=spec.name, approach=spec.approach, regime=regime)
 
@@ -374,14 +369,12 @@ def _run_variant(
         result.predicted = predict(result.fit, frame)
     else:
         ecm = result.fit = ecm_fit(design)
-        # a static path, and the full fit's, is one-step fitted everywhere; a
-        # truncated fit's dynamic path runs on its own levels from the cutoff
-        origins = {"static": None, "dynamic": None if regime == "full" else first - 1}
-        result.predicted = ecm_forecast(ecm, frame, origins[forecast_mode])
+        # the full fit's path is one-step fitted everywhere; a truncated fit's
+        # runs on its own levels from the cutoff, and its one-step path is
+        # scored as the alternative
+        result.predicted = ecm_forecast(ecm, frame, None if regime == "full" else first - 1)
         if regime == "truncated":
-            other = "static" if forecast_mode == "dynamic" else "dynamic"
-            alt = ecm_forecast(ecm, frame, origins[other])
-            result.forecast_mode, result.alt_mode = forecast_mode, other
+            alt = ecm_forecast(ecm, frame)
             result.alt_metrics_all, result.alt_metrics_holdout = _score(observed, alt, first)
 
     # metrics_holdout is None for a cutoff at the sample edge: no holdout
@@ -393,16 +386,16 @@ def run_grid(
     features: Frame,
     specs: Sequence[ModelSpec],
     split: SplitSpec = SplitSpec(),
-    forecast_mode: str = "dynamic",
 ) -> BacktestReport:
     """Fit every spec under both regimes and score the predictions.
 
-    Variants are evaluated in a deterministic order (spec name, approach,
-    regime) so the serialized report is byte-stable. A failure inside one
-    variant is captured on its result and does not abort the others.
+    A truncated ECM scores its dynamic forecast from the cutoff, which reads
+    no observed price after it, and its static one-step path as
+    ``alt_metrics_all`` and ``alt_metrics_holdout``. Variants are evaluated
+    in a deterministic order (spec name, approach, regime) so the serialized
+    report is byte-stable. A failure inside one variant is captured on its
+    result and does not abort the others.
     """
-    if forecast_mode not in ("static", "dynamic"):
-        raise ValueError(f"forecast_mode must be 'static' or 'dynamic', got {forecast_mode!r}")
     features.require(HOUSE_PRICE)
     observed = features.column(HOUSE_PRICE)
     cutoff, i0 = split.cutoff, observed.start_index
@@ -430,15 +423,11 @@ def run_grid(
                 # one design per spec: the truncated regime fits its row prefix
                 d = design if regime == "full" else design.until(cutoff)
                 try:
-                    variants.append(
-                        _run_variant(spec, d, frame, observed, cutoff + 1, regime, forecast_mode)
-                    )
+                    variants.append(_run_variant(spec, d, frame, observed, cutoff + 1, regime))
                 except HlcastError as exc:
                     error = f"{type(exc).__name__}: {exc}"
                     variants.append(VariantResult(spec.name, spec.approach, regime, error=error))
-    return BacktestReport(
-        variants=variants, split=split, observed=observed, forecast_mode=forecast_mode
-    )
+    return BacktestReport(variants=variants, split=split, observed=observed)
 
 
 def emit_plot_data(report: BacktestReport, out_dir: str | Path) -> list[Path]:

@@ -88,7 +88,7 @@ def _features(cfg: RunConfig, run_dir: Path) -> Frame:
 def _backtest(cfg: RunConfig, run_dir: Path) -> BacktestReport:
     features = _features(cfg, run_dir)
     specs = default_specs(cfg.hlc_lag, cfg.models)
-    report = run_grid(features, specs, cfg.split, forecast_mode=cfg.forecast_mode)
+    report = run_grid(features, specs, cfg.split)
     # no manifest vouches for report.json until this backtest has written it
     # all, so a run that fails part-way is computed again by report
     manifest = run_dir / "manifest.json"

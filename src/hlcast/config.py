@@ -16,6 +16,7 @@ from __future__ import annotations
 import copy
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -125,7 +126,6 @@ class RunConfig(Record):
     hlc_lag = _setting("features", "hlc_lag")
     lag_min = _setting("lag_scan", "min")
     lag_max = _setting("lag_scan", "max")
-    forecast_mode = _setting("backtest", "forecast_mode")
 
     @property
     def lti(self) -> LtiParams:
@@ -269,9 +269,11 @@ def _check_values(settings: dict, sources: dict[str, SeriesSource]) -> None:
     if not 0 <= scan["min"] <= scan["max"]:
         raise ConfigError("lag_scan must satisfy 0 <= min <= max")
     mode, models = settings["backtest"]["forecast_mode"], settings["backtest"]["models"]
-    if mode not in ("dynamic", "static"):
+    # one value: the key stays so that configs written with it keep their run directory
+    if mode != "dynamic":
         raise ConfigError(
-            f"backtest.forecast_mode must be 'dynamic' or 'static', got {quote(mode)}"
+            f"backtest.forecast_mode must be 'dynamic', got {quote(mode)}; "
+            "the static path is reported as alt_forecast"
         )
     bad = sorted(set(models) - set(MODELS))
     if bad:
@@ -334,13 +336,15 @@ def _sources(node, base: Path) -> dict[str, SeriesSource]:
 
 
 def parse_lag_range(text: str) -> tuple[int, int]:
-    """Parse a ``a..b`` lag range (inclusive)."""
-    parts = text.split("..")
+    """Parse a ``a..b`` lag range (inclusive) of ASCII digits."""
+    m = re.fullmatch(r"\s*([0-9]+)\s*\.\.\s*([0-9]+)\s*", text)
     try:
-        lo, hi = (int(p) for p in parts)
+        if m is None:
+            raise ValueError
+        lo, hi = int(m[1]), int(m[2])  # int refuses a number of over 4300 digits
     except ValueError:
         raise ConfigError(f"lag range must look like '0..6', got {quote(text)}") from None
-    if lo < 0 or hi < lo:
+    if hi < lo:
         raise ConfigError(f"lag range must satisfy 0 <= min <= max, got {quote(text)}")
     return lo, hi
 

@@ -9,9 +9,10 @@ Data model: a series holds a read-only float64 ``array`` (NaN marks a
 missing quarter) and the quarter number, 4 × year + quarter − 1, of its
 first value, ``start_index``. Transforms are array slicing and masking.
 A quarter is a number in code: :func:`parse_quarter` reads a label and
-:func:`quarter_label` writes one; only the series constructor's ``start``,
-``start`` and ``items()`` take or give a :class:`Quarter`. ``values`` is a
-tuple view with ``None`` for missing quarters, for callers and tests.
+:func:`quarter_label` writes one; only the series constructor's ``start=``,
+the ``.start`` property and ``items()`` take or give a :class:`Quarter`.
+``values`` is a tuple view with ``None`` for missing quarters, for callers
+and tests.
 
 CSV conventions: one file per series with header ``quarter,value`` and rows
 like ``1995Q1,89792``; an empty value field marks a missing observation,
@@ -36,7 +37,7 @@ from typing import Iterable, Iterator, TextIO
 from ._numpy import np
 from .errors import DataError, ParseError, Record, SchemaError, _integer, quote
 
-_QUARTER_RE = re.compile(r"^(\d{4})-?Q(\d)$")
+_QUARTER_RE = re.compile(r"^(\d{4})-?Q(\d)$", re.ASCII)
 # Quarter numbers 0..LABELLED - 1, 0000Q1..9999Q4, have a four-digit label.
 LABELLED = 40_000
 

@@ -297,13 +297,15 @@ class TestRunGrid:
     def test_full_fit_beats_truncated_on_all_quarters(self, features):
         # The full-sample fit minimizes squared error over a superset of the
         # truncated training rows, so with a common prediction rule its RMSE
-        # over all quarters cannot be worse. Static mode keeps the ECM
-        # prediction rule identical across regimes.
-        report = run_grid(features, default_specs(), SplitSpec(), forecast_mode="static")
+        # over all quarters cannot be worse. A truncated ECM's static
+        # alternative is the full ECM's one-step rule.
+        report = run_grid(features, default_specs(), SplitSpec())
         for spec in default_specs():
             full = report.variant(spec.name, spec.approach, "full")
             truncated = report.variant(spec.name, spec.approach, "truncated")
-            assert full.metrics_all.rmse <= truncated.metrics_all.rmse + 1e-9
+            ecm = spec.approach == "ecm"
+            same_rule = truncated.alt_metrics_all if ecm else truncated.metrics_all
+            assert full.metrics_all.rmse <= same_rule.rmse + 1e-9
 
     def test_report_deterministic(self, features):
         a = run_grid(features, default_specs(), SplitSpec()).to_json()
@@ -347,19 +349,10 @@ class TestRunGrid:
         report = run_grid(frame, default_specs(), SplitSpec(cutoff=last))
         assert all(v.error is None and v.metrics_holdout is None for v in report.variants)
         ecm = report.variant("hlc", "ecm", "truncated")
-        assert ecm.alt_mode == "static" and ecm.alt_metrics_holdout is None
+        assert ecm.to_dict()["alt_forecast"]["mode"] == "static" and ecm.alt_metrics_holdout is None
         assert json.loads(report.to_json())["cutoff"] == "9999Q4"
         emit_plot_data(report, tmp_path)
         assert (tmp_path / "hlc_ecm_truncated.csv").read_text().splitlines()[-1].startswith("9999Q4,")
-
-    def test_unknown_forecast_mode_rejected_before_any_fit(self, features, monkeypatch):
-        def no_fit(*_):
-            raise AssertionError("fitted before the forecast mode was checked")
-
-        monkeypatch.setattr(hlcast.backtest, "ols_fit", no_fit)
-        monkeypatch.setattr(hlcast.backtest, "ecm_fit", no_fit)
-        with pytest.raises(ValueError, match="forecast_mode must be 'static' or 'dynamic', got 'x'"):
-            run_grid(features, default_specs(), SplitSpec(), forecast_mode="x")
 
     def test_unknown_variant_is_key_error(self, features):
         report = run_grid(features, default_specs(models=["hlc"]), SplitSpec())
@@ -367,11 +360,11 @@ class TestRunGrid:
             report.variant("benchmark", "ols", "full")
 
     def test_ecm_truncated_reports_both_modes(self, features):
-        report = run_grid(features, default_specs(), SplitSpec(), forecast_mode="dynamic")
-        v = report.variant("hlc", "ecm", "truncated")
-        assert v.forecast_mode == "dynamic"
-        assert v.alt_mode == "static"
-        assert v.alt_metrics_all.rmse > 0.0
+        report = run_grid(features, default_specs(), SplitSpec())
+        v = report.variant("hlc", "ecm", "truncated").to_dict()
+        assert v["forecast_mode"] == "dynamic"
+        assert v["alt_forecast"]["mode"] == "static"
+        assert v["alt_forecast"]["metrics_all"]["rmse"] > 0.0
 
     def test_report_json_schema(self, features):
         doc = json.loads(run_grid(features, default_specs(), SplitSpec()).to_json())

@@ -251,32 +251,6 @@ class TestPipeline:
         doc = json.loads((moved_dir / "report.json").read_text())
         assert doc["cutoff"] == "2006Q4"
 
-    def test_static_forecast_mode_swaps_the_main_and_alternative_paths(self, cli, tmp_path):
-        config = make_workspace(cli, tmp_path)
-        run_ok(cli, ["backtest", "--config", str(config)])
-        doc = yaml.safe_load(config.read_text())
-        doc["backtest"]["forecast_mode"] = "static"
-        config.write_text(yaml.safe_dump(doc))
-        run_ok(cli, ["backtest", "--config", str(config)])
-        runs = sorted((tmp_path / "data" / "runs").iterdir())
-        assert load_config(config).run_dir() in runs and len(runs) == 2
-        reports = {}
-        for run_dir in runs:
-            report = json.loads((run_dir / "report.json").read_text())
-            reports[report["forecast_mode"]] = report["variants"]
-        swapped = 0
-        for d, s in zip(reports["dynamic"], reports["static"], strict=True):
-            if (d["approach"], d["regime"]) != ("ecm", "truncated"):
-                assert s == d
-                continue
-            swapped += 1
-            assert (s["forecast_mode"], s["alt_forecast"]["mode"]) == ("static", "dynamic")
-            assert s["metrics_holdout"] != d["metrics_holdout"], d["name"]
-            for window in ("metrics_all", "metrics_holdout"):
-                assert s[window] == d["alt_forecast"][window], (d["name"], window)
-                assert s["alt_forecast"][window] == d[window], (d["name"], window)
-        assert swapped == 3
-
     def test_run_dir_does_not_depend_on_the_config_path_spelling(
         self, cli, tmp_path, monkeypatch
     ):
@@ -695,9 +669,10 @@ class TestErrors:
                 "evaluation_window must be 'all_quarters' or 'holdout_only', got 'x'",
             ),
             (
-                lambda doc: doc["backtest"].update(forecast_mode="x"),
+                lambda doc: doc["backtest"].update(forecast_mode="static"),
                 [],
-                "backtest.forecast_mode must be 'dynamic' or 'static', got 'x'",
+                "backtest.forecast_mode must be 'dynamic', got 'static'; "
+                "the static path is reported as alt_forecast",
             ),
             (
                 lambda doc: doc["backtest"].update(models=["foo"]),
@@ -744,6 +719,12 @@ class TestErrors:
                 ["--lags", "5..3"],
                 "lag range must satisfy 0 <= min <= max, got '5..3'",
             ),
+            (lambda doc: None, ["--lags", "0..1_0"], "lag range must look like '0..6', got '0..1_0'"),
+            (
+                lambda doc: None,
+                ["--lags", "\u0660..\u0663"],
+                "lag range must look like '0..6', got '\u0660..\u0663'",
+            ),
         ],
         ids=[
             "lti-not-a-mapping",
@@ -763,6 +744,8 @@ class TestErrors:
             "missing-data-file",
             "data-path-too-long",
             "lags-flag-min-above-max",
+            "lags-flag-underscore",
+            "lags-flag-arabic-indic-digits",
         ],
     )
     def test_config_rule_exits_2_with_one_error_line(self, cli, tmp_path, edit, args, message):
@@ -1376,6 +1359,7 @@ class TestWarnings:
         path.write_text("\n".join(lines) + "\n")
         return config
 
+    @pytest.mark.filterwarnings("default::UserWarning")  # the CLI must print it
     def test_a_warning_is_one_line(self, cli, config):
         code, out, err = cli(["backtest", "--config", str(config)])
         assert code == 0, err

@@ -51,7 +51,12 @@ class TestQuarter:
     def test_parse(self, text, expected):
         assert parse_quarter(text) == expected.index
 
-    @pytest.mark.parametrize("text", ["2008Q5", "2008Q0", "Q1", "1995", "1995-1", "95Q1", ""])
+    @pytest.mark.parametrize(
+        "text",
+        ["2008Q5", "2008Q0", "Q1", "1995", "1995-1", "95Q1", "",
+         # Arabic-Indic and fullwidth digits, which a Unicode \d matches
+         "\u0662\u0660\u0660\u0668Q2", "\uff12\uff10\uff10\uff18Q1"],
+    )
     def test_parse_rejects(self, text):
         with pytest.raises(ParseError):
             parse_quarter(text)

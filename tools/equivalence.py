@@ -10,9 +10,8 @@ working tree is the head. Each side runs in its own interpreter on its own
 - library: for pool seeds 0..31 at 92 and 400 quarters, on the generated
   frame and on the benchmark's frame with yearly loan-to-value
   (``perfbench/common.library_input``), the R-squared lag scan over lags
-  0..8, and for cutoffs 2008Q2 and 2006Q4 and both forecast modes,
-  ``run_grid(...).to_json()`` and each variant's predicted path (its start
-  quarter and array bytes);
+  0..8, and for cutoffs 2008Q2 and 2006Q4, ``run_grid(...).to_json()`` and
+  each variant's predicted path (its start quarter and array bytes);
 - CLI: ``synth --seed 0`` and ``--seed 3``, then ``ingest``, ``features``,
   ``lagscan``, ``backtest`` and ``report``, then ``backtest`` and ``report``
   with ``--cutoff 2006Q4``: each command's exit code, stdout and stderr, and
@@ -50,7 +49,6 @@ import common  # noqa: E402
 SEEDS = range(32)
 QUARTERS = (92, 400)
 CUTOFFS = ("2008Q2", "2006Q4")
-MODES = ("dynamic", "static")
 SCAN_LAGS = range(9)
 CLI_SEEDS = (0, 3)
 CLI_STAGES = ("ingest", "features", "lagscan", "backtest", "report")
@@ -107,22 +105,21 @@ def _library() -> list:
                     continue
                 entries.append([f"{where}, lag scan", "scan", scan])
                 for cutoff in CUTOFFS:
-                    for mode in MODES:
-                        label = f"{where}, cutoff {cutoff}, {mode}"
-                        split = SplitSpec(parse_quarter(cutoff))
-                        try:
-                            report = run_grid(features, default_specs(), split, forecast_mode=mode)
-                        except (HlcastError, ValueError) as exc:
-                            entries.append([label, "error", f"{type(exc).__name__}: {exc}"])
-                            continue
-                        paths = [
-                            [f"{v.name}/{v.approach}/{v.regime}", v.predicted.start_index,
-                             hashlib.sha256(v.predicted.array.tobytes()).hexdigest()]
-                            for v in report.variants
-                            if v.predicted is not None
-                        ]
-                        entries.append([label, "report", report.to_json()])
-                        entries.append([f"{label}, predicted paths", "paths", paths])
+                    label = f"{where}, cutoff {cutoff}"
+                    split = SplitSpec(parse_quarter(cutoff))
+                    try:
+                        report = run_grid(features, default_specs(), split)
+                    except (HlcastError, ValueError) as exc:
+                        entries.append([label, "error", f"{type(exc).__name__}: {exc}"])
+                        continue
+                    paths = [
+                        [f"{v.name}/{v.approach}/{v.regime}", v.predicted.start_index,
+                         hashlib.sha256(v.predicted.array.tobytes()).hexdigest()]
+                        for v in report.variants
+                        if v.predicted is not None
+                    ]
+                    entries.append([label, "report", report.to_json()])
+                    entries.append([f"{label}, predicted paths", "paths", paths])
     return entries
 
 
