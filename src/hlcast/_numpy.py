@@ -10,7 +10,7 @@ access ``np`` is the ordinary numpy module, and ``import numpy`` anywhere
 returns the same object.
 
 A plain ``import numpy`` in an hlcast module would read the lazy module's
-``__spec__`` and so import numpy at once; import ``np`` from here instead.
+``__spec__`` and so import numpy at once; import ``np``, and its ``spec``, from here.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import sys
 def _lazy_numpy():
     module = sys.modules.get("numpy")
     if module is not None:
-        return module
+        return module, module.__spec__
     spec = importlib.util.find_spec("numpy")
     if spec is None:
         raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
@@ -31,7 +31,7 @@ def _lazy_numpy():
     module = importlib.util.module_from_spec(spec)
     sys.modules["numpy"] = module
     loader.exec_module(module)
-    return module
+    return module, spec
 
 
-np = _lazy_numpy()
+np, spec = _lazy_numpy()

@@ -209,16 +209,9 @@ def build_features(
             f"(or its construction inputs {', '.join(SHARE_INPUTS)})"
         )
 
-    base = align(
-        [raw.column(HOUSE_PRICE), income, rate, ltv, share]
-        + [
-            raw.column(c)
-            for c in raw.names()
-            if c
-            not in (HOUSE_PRICE, INCOME, INTEREST_RATE, LTV, INTEREST_ONLY_SHARE)
-            + SHARE_INPUTS
-        ]
-    )
+    read = (HOUSE_PRICE, INCOME, INTEREST_RATE, LTV, INTEREST_ONLY_SHARE) + SHARE_INPUTS
+    passthrough = [raw.column(c) for c in raw.names() if c not in read]
+    base = align([raw.column(HOUSE_PRICE), income, rate, ltv, share] + passthrough)
     capacity = hlc_series(base, params)
     with np.errstate(invalid="ignore"):  # an overflowed income: inf / inf = nan
         ratio = capacity.array / base.column(INCOME).array

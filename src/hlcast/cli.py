@@ -32,7 +32,8 @@ from .backtest import (
     emit_plot_data,
     run_grid,
 )
-from .config import DEFAULT_UNITS, RunConfig, SeriesSource, checked_settings, load_config, sha256
+from .config import (DEFAULT_UNITS, RunConfig, SeriesSource, checked_settings, code_identity,
+                     load_config)
 from .errors import ConfigError, DataError, HlcastError, NumericalError, quote
 from .regress import lag_scan
 from .spec import HLC, HOUSE_PRICE, MODELS
@@ -103,16 +104,9 @@ def _backtest(cfg: RunConfig, run_dir: Path) -> BacktestReport:
 
 
 def _manifest() -> str:
-    """The manifest the running code writes after a backtest.
-
-    It holds the report schema and the sha256 of hlcast's module sources,
-    each fed as its file name, a NUL byte and its bytes, in name order.
-    """
-    digest = sha256()
-    for path in sorted(Path(__file__).parent.glob("*.py")):
-        digest.update(path.name.encode() + b"\0" + path.read_bytes())
-    manifest = {"schema_version": SCHEMA_VERSION, "code_sha256": digest.hexdigest()}
-    return json.dumps(manifest, indent=2) + "\n"
+    """The manifest the running code writes after a backtest: the report schema and
+    ``code_identity()``, the code and runtime behind the report."""
+    return json.dumps({"schema_version": SCHEMA_VERSION, **code_identity()}, indent=2) + "\n"
 
 
 def _summary_table(frame: Frame) -> list[str]:

@@ -14,6 +14,7 @@ valid config never imports PyYAML.
 from __future__ import annotations
 
 import copy
+import functools
 import importlib.util
 import json
 import re
@@ -32,6 +33,7 @@ except ImportError:
         from hashlib import sha256  # a build without the built-in hashes
 
 from . import __version__
+from ._numpy import spec as numpy_spec
 from .errors import ConfigError, DataError, ParseError, Record, quote
 from .spec import (
     DEBT_TO_GDP,
@@ -336,16 +338,16 @@ def _sources(node, base: Path) -> dict[str, SeriesSource]:
 
 
 def parse_lag_range(text: str) -> tuple[int, int]:
-    """Parse a ``a..b`` lag range (inclusive) of ASCII digits."""
+    """Parse ``--lags``' ``a..b`` lag range (inclusive) of ASCII digits."""
     m = re.fullmatch(r"\s*([0-9]+)\s*\.\.\s*([0-9]+)\s*", text)
     try:
         if m is None:
             raise ValueError
         lo, hi = int(m[1]), int(m[2])  # int refuses a number of over 4300 digits
     except ValueError:
-        raise ConfigError(f"lag range must look like '0..6', got {quote(text)}") from None
+        raise ConfigError(f"--lags: lag range must look like '0..6', got {quote(text)}") from None
     if hi < lo:
-        raise ConfigError(f"lag range must satisfy 0 <= min <= max, got {quote(text)}")
+        raise ConfigError(f"--lags: lag range must satisfy 0 <= min <= max, got {quote(text)}")
     return lo, hi
 
 
@@ -375,20 +377,30 @@ def _parse_yaml(text: str, path: Path):
         raise ConfigError(f"config {path} holds a value that cannot be read: {exc}") from None
 
 
-def _cache_key(text: str) -> str | None:
-    """The key of the document parsed from ``text``: a digest of the text,
-    this module's source (the parse rules), the path, size and mtime of
-    PyYAML's ``__init__.py``, which a reinstall changes (``importlib.metadata``
-    would cost ~17 ms), and the interpreter. None when either file is not found.
-    """
-    try:
-        origin = Path(importlib.util.find_spec("yaml").origin)
-        stat = origin.stat()
-        rules = sha256(Path(__file__).read_bytes()).hexdigest()
-    except (AttributeError, TypeError, ValueError, OSError):
-        return None
-    facts = (text, rules, str(origin), stat.st_size, stat.st_mtime_ns, sys.version)
-    return sha256(repr(facts).encode()).hexdigest()
+def _runtime() -> dict:
+    """The interpreter, and numpy's and PyYAML's installs by the path, size and mtime
+    of each ``__init__.py`` (``importlib.metadata`` costs ~17 ms); numpy's spec is the
+    one ``_numpy`` found, as reading the lazy module's would import numpy."""
+    facts = {"python": sys.version}
+    for name, spec in (("numpy", numpy_spec), ("yaml", importlib.util.find_spec("yaml"))):
+        try:
+            stat = Path(spec.origin).stat()
+            facts[name] = {"path": spec.origin, "size": stat.st_size, "mtime_ns": stat.st_mtime_ns}
+        except (AttributeError, TypeError, OSError):  # not installed, or no file
+            facts[name] = None
+    return facts
+
+
+@functools.cache
+def code_identity() -> dict:
+    """The code behind an artifact, computed once per process; callers share the
+    dict, so none may change it. ``code_sha256`` digests each ``*.py`` of hlcast
+    in name order (its name, a NUL byte, its bytes); ``runtime`` is ``_runtime()``.
+    A run's manifest and a config's sidecar both key on it."""
+    digest = sha256()
+    for source in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(source.name.encode() + b"\0" + source.read_bytes())
+    return {"code_sha256": digest.hexdigest(), "runtime": _runtime()}
 
 
 def load_config(
@@ -401,28 +413,26 @@ def load_config(
 
     ``out``, ``cutoff`` and ``lags`` are the command-line overrides; any that
     are given replace the file's values once those have passed every check,
-    and go through the same per-key checks. Relative data paths and
+    and an error in one names the flag. Relative data paths and
     ``output_dir`` resolve against the config file's directory.
 
-    The document parsed from the text is stored in a hidden JSON sidecar,
-    ``.<config name>.hlcast.json``, under the text's key once it has passed
-    every check, and the next load of the same text reads it from there. A
-    sidecar that cannot be read, holds another key or cannot be written is a
-    miss; every check runs on a hit too.
+    The document parsed from the text is stored, once it has passed every
+    check, in a hidden JSON sidecar, ``.<config name>.hlcast.json``, keyed by
+    the text and ``code_identity()``. A sidecar that cannot be read, holds
+    another key or cannot be written is a miss; every check runs on a hit too.
     """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    key, document = _cache_key(text), None
+    key, document = sha256(json.dumps([text, code_identity()]).encode()).hexdigest(), None
     sidecar = path.with_name(f".{path.name}.hlcast.json")
-    if key is not None:
-        try:
-            stored = json.loads(sidecar.read_text(encoding="utf-8"))
-            document = stored["document"] if stored["key"] == key else None
-        except (OSError, ValueError, LookupError, TypeError, RecursionError):
-            pass
+    try:
+        stored = json.loads(sidecar.read_text(encoding="utf-8"))
+        document = stored["document"] if stored["key"] == key else None
+    except (OSError, ValueError, LookupError, TypeError, RecursionError):
+        pass
     hit = document is not None
     if not hit:
         document = _parse_yaml(text, path)
@@ -433,7 +443,7 @@ def load_config(
     _check_values(settings, sources)
     # a checked document nests 3 deep and holds only str keys, strings, None and
     # numbers that the checks cast, wrote and bounded: JSON reads it back as itself
-    if not hit and key is not None:
+    if not hit:
         try:
             write_text(sidecar, json.dumps({"key": key, "document": document}))
         except (DataError, OSError):
@@ -442,7 +452,10 @@ def load_config(
     if out is not None:
         settings["output_dir"] = _checked("output_dir", out)
     if cutoff is not None:
-        settings["split"]["cutoff"] = _checked("split.cutoff", cutoff)
+        try:
+            settings["split"]["cutoff"] = quarter_label(parse_quarter(cutoff))
+        except ParseError as exc:
+            raise ConfigError(f"--cutoff: {exc}") from None
     if lags is not None:
         settings["lag_scan"]["min"], settings["lag_scan"]["max"] = parse_lag_range(lags)
     settings["output_dir"] = str(path.parent / settings["output_dir"])

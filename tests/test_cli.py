@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import os
@@ -62,6 +63,38 @@ def spy_on(monkeypatch) -> list:
 
     monkeypatch.setattr(yaml, "load", spy)
     return loaders
+
+
+@contextlib.contextmanager
+def another_numpy(monkeypatch):
+    """The code identity as if another numpy were installed: ``config._runtime``
+    gives a later mtime for numpy's ``__init__.py``, and ``code_identity``'s
+    memo is cleared on entry and on exit. Yields the patched facts."""
+    facts = hlcast.config._runtime()
+    facts["numpy"] = {**facts["numpy"], "mtime_ns": facts["numpy"]["mtime_ns"] + 1}
+    with monkeypatch.context() as patched:
+        patched.setattr(hlcast.config, "_runtime", lambda: facts)
+        hlcast.config.code_identity.cache_clear()
+        try:
+            yield facts
+        finally:
+            hlcast.config.code_identity.cache_clear()
+
+
+def expected_manifest() -> dict:
+    """The manifest of the running code, by its recipe: the report schema, the
+    sha256 of hlcast's sources (each ``*.py`` in name order, fed as its name, a
+    NUL byte and its bytes), the interpreter, and numpy's and PyYAML's installs."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(hlcast.__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    runtime = {"python": sys.version}
+    for name, module in (("numpy", np), ("yaml", yaml)):
+        stat = os.stat(module.__file__)
+        runtime[name] = {
+            "path": module.__file__, "size": stat.st_size, "mtime_ns": stat.st_mtime_ns
+        }
+    return {"schema_version": 1, "code_sha256": digest.hexdigest(), "runtime": runtime}
 
 
 class TestSynth:
@@ -347,6 +380,32 @@ class TestStaleArtifacts:
         assert (run_dir / "report.json").read_bytes() == clean
         assert manifest.read_bytes() == written
 
+    def test_report_under_another_runtime_is_recomputed(self, cli, tmp_path, monkeypatch):
+        # the code digest matches, but the manifest's numpy install differs
+        config, run_dir, tables, clean = self.edited_run(cli, tmp_path)
+        manifest = run_dir / "manifest.json"
+        with another_numpy(monkeypatch) as facts:
+            assert run_ok(cli, ["report", "--config", str(config)]) == tables
+        assert (run_dir / "report.json").read_bytes() == clean
+        assert json.loads(manifest.read_text())["runtime"] == facts
+        assert run_ok(cli, ["report", "--config", str(config)]) == tables
+        assert json.loads(manifest.read_text()) == expected_manifest()
+
+    def test_report_under_the_same_identity_runs_no_backtest(self, cli, tmp_path, monkeypatch):
+        config = make_workspace(cli, tmp_path)
+        run_ok(cli, ["backtest", "--config", str(config)])
+        run_dir = load_config(config).run_dir()
+        written = {path: path.read_bytes() for path in run_dir.rglob("*") if path.is_file()}
+
+        def fail(*args, **kwargs):
+            raise AssertionError("report ran the backtest")
+
+        monkeypatch.setattr(hlcast.cli, "run_grid", fail)
+        tables = run_ok(cli, ["report", "--config", str(config)])
+        assert "evaluation window: all_quarters" in tables
+        assert run_ok(cli, ["report", "--config", str(config)]) == tables
+        assert {path: path.read_bytes() for path in written} == written
+
     def test_report_without_a_manifest_is_recomputed(self, cli, tmp_path):
         # a run directory that an older hlcast wrote
         config, run_dir, tables, clean = self.edited_run(cli, tmp_path)
@@ -378,13 +437,8 @@ class TestStaleArtifacts:
     def test_backtest_writes_the_code_digest(self, cli, tmp_path):
         config = make_workspace(cli, tmp_path)
         run_ok(cli, ["backtest", "--config", str(config)])
-        digest = hashlib.sha256()
-        for path in sorted(Path(hlcast.__file__).parent.glob("*.py")):
-            digest.update(path.name.encode() + b"\0" + path.read_bytes())
         manifest = load_config(config).run_dir() / "manifest.json"
-        assert json.loads(manifest.read_text()) == {
-            "schema_version": 1, "code_sha256": digest.hexdigest()
-        }
+        assert manifest.read_text() == json.dumps(expected_manifest(), indent=2) + "\n"
 
     def test_run_hash_follows_its_recipe(self, cli, tmp_path):
         # the settings without output_dir plus each input's unit, as sorted
@@ -421,7 +475,7 @@ print(hlcast.cli._manifest(), end="")
         assert done.returncode == 0, done.stderr
         run_hash, manifest = done.stdout.split("\n", 1)
         assert run_hash == load_config(config).run_hash()
-        assert manifest == hlcast.cli._manifest()
+        assert manifest == json.dumps(expected_manifest(), indent=2) + "\n"
 
     def test_version_is_part_of_the_run_hash(self, cli, tmp_path, monkeypatch):
         cfg = load_config(make_workspace(cli, tmp_path))
@@ -568,14 +622,21 @@ class TestErrors:
         assert f"error: {key}" in err
 
     def test_bad_lags_flag(self, cli, tmp_path):
+        # the file's lag_scan is valid: the error names the flag
         config = make_workspace(cli, tmp_path)
         code, out, err = cli(["lagscan", "--config", str(config), "--lags", "abc"])
-        assert code == 2
+        assert (code, out) == (2, "")
+        assert err == "error: --lags: lag range must look like '0..6', got 'abc'\n"
 
     def test_bad_cutoff_flag(self, cli, tmp_path):
+        # the file's split.cutoff is valid: the error names the flag
         config = make_workspace(cli, tmp_path)
-        code, out, err = cli(["backtest", "--config", str(config), "--cutoff", "never"])
-        assert code == 2
+        for value, message in [
+            ("never", "not a quarter label: 'never' (expected YYYYQn or YYYY-Qn)"),
+            ("2008Q5", "quarter out of range in '2008Q5': Q5"),
+        ]:
+            code, out, err = cli(["backtest", "--config", str(config), "--cutoff", value])
+            assert (code, out, err) == (2, "", f"error: --cutoff: {message}\n")
 
     @pytest.mark.parametrize(
         "section,key,value",
@@ -717,13 +778,17 @@ class TestErrors:
             (
                 lambda doc: None,
                 ["--lags", "5..3"],
-                "lag range must satisfy 0 <= min <= max, got '5..3'",
+                "--lags: lag range must satisfy 0 <= min <= max, got '5..3'",
             ),
-            (lambda doc: None, ["--lags", "0..1_0"], "lag range must look like '0..6', got '0..1_0'"),
+            (
+                lambda doc: None,
+                ["--lags", "0..1_0"],
+                "--lags: lag range must look like '0..6', got '0..1_0'",
+            ),
             (
                 lambda doc: None,
                 ["--lags", "\u0660..\u0663"],
-                "lag range must look like '0..6', got '\u0660..\u0663'",
+                "--lags: lag range must look like '0..6', got '\u0660..\u0663'",
             ),
         ],
         ids=[
@@ -1194,6 +1259,17 @@ class TestConfigCache:
         second = load_config(config)
         assert len(loads) == 1
         assert second == first and second.run_dir() == first.run_dir()
+
+    def test_a_sidecar_written_under_another_runtime_is_a_miss(self, cli, tmp_path, monkeypatch):
+        config = make_workspace(cli, tmp_path)
+        with another_numpy(monkeypatch):
+            first = load_config(config)
+        stored = sidecar(config).read_bytes()
+        loads = spy_on(monkeypatch)
+        assert load_config(config) == first
+        assert len(loads) == 1 and sidecar(config).read_bytes() != stored
+        assert load_config(config) == first
+        assert len(loads) == 1
 
     def test_a_hit_still_runs_every_check(self, cli, tmp_path, monkeypatch):
         config = make_workspace(cli, tmp_path)

@@ -55,6 +55,20 @@ def test_report_on_an_existing_run_never_imports_numpy(cli, tmp_path):
     assert "evaluation window: all_quarters" in out
 
 
+def test_report_without_its_sidecar_never_imports_numpy(cli, tmp_path):
+    # the report parses the config's YAML and computes the code identity,
+    # numpy's install included, without importing numpy
+    config = workspace(cli, tmp_path)
+    code, out, err = cli(["backtest", "--config", str(config)])
+    assert code == 0, out + err
+    sidecar = config.with_name(f".{config.name}.hlcast.json")
+    sidecar.unlink()
+    code, out, err = probe_cli("report", "--config", str(config))
+    assert code == 0, err
+    assert "evaluation window: all_quarters" in out
+    assert sidecar.is_file()
+
+
 def test_help_never_imports_numpy():
     code, out, err = probe_cli("--help")
     assert code == 0, err
